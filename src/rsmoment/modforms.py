@@ -622,7 +622,7 @@ def clear_float_cache(keep_tau: bool = True):
         if keep_tau and key == "tau":
             continue
         del _FLOAT_CACHE[key]
-    series.sigma_sieve.cache_clear()
+    series.clear_sieves()
 
 
 def _float_cached(name: str, length: int, builder) -> np.ndarray:
@@ -645,12 +645,7 @@ def _splice_head(arr: np.ndarray, exact: list[int]):
 
 def _tau_float(length: int) -> np.ndarray:
     def build(n):
-        e3 = np.zeros(n)
-        j = 0
-        while j * (j + 1) // 2 < n:
-            e3[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
-            j += 1
-        e6 = series.mul_float(e3, e3, n)
+        e6 = series.eta6_float(n)
         e12 = series.mul_float(e6, e6, n)
         e24 = series.mul_float(e12, e12, n)
         tau = np.zeros(n)

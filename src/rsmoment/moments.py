@@ -90,7 +90,7 @@ _OMEGA_CACHE: dict[tuple, OmegaWeights] = {}
 
 def omega_weights(k: int, tol: float = 1e-8, rhs_tol: float = 1e-11) -> OmegaWeights:
     """Solve sum_f omega_f C_f(m_i) = rhs(m_i, 1) and cross-validate held-out pairs."""
-    key = (k, tol)
+    key = (k, tol, rhs_tol)
     if key in _OMEGA_CACHE:
         return _OMEGA_CACHE[key]
     d = dim_cusp(k)

@@ -32,6 +32,15 @@ def test_omega_k24_held_out_validation():
     assert np.all(ow.omega > 0)
 
 
+def test_omega_cache_honours_rhs_tol():
+    loose = mo.omega_weights(24)
+    tight = mo.omega_weights(24, rhs_tol=1e-30)
+    # the certificate is cond * (largest rhs tail, at most rhs_tol) * sqrt(d)
+    assert tight.certificate <= tight.condition_estimate * 1e-30 * math.sqrt(len(tight.omega))
+    assert tight.certificate < loose.certificate
+    assert mo.omega_weights(24) is loose
+
+
 def test_omega_sum_is_diagonal():
     for k in (16, 24, 36):
         ow = mo.omega_weights(k)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rsmoment import series
 
@@ -85,3 +85,85 @@ def test_sieves():
     assert s3[6] == 1 + 8 + 27 + 216
     d = series.divisor_count_sieve(13)
     assert d[12] == 6 and d[7] == 2 and d[1] == 1
+
+
+@st.composite
+def small_int_series(draw):
+    """Up to 300 small integers (10 dyadic blocks), some whole blocks zeroed."""
+    n = draw(st.integers(1, 300))
+    xs = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    for s in draw(st.sets(st.integers(0, 9), max_size=3)):
+        lo, hi = (1 << s) >> 1, min(n, 1 << s)
+        xs[lo:hi] = [0] * max(0, hi - lo)
+    return xs
+
+
+@given(small_int_series(), small_int_series(), st.integers(1, 700))
+@example(a=[7], b=[-3], n_out=4)
+@example(a=[5], b=list(range(-150, 150)), n_out=600)
+@example(a=series.eta3_sparse(300), b=list(range(300, 0, -1)), n_out=300)
+@example(a=series.eta3_sparse(300), b=series.eta3_sparse(260), n_out=700)
+@settings(max_examples=150, deadline=None)
+def test_mul_float_matches_schoolbook(a, b, n_out):
+    ref = np.array(schoolbook(a, b, n_out), dtype=float)
+    got = series.mul_float(np.array(a, dtype=float), np.array(b, dtype=float), n_out)
+    assert got.shape == (n_out,)
+    # every block pair counted once: rounding recovers the integers exactly
+    assert np.array_equal(np.rint(got), ref)
+    assert np.max(np.abs(got - ref)) < 1e-6
+
+
+def _rel_errors(got, exact):
+    ref = np.array([float(x) for x in exact])
+    nz = ref != 0
+    return np.abs(got[nz] - ref[nz]) / np.abs(ref[nz])
+
+
+def test_mul_float_accuracy_against_exact_at_2_14():
+    n = 2 ** 14
+    d = series.delta_exact(n)
+    d2 = series.mul_exact(d, d, n)
+    fd, fd2 = (np.array([float(x) for x in v]) for v in (d, d2))
+    rel = _rel_errors(series.mul_float(fd, fd, n), d2)
+    assert rel.max() <= 1.2e-10 and np.median(rel) <= 1.5e-14
+    rel = _rel_errors(series.mul_float(fd2, fd, n), series.mul_exact(d2, d, n))
+    assert rel.max() <= 3.2e-8 and np.median(rel) <= 3.2e-13
+
+
+def test_eta6_float_is_exact():
+    for n in (1, 2, 4, 1000, 40000):
+        e3 = series.eta3_sparse(n)
+        assert np.array_equal(series.eta6_float(n),
+                              np.array(series.mul_exact(e3, e3, n), dtype=float)), n
+
+
+def _sieve_loop(power, n):
+    s = [0] * n
+    for d in range(1, n):
+        for m in range(d, n, d):
+            s[m] += d ** power
+    return np.array(s, dtype=float)
+
+
+@pytest.mark.parametrize("power, sieve", [
+    (0, series.divisor_count_sieve),
+    (1, lambda n: series.sigma_sieve(1, n)),
+    (5, lambda n: series.sigma_sieve(5, n)),  # sums past 2^53: rounding order shows
+])
+def test_divisor_sums_bit_identical_in_any_request_order(power, sieve):
+    series.clear_sieves()
+    short, long, again = sieve(300), sieve(20000), sieve(300)
+    series.clear_sieves()
+    fresh = sieve(20000)
+    assert len(short) == len(again) == 300 and len(long) == 20000
+    assert short.tobytes() == again.tobytes() == long[:300].tobytes()
+    assert long.tobytes() == fresh.tobytes()
+    exact = _sieve_loop(power, 20000)
+    if power < 5:
+        assert np.array_equal(long, exact)
+    else:
+        assert np.allclose(long, exact, rtol=1e-14, atol=0)
+    for arr in (short, long):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1] = 0.0
