@@ -33,18 +33,14 @@ class RunConfig:
     """Plain key=value configuration with CLI-flag override."""
 
     field: str = "Q"
-    precision_bits: int = 64
     afe_tol: float = 1e-8
     e_tol: float = 1e-6
     g_scale: float = DEFAULT_G_SCALE
     contour: float = DEFAULT_CONTOUR
     newform: str = ""
     outdir: str = "."
-    seed: int = 0
 
     def validate(self):
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
         for name in ("afe_tol", "e_tol", "g_scale", "contour"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -68,7 +64,7 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args):
-    for name in ("field", "g_scale", "contour", "outdir", "seed", "afe_tol", "e_tol"):
+    for name in ("field", "g_scale", "contour", "outdir", "afe_tol", "e_tol"):
         v = getattr(args, name.replace("-", "_"), None)
         if v is not None:
             setattr(cfg, name, v)
@@ -187,7 +183,6 @@ def cmd_afe(cfg: RunConfig, args) -> int:
         for f in forms:
             vals = []
             for cg in (0.5 * cfg.g_scale, cfg.g_scale, 2.0 * cfg.g_scale):
-                vp_cut = None
                 cv = central_value(eigenforms(k, _afe_len(k, g, cg))[f.index], g,
                                    g_scale=cg, contour=cfg.contour, tol=cfg.afe_tol)
                 vals.append(cv.value)
@@ -277,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--e-tol", dest="e_tol", type=float,
                         default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     ap = argparse.ArgumentParser(prog="rsmoment", allow_abbrev=False,
                                  parents=[common],
@@ -357,7 +351,6 @@ def main(argv=None) -> int:
         ap.print_usage()
         return 2
     cfg = _apply_overrides(load_config(getattr(args, "config", None)), args)
-    np.random.seed(cfg.seed)
     try:
         return _COMMANDS[args.command](cfg, args)
     except UncertifiedError as exc:

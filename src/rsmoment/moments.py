@@ -199,6 +199,7 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
     W = np.zeros(M)
     d = 0
     w_cert = 0.0
+    w_interp = 0.0  # interpolation error of W, from the spline path of V
     while True:
         d += 1
         if math.gcd(d, g.level) != 1:
@@ -208,7 +209,9 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
         if env1 / d < tol * 1e-4 and d >= 4:
             w_cert = 4.0 * env1 / d
             break
-        W += vq.values(ys) / d
+        vals, interp_err = vq.values(ys)
+        W += vals / d
+        w_interp += interp_err / d
     cg = np.asarray(g.cn[: M + 1])
     wt = cg[1:] * W / np.sqrt(nus)
     x_all = 4.0 * math.pi * np.sqrt(nus * p)
@@ -228,7 +231,7 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
     nu_tail = _e_nu_tail(vp, vq, g, p, k, M)
     dsum_mass = float(np.sum(np.abs(cg[1:]) / np.sqrt(nus)))
     cert = 4.0 * math.pi * (c_tail + nu_tail
-                            + dsum_mass * (w_cert + vq.quad_tail + vq.interp_err))
+                            + dsum_mass * (w_cert + vq.quad_tail + w_interp))
     if cert > 50 * tol:
         raise UncertifiedError(f"e_term certificate {cert:.2e} far above tol", cert)
     return CertValue(value=value, certificate=cert)

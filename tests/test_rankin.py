@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -67,9 +68,54 @@ def test_v_envelope_is_actually_an_envelope():
     p = rk.VParams((20,), (12,), g_scale=0.5)
     vq = rk._vq(p)
     ys = np.array([1.0, 10.0, 100.0, 1000.0, 12345.0])
-    vals = np.abs(vq.values(ys))
+    vals, interp_err = vq.values(ys)
+    assert interp_err == 0.0  # direct path
     env = vq.envelope(ys)
-    assert np.all(vals <= env * (1 + 1e-9))
+    assert np.all(np.abs(vals) <= env * (1 + 1e-9))
+
+
+def _line_sum_mp(vq, y):
+    """The quadrature sum of V(y) over vq's own nodes and weights, in mpmath at
+    40 digits; also the sum of the terms' moduli (how many digits any float
+    summation order can lose)."""
+    if y < 0.1:
+        w, sigma, ts, base = vq.neg_weights, vq.neg_sigma, vq.neg_nodes_t, 1
+    else:
+        w, sigma, ts, base = vq.weights, vq.sigma, vq.nodes_t, 0
+    with mp.workdps(40):
+        ly = mp.log(mp.mpf(float(y)))
+        total, mass = mp.mpf(0), mp.mpf(0)
+        for wj, tj in zip(w, ts):
+            term = mp.mpc(wj.real, wj.imag) * mp.exp(-(mp.mpf(sigma) + 1j * mp.mpf(float(tj))) * ly)
+            total += term.real
+            mass += abs(term)
+        return float(base + total), float(mass)
+
+
+# y on both sides of the residue split at 0.1: the small-y branch, the band
+# just above it, and the AFE arguments 4 pi^2 m of level 1
+_V_YS = (1e-9, 1e-6, 1e-3, 0.02, 0.0999, 0.1, 0.3, 1.0, 4.0, 15.0) \
+    + tuple(4 * math.pi ** 2 * m for m in (1, 2, 3, 7, 30, 250, 4000, 10 ** 5))
+
+
+@pytest.mark.parametrize("k", [14, 40, 60])
+def test_v_horner_matches_mpmath_line_sum(k):
+    vq = rk._vq(rk.VParams((k,), (12,)))
+    got, _ = vq.values(np.array(_V_YS))
+    for y, v in zip(_V_YS, got):
+        ref, mass = _line_sum_mp(vq, y)
+        # absolute where the terms are O(1); where they reach 1e5 (k = 60,
+        # y = 0.1) no float summation order keeps more than eps * mass
+        assert abs(v - ref) <= 2e-15 * max(1.0, mass), (k, y, v - ref, mass)
+
+
+@pytest.mark.parametrize("k", [14, 40, 60])
+def test_v_value_agrees_with_values(k):
+    vq = rk._vq(rk.VParams((k,), (12,)))
+    for y in _V_YS:
+        # both are float sums of the same terms in different orders
+        _, mass = _line_sum_mp(vq, y)
+        assert abs(vq.value(y) - vq.values([y])[0][0]) <= 1e-15 * max(1.0, mass), (k, y)
 
 
 def test_effective_cutoff_examples():

@@ -121,6 +121,37 @@ def test_bessel_against_highprec_series():
         assert abs(got - ref) < 1e-11 * max(abs(ref), 1e-8), (nu, x)
 
 
+def _bessel_array_grid(order):
+    """x from 1e-3 to 1000, dense around x = order and x = 2 sqrt(order + 1)."""
+    turn = 2.0 * math.sqrt(order + 1.0)
+    return np.unique(np.concatenate([
+        np.geomspace(1e-3, 1000.0, 40),
+        order + np.linspace(-2.0, 2.0, 17),
+        turn + np.linspace(-1.0, 1.0, 9),
+    ]))
+
+
+@pytest.mark.parametrize("order", [13, 39, 59])
+def test_bessel_j_array_against_highprec(order):
+    xs = _bessel_array_grid(order)
+    got = sf.bessel_j_array(order, xs)
+    for x, v in zip(xs, got):
+        ref = float(sf.bessel_j_highprec(order, float(x)))
+        scale = max(math.sqrt(2.0 / (math.pi * x)), abs(ref))
+        assert abs(v - ref) <= 1e-13 * scale, (order, x, v, ref)
+
+
+@pytest.mark.parametrize("order", [13, 39, 59])
+def test_bessel_j_array_agrees_with_scalar(order):
+    xs = _bessel_array_grid(order)
+    got = sf.bessel_j_array(order, xs)
+    for x, v in zip(xs, got):
+        scale = max(math.sqrt(2.0 / (math.pi * x)), abs(v))
+        # above 2 sqrt(order + 1) the scalar goes through scipy's jv, whose
+        # error reaches 5e-13 of the envelope at orders 39 and 59
+        assert abs(v - sf.bessel_j(order, float(x))) <= 1e-12 * scale, (order, x)
+
+
 def test_bessel_mellin_barnes_cross_check():
     # contour form at sigma = nu/2 against the primary path
     for (nu, x) in [(11, 2.0), (11, 4 * math.pi), (15, 6.0)]:
