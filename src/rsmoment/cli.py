@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
@@ -26,6 +25,8 @@ from .tracefmla import (TraceRHSParams, kloosterman_nf, kloosterman_q,
                         KloostermanQuery, petersson_rhs_nf, petersson_rhs_q,
                         unit_sum_tail)
 from . import moments
+
+_TRACE_CHECK_TOL = 1e-8  # worst relative |LHS - RHS| trace-check passes
 
 
 @dataclass
@@ -160,17 +161,18 @@ def cmd_trace_check(cfg: RunConfig, args) -> int:
     for k in _parse_krange(args.k):
         ow = moments.omega_weights(k)
         forms = eigenforms(k, 64)
-        for (m, n) in ((2, 3), (3, 5), (4, 9), (2, 8)):
+        for (m, n) in moments._HELD_OUT_PAIRS:
             lhs = float(sum(w * f.c(m) * f.c(n) for w, f in zip(ow.omega, forms)))
             rv = petersson_rhs_q(m, n, k)
             err = abs(lhs - rv.value)
             worst = max(worst, err / max(1.0, abs(rv.value)))
-            rows.append(f"{k},({m};{n}),{lhs:.15g},{rv.value:.15g},{err:.3g},1e-08")
+            rows.append(f"{k},({m};{n}),{lhs:.15g},{rv.value:.15g},{err:.3g},"
+                        f"{_TRACE_CHECK_TOL:g}")
     _write_outputs(cfg, "trace-check", "\n".join(rows) + "\n",
                    {"worst_relative_error": worst}, "trace_check")
     print("\n".join(rows))
     print(f"worst relative error: {worst:.3g}")
-    return 0 if worst <= 1e-8 else 3
+    return 0 if worst <= _TRACE_CHECK_TOL else 3
 
 
 def cmd_afe(cfg: RunConfig, args) -> int:

@@ -616,12 +616,11 @@ def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
 _FLOAT_CACHE: dict[str, tuple[int, np.ndarray]] = {}
 
 
-def clear_float_cache(keep_tau: bool = True):
-    """Drop the long float series (the acceptance driver calls this between pairs)."""
+def clear_float_cache():
+    """Drop the long float series but tau (the acceptance driver calls this between pairs)."""
     for key in list(_FLOAT_CACHE):
-        if keep_tau and key == "tau":
-            continue
-        del _FLOAT_CACHE[key]
+        if key != "tau":
+            del _FLOAT_CACHE[key]
     series.clear_sieves()
 
 

@@ -21,16 +21,15 @@ cannot reproduce held-out trace data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import series as _series
 from .modforms import NewformRecord, cusp_space, dim_cusp, eigenforms
-from .rankin import (DEFAULT_CONTOUR, DEFAULT_G_SCALE, UncertifiedError, VParams,
-                     _vq, afe_tail_bound, central_value, effective_cutoff)
-from .specialfn import (bessel_j_array, bessel_j_series_bound, digamma,
-                        zeta_laurent_at_center)
+from .rankin import (DEFAULT_G_SCALE, V_DIRECT_MAX, UncertifiedError, VParams, _vq,
+                     central_value, effective_cutoff)
+from .specialfn import bessel_j_array, digamma, zeta_laurent_at_center
 from .tracefmla import CertValue, kloosterman_row, petersson_rhs_q
 from .numfield import Q as FIELD_Q
 
@@ -122,34 +121,55 @@ def omega_weights(k: int, tol: float = 1e-8, rhs_tol: float = 1e-11) -> OmegaWei
     return out
 
 
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    """The primes dividing n, ascending (none for n < 2)."""
+    return tuple(q for q in range(2, n + 1)
+                 if n % q == 0 and all(q % r for r in range(2, math.isqrt(q) + 1)))
+
+
 def _validate_pair(g: NewformRecord, p: int, k: int):
     if k <= g.weight:
         raise ValueError("weight constraint k_j > l_j violated")
     if p != 1:
-        if any(p % q == 0 for q in range(2, p) if q * q <= p):
+        if _prime_divisors(p) != (p,):
             raise ValueError("p must be 1 or prime")
         if g.level % p == 0:
             raise ValueError("p must not divide the level of g")
 
 
-def _d_sum(p_arith: VParams, level: int, np_: int, tol: float):
-    """sum_{gcd(d,level)=1} (1/d) V(4 pi^2 N(p) d^2 / Q) with certificate."""
-    vq = _vq(p_arith)
-    total, d, cert = 0.0, 0, 0.0
+def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
+    """W(nu) = sum_{gcd(d,level)=1} V(4 pi^2 nu d^2 / Q)/d at ascending nus, certified.
+
+    The d range ends at the first coprime d >= 4 with envelope(nus[0])/d < tol.
+    Returns (W, cert, d_end): the terms d < d_end are summed, and cert bounds
+    the error of every W(nu).
+    """
+    vq = _vq(vp)
+    ds, d = [], 0
     while True:
         d += 1
         if math.gcd(d, level) != 1:
             continue
-        y = p_arith.afe_argument(np_ * d * d)
-        env = float(vq.envelope(y)[0])
-        if env / d < tol / 16 and d >= 4:
-            # geometric-ish remainder: envelope slope >= 1 in d beyond here
-            cert = 4.0 * env / d
+        env = float(vq.envelope(vp.afe_argument(nus[0] * d * d))[0])
+        if env / d < tol and d >= 4:
             break
-        total += vq.value(y) / d
+        ds.append(d)
         if d > 10 ** 6:
             raise UncertifiedError("d-sum failed to certify")
-    return total, cert + vq.quad_tail * (1.0 + math.log(d))
+    # geometric-ish remainder (envelope slope >= 1 in d beyond here), and the
+    # quadrature tail once per term, sum_{d' < d} 1/d' <= 1 + log d
+    cert = 4.0 * env / d + vq.quad_tail * (1.0 + math.log(d))
+    W = np.zeros(len(nus))
+    # whole d-rows per V call, at most V_DIRECT_MAX points (one row, on the
+    # spline path, when the nus alone are more)
+    rows = max(1, V_DIRECT_MAX // len(nus))
+    for i in range(0, len(ds), rows):
+        block = np.array(ds[i: i + rows], dtype=float)
+        vals, interp_err = vq.values(vp.afe_argument(np.outer(block * block, nus)).ravel())
+        for e, row in zip(block, vals.reshape(len(block), -1)):
+            W += row / e
+        cert += interp_err * float(np.sum(1.0 / block))
+    return W, cert, d
 
 
 def m_term_direct(g: NewformRecord, p: int, k: int,
@@ -157,17 +177,15 @@ def m_term_direct(g: NewformRecord, p: int, k: int,
     """M = 2 C_g(p)/sqrt(p) * sum_d a_d/d V(...), truncated by V-decay."""
     _validate_pair(g, p, k)
     vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
-    dsum, cert = _d_sum(vp, g.level, p, tol)
+    W, cert, _ = _w_sum(vp, g.level, np.array([float(p)]), tol / 16)
     pref = 2.0 * g.c(p) / math.sqrt(p)
-    return CertValue(value=pref * dsum, certificate=abs(pref) * cert)
+    return CertValue(value=pref * float(W[0]), certificate=abs(pref) * cert)
 
 
 def m_term_residue(g: NewformRecord, p: int, k: int) -> float:
     """The contour-shift residue form of M (the O(1/k) remainder not added)."""
     _validate_pair(g, p, k)
-    removed = tuple(sorted({q for q in range(2, g.level + 1)
-                            if g.level % q == 0 and all(q % r for r in range(2, q))}))
-    gm1, g0 = zeta_laurent_at_center(FIELD_Q, removed)
+    gm1, g0 = zeta_laurent_at_center(FIELD_Q, _prime_divisors(g.level))
     l = g.weight
     arg = 4.0 * math.pi ** 2 * p / g.level
     res = g0 + 0.5 * gm1 * (digamma((k - l + 1) / 2.0) + digamma((k + l - 1) / 2.0)
@@ -180,7 +198,6 @@ class ETruncation:
     """Truncation policy of the off-diagonal sum; None fields auto-size."""
 
     nu_cutoff: int | None = None
-    c_cutoff: int | None = None
     tol: float = 1e-6
 
 
@@ -190,34 +207,17 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
     _validate_pair(g, p, k)
     tol = trunc.tol
     vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
-    vq = _vq(vp)
     M = trunc.nu_cutoff or effective_cutoff(vp, tol / 16.0)
     if g.length < M:
         raise ValueError(f"need C_g up to {M}")
-    # W(nu) = sum_d a_d/d V(4 pi^2 nu d^2 / Q)
     nus = np.arange(1, M + 1, dtype=float)
-    W = np.zeros(M)
-    d = 0
-    w_cert = 0.0
-    w_interp = 0.0  # interpolation error of W, from the spline path of V
-    while True:
-        d += 1
-        if math.gcd(d, g.level) != 1:
-            continue
-        ys = vp.afe_argument(nus * d * d)
-        env1 = float(vq.envelope(ys[:1])[0])
-        if env1 / d < tol * 1e-4 and d >= 4:
-            w_cert = 4.0 * env1 / d
-            break
-        vals, interp_err = vq.values(ys)
-        W += vals / d
-        w_interp += interp_err / d
+    W, w_cert, _ = _w_sum(vp, g.level, nus, tol * 1e-4)
     cg = np.asarray(g.cn[: M + 1])
     wt = cg[1:] * W / np.sqrt(nus)
     x_all = 4.0 * math.pi * np.sqrt(nus * p)
     x_max = float(x_all[-1])
     # c-range: certified by the J-series bound with |S(nu,p;c)| <= c
-    cmax = trunc.c_cutoff or _e_cmax(k, x_max, np.abs(wt), tol / 4.0)
+    cmax = _e_cmax(k, x_max, np.abs(wt), tol / 4.0)
     c_tail = _e_c_tail(k, x_all, np.abs(wt), cmax)
     sign = -1.0 if (k // 2) % 2 else 1.0
     acc = 0.0
@@ -228,10 +228,9 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
         acc += float(np.dot(wt * s_of_nu, jv)) / c
     value = 4.0 * math.pi * sign * acc
     # nu-tail: |C_g| <= d(nu); c-sum bounded by counting oscillatory c's
-    nu_tail = _e_nu_tail(vp, vq, g, p, k, M)
+    nu_tail = _e_nu_tail(vp, p, k, M)
     dsum_mass = float(np.sum(np.abs(cg[1:]) / np.sqrt(nus)))
-    cert = 4.0 * math.pi * (c_tail + nu_tail
-                            + dsum_mass * (w_cert + vq.quad_tail + w_interp))
+    cert = 4.0 * math.pi * (c_tail + nu_tail + dsum_mass * w_cert)
     if cert > 50 * tol:
         raise UncertifiedError(f"e_term certificate {cert:.2e} far above tol", cert)
     return CertValue(value=value, certificate=cert)
@@ -255,8 +254,9 @@ def _e_c_tail(k: int, x_all: np.ndarray, wt_abs: np.ndarray, cmax: int) -> float
     return float(np.sum(wt_abs * np.exp(np.minimum(lg, 700.0))))
 
 
-def _e_nu_tail(vp: VParams, vq, g: NewformRecord, p: int, k: int, M: int) -> float:
+def _e_nu_tail(vp: VParams, p: int, k: int, M: int) -> float:
     """sum_{nu > M} d(nu) W_env(nu)/sqrt(nu) * bound(sum_c |S|/c J(4 pi sqrt(nu p)/c))."""
+    vq = _vq(vp)
     far = 8 * M
     nus = np.arange(M + 1, far + 1, dtype=float)
     env = vq.envelope(vp.afe_argument(nus)) * 2.0  # d-sum mass <= 2 * leading term
@@ -308,8 +308,8 @@ def recover_coefficient(g: NewformRecord, p: int, k: int,
     """C_g(p) back out of the moment identity: sqrt(p)(LHS - E)/(2 sum_d a_d/d V)."""
     _validate_pair(g, p, k)
     vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
-    dsum, _ = _d_sum(vp, g.level, p, 1e-10)
-    denom = 2.0 * dsum / math.sqrt(p)
+    W, _, _ = _w_sum(vp, g.level, np.array([float(p)]), 1e-10 / 16)
+    denom = 2.0 * float(W[0]) / math.sqrt(p)
     if abs(denom) < 1e-8:
         raise ValueError("degenerate recovery")
     if lhs is None:
@@ -361,9 +361,7 @@ def asymptotic_scan(g: NewformRecord, p: int, k_list,
     lhs = np.array([r.lhs for r in reports])
     A = np.vstack([lk, np.ones_like(lk)]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, lhs, rcond=None)
-    removed = tuple(sorted({q for q in range(2, g.level + 1)
-                            if g.level % q == 0 and all(q % r for r in range(2, q))}))
-    gm1, _ = zeta_laurent_at_center(FIELD_Q, removed)
+    gm1, _ = zeta_laurent_at_center(FIELD_Q, _prime_divisors(g.level))
     a_theory = 2.0 * g.c(p) / math.sqrt(p) * gm1
     resid = float(np.max(np.abs(lhs - (slope * lk + intercept))))
     return ScanResult(reports=reports, slope=float(slope), intercept=float(intercept),

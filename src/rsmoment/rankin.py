@@ -25,7 +25,7 @@ own interpolation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -50,6 +50,8 @@ __all__ = [
 
 DEFAULT_G_SCALE = 0.25
 DEFAULT_CONTOUR = 1.5
+V_DIRECT_MAX = 250_000  # VQuadrature.values takes the spline path above this many points
+_CUTOFF_M_FAR_CAP, _TAIL_M_FAR_CAP = 4_000_000, 8_000_000  # envelope-tail horizons
 
 
 class UncertifiedError(RuntimeError):
@@ -105,26 +107,24 @@ def _gamma_quotient_u(p: VParams, u: complex) -> complex:
 
 
 class VQuadrature:
-    """Fixed-node trapezoid evaluation of V_{1/2} for one (params, contour, tol)."""
+    """Fixed-node trapezoid evaluation of V_{1/2} for one (params, contour)."""
 
-    def __init__(self, p: VParams, contour: float = DEFAULT_CONTOUR,
-                 tol: float = 1e-13, step: float = 0.125):
+    def __init__(self, p: VParams, contour: float = DEFAULT_CONTOUR):
         if contour <= 0:
             raise ValueError("contour height must be positive")
         self.p = p
         self.sigma = contour
-        self.tol = tol
         cg = p.g_scale
-        # Gaussian tail of the t-integral beyond T
+        # Gaussian tail of the t-integral beyond T, sized for 1e-13
         pref = abs(_gamma_quotient_u(p, complex(contour))) * math.exp(cg * contour ** 2)
-        t_max = math.sqrt(max(1.0, math.log(max(pref, 1.0) / (tol * contour)) / cg)) + 2.0
-        self._build(contour, step, t_max, store=True)
+        t_max = math.sqrt(max(1.0, math.log(max(pref, 1.0) / (1e-13 * contour)) / cg)) + 2.0
+        self._build(contour, 0.125, t_max, store=True)
         # residue-split nodes for tiny y: contour between u = 0 and the
         # nearest gamma pole at u = -min_j (|k_j-l_j|+1)/2, kept at least
         # 0.3 away from it so the trapezoid stays geometric
         a1_min = min(a1 for a1, _ in p.gamma_shifts())
         sigma_neg = -min(0.45, max(0.1, a1_min - 0.3))
-        self._build(sigma_neg, min(step, 0.05), t_max, store=False)
+        self._build(sigma_neg, 0.05, t_max, store=False)
 
     def _build(self, sigma: float, h: float, t_max: float, store: bool):
         n = int(t_max / h) + 1
@@ -168,7 +168,7 @@ class VQuadrature:
         The error is 0.0 unless the points are many enough for the spline path.
         """
         ys = np.asarray(ys, dtype=float)
-        if len(ys) > 250000:
+        if len(ys) > V_DIRECT_MAX:
             return self._values_spline(ys)
         return self._values_direct(ys), 0.0
 
@@ -251,17 +251,16 @@ def _horner_line(weights: np.ndarray, sigma: float, h: float, ly: np.ndarray) ->
 _VQ_CACHE: dict[tuple, VQuadrature] = {}
 
 
-def _vq(p: VParams, contour: float = DEFAULT_CONTOUR, tol: float = 1e-13) -> VQuadrature:
-    key = (p, contour, tol)
+def _vq(p: VParams, contour: float = DEFAULT_CONTOUR) -> VQuadrature:
+    key = (p, contour)
     if key not in _VQ_CACHE:
-        _VQ_CACHE[key] = VQuadrature(p, contour, tol)
+        _VQ_CACHE[key] = VQuadrature(p, contour)
     return _VQ_CACHE[key]
 
 
-def v_function(y: float, p: VParams, contour: float = DEFAULT_CONTOUR,
-               tol: float = 1e-13) -> float:
+def v_function(y: float, p: VParams, contour: float = DEFAULT_CONTOUR) -> float:
     """V_{1/2}(y) by contour quadrature."""
-    return _vq(p, contour, tol).value(y)
+    return _vq(p, contour).value(y)
 
 
 @dataclass
@@ -309,7 +308,7 @@ def b_coefficients(f, g: NewformRecord, M: int) -> RankinSeries:
                         l=g.weight, level=g.level)
 
 
-def effective_cutoff(p: VParams, tol: float, m_far_cap: int = 4_000_000) -> int:
+def effective_cutoff(p: VParams, tol: float) -> int:
     """Smallest M with sum_{m>M} d(m)^3 m^{-1/2} |V(y_m)| < tol (envelope-certified)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -321,7 +320,7 @@ def effective_cutoff(p: VParams, tol: float, m_far_cap: int = 4_000_000) -> int:
         remainder = _beyond_far_bound(vq, p, m_far)
         if remainder < tol / 8:
             break
-        if m_far >= m_far_cap:
+        if m_far >= _CUTOFF_M_FAR_CAP:
             raise UncertifiedError("effective_cutoff: envelope tail not certifiable",
                                    certificate=remainder)
         m_far *= 2
@@ -339,7 +338,7 @@ def effective_cutoff(p: VParams, tol: float, m_far_cap: int = 4_000_000) -> int:
                                certificate=float(want[-1]))
     m_cut = int(hit[0]) + 1
     # make the returned cutoff coherent with afe_tail_bound's own horizon
-    while afe_tail_bound(p, m_cut) > tol and m_cut < m_far_cap:
+    while afe_tail_bound(p, m_cut) > tol and m_cut < _CUTOFF_M_FAR_CAP:
         m_cut = int(m_cut * 1.15) + 1
     return m_cut
 
@@ -354,12 +353,12 @@ def _beyond_far_bound(vq: VQuadrature, p: VParams, m_far: int) -> float:
     return 3 * math.sqrt(3) * env_far * (m_far ** 2 / (slope - 3.0) + m_far)
 
 
-def afe_tail_bound(p: VParams, M: int, m_far_cap: int = 8_000_000) -> float:
+def afe_tail_bound(p: VParams, M: int) -> float:
     """Certified bound on sum_{m>M} d(m)^3 m^{-1/2} |V(y_m)|."""
     vq = _vq(p)
     m_far = max(4 * M, 4096)
     remainder = _beyond_far_bound(vq, p, m_far)
-    while not math.isfinite(remainder) and m_far < m_far_cap:
+    while not math.isfinite(remainder) and m_far < _TAIL_M_FAR_CAP:
         m_far *= 2
         remainder = _beyond_far_bound(vq, p, m_far)
     if not math.isfinite(remainder):

@@ -33,6 +33,14 @@ def test_moment_weight_constraint_exit(capsys, tmp_path, delta_file):
     assert "weight constraint k_j > l_j violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["0", "-2", "4"])
+def test_moment_bad_twist_exit(capsys, tmp_path, delta_file, p):
+    rc = main(["moment", "--g", delta_file, "--k", "16", "--p", p,
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "error: p must be 1 or prime" in capsys.readouterr().err
+
+
 def test_moment_command(capsys, tmp_path, delta_file):
     rc = main(["moment", "--g", delta_file, "--k", "16", "--p", "2",
                "--outdir", str(tmp_path)])

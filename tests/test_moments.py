@@ -89,6 +89,36 @@ def test_m_direct_tolerance_stability(delta_record):
     assert abs(a.value - b.value) <= a.certificate + b.certificate
 
 
+@pytest.mark.parametrize("k", [14, 24, 40])
+@pytest.mark.parametrize("level,l", [(1, 12), (3, 6)])
+def test_w_sum_matches_pointwise_sum(k, level, l):
+    # the one d-sum behind M, E and recovery, against scalar V summed over
+    # four times its d range; M's and E's default stop tolerances
+    vp = mo.VParams((k,), (l,), conductor=float(level))
+    vq = mo._vq(vp)
+    M = mo.effective_cutoff(vp, mo.ETruncation().tol / 16.0)
+    cases = [(np.array([float(p)]), 1e-9 / 16) for p in (1, 2, 5)]
+    cases.append((np.arange(1.0, M + 1), mo.ETruncation().tol * 1e-4))
+    for nus, tol in cases:
+        W, cert, d_end = mo._w_sum(vp, level, nus, tol)
+        # the quadrature tail counts once per summed term; the d-tail is taken
+        # out first, because it is far larger and would hide a missing part
+        used = [d for d in range(1, d_end) if math.gcd(d, level) == 1]
+        env_end = float(vq.envelope(vp.afe_argument(nus[0] * d_end * d_end))[0])
+        assert cert - 4.0 * env_end / d_end >= vq.quad_tail * sum(1.0 / d for d in used)
+        # scalar V over every nu is slow; check W at about 40 nus from 1 to M
+        for i in np.unique(np.geomspace(1, len(nus), 40).astype(int)) - 1:
+            plain = sum(vq.value(vp.afe_argument(nus[i] * d * d)) / d
+                        for d in range(1, 4 * d_end) if math.gcd(d, level) == 1)
+            assert abs(W[i] - plain) <= cert, (nus[i], W[i] - plain, cert)
+
+
+@pytest.mark.parametrize("p", [0, -2, 4])
+def test_bad_twist_raises(delta_record, p):
+    with pytest.raises(ValueError, match="p must be 1 or prime"):
+        mo.moment_report(delta_record, p, 16)
+
+
 def test_e_term_stability_under_doubled_truncations(delta_record):
     base = mo.e_term(delta_record, 1, 20)
     vp_cut = mo.effective_cutoff(mo.VParams((20,), (12,)), mo.ETruncation().tol / 16.0)
