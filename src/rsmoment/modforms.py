@@ -9,7 +9,11 @@ in float64 by convolving the most-cuspidal monomial Delta^d E4^a E6^b of the
 space and spanning the rest with its T_2 Hecke orbit.  That construction
 keeps the float convolutions away from the Eisenstein-versus-cusp
 cancellation that floats cannot survive; the overlap with the exact prefix
-is verified on every build.
+is verified on every build, and each form carries that build's error.
+
+Every series behind the forms lives in ``series``' one grow-only store (3/2
+growth; a float entry is the prefix of the longest build so far); the only
+other state is the ``_SPACES`` registry.
 
 Also hosts the plain-text newform coefficient file format used to feed the
 fixed form g.
@@ -81,7 +85,9 @@ class Eigenform:
 
     ``cn`` holds C_f(n) = a_f(n)/n^{(k-1)/2} as read-only float64,
     index-aligned with cn[0] = 0.  ``an_exact`` is the high-precision prefix
-    (mpmath values), never longer than ``cn``.
+    (mpmath values), never longer than ``cn``.  ``float_rel`` is the
+    float-vs-exact overlap error of the build that made ``cn`` (0 when
+    ``cn`` lies within the exact prefix).
     """
 
     weight: int
@@ -89,6 +95,7 @@ class Eigenform:
     cn: np.ndarray
     an_exact: tuple
     lam2: float
+    float_rel: float = 0.0
 
     @property
     def length(self) -> int:
@@ -135,29 +142,29 @@ def eisenstein_qexp(weight: int, length: int) -> QExpansion:
     return QExpansion(weight, series.eisenstein_exact(weight, length + 1))
 
 
-_EXACT_POW_CACHE: dict[tuple, list[int]] = {}
-
-
 def _delta_power_exact(i: int, n_out: int) -> list[int]:
-    key = ("delta", i, n_out)
-    if key not in _EXACT_POW_CACHE:
-        if i == 1:
-            _EXACT_POW_CACHE[key] = series.delta_exact(n_out)
-        else:
-            _EXACT_POW_CACHE[key] = series.mul_exact(
-                _delta_power_exact(i - 1, n_out), series.delta_exact(n_out), n_out)
-    return _EXACT_POW_CACHE[key]
+    """Delta^i, exact, with n_out coefficients."""
+    if i == 1:
+        return series.delta_exact(n_out)
+    return series.stored(("delta^i", i), n_out, lambda n: series.mul_exact(
+        _delta_power_exact(i - 1, n), series.delta_exact(n), n))
+
+
+def _eisenstein_power_exact(alpha: int, beta: int, n_out: int) -> list[int]:
+    """E4^alpha * E6^beta (alpha + beta >= 1), exact, one product per chain step."""
+    if alpha + beta == 1:
+        return series.eisenstein_exact(4 if alpha else 6, n_out)
+    prev, weight = ((alpha, beta - 1), 6) if beta else ((alpha - 1, 0), 4)
+    return series.stored(("E4^a E6^b", alpha, beta), n_out, lambda n: series.mul_exact(
+        _eisenstein_power_exact(*prev, n), series.eisenstein_exact(weight, n), n))
 
 
 def _monomial_exact(i: int, alpha: int, beta: int, length: int) -> list[int]:
     """Delta^i * E4^alpha * E6^beta, exact, with n_out = length+1 coefficients."""
-    n_out = length + 1
-    cur = _delta_power_exact(i, n_out)
-    for _ in range(alpha):
-        cur = series.mul_exact(cur, series.eisenstein_exact(4, n_out), n_out)
-    for _ in range(beta):
-        cur = series.mul_exact(cur, series.eisenstein_exact(6, n_out), n_out)
-    return cur
+    if not (alpha or beta):
+        return _delta_power_exact(i, length + 1)
+    return series.stored(("monomial", i, alpha, beta), length + 1, lambda n: series.mul_exact(
+        _delta_power_exact(i, n), _eisenstein_power_exact(alpha, beta, n), n))
 
 
 def _monomial_exponents(k: int, i: int) -> tuple[int, int]:
@@ -372,7 +379,6 @@ class CuspSpace:
         self._basis: list[QExpansion] | None = None
         self._eigen: list[Eigenform] | None = None
         self._hecke_used: int | None = None
-        self.float_rel: float = 0.0  # achieved float-vs-exact overlap accuracy
 
     # -- exact layer --
     def basis(self, length: int) -> list[QExpansion]:
@@ -415,7 +421,8 @@ class CuspSpace:
             self._build_eigen()
         if self._eigen[0].length < length:
             self._extend_floats(length)
-        return [replace(f, cn=f.cn[: length + 1], an_exact=f.an_exact[: length + 1])
+        return [replace(f, cn=f.cn[: length + 1], an_exact=f.an_exact[: length + 1],
+                        float_rel=f.float_rel if length >= len(f.an_exact) else 0.0)
                 for f in self._eigen]
 
     def _build_eigen(self):
@@ -478,10 +485,9 @@ class CuspSpace:
                 if rel > 5e-6:
                     raise ArithmeticError(
                         f"float extension disagrees with exact prefix (rel {rel:.2e})")
-                self.float_rel = max(self.float_rel, rel)
                 cn[: pref + 1] = f.cn[: pref + 1]
                 cn.flags.writeable = False
-                extended.append(replace(f, cn=cn))
+                extended.append(replace(f, cn=cn, float_rel=float(rel)))
         self._eigen = extended
 
 
@@ -514,13 +520,8 @@ def _span_length_factor(d: int) -> int:
     return max(math.prod(w) if w else 1 for w in _SPAN_WORDS[d])
 
 
-_SPAN_RANK_OK: set = set()
-
-
 def _assert_span_rank(k: int, d: int):
-    """Exact (Fraction) full-rank check of the Hecke-word span, once per space."""
-    if k in _SPAN_RANK_OK:
-        return
+    """Exact (Fraction) full-rank check of the Hecke-word span, on every extension."""
     L = 3 * d + 8
     vecs = _span_raw_exact(k, d, L)
     rows = [[Fraction(v[n]) for v in vecs] for n in range(1, L + 1)]
@@ -537,7 +538,6 @@ def _assert_span_rank(k: int, d: int):
         rank += 1
     if rank != d:
         raise ArithmeticError(f"Hecke-word span of S_{k} is rank-deficient ({rank} < {d})")
-    _SPAN_RANK_OK.add(k)
 
 
 def _span_raw_exact(k: int, d: int, length: int) -> list[list[int]]:
@@ -613,26 +613,6 @@ def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
     return out
 
 
-_FLOAT_CACHE: dict[str, tuple[int, np.ndarray]] = {}
-
-
-def clear_float_cache():
-    """Drop the long float series but tau (the acceptance driver calls this between pairs)."""
-    for key in list(_FLOAT_CACHE):
-        if key != "tau":
-            del _FLOAT_CACHE[key]
-    series.clear_sieves()
-
-
-def _float_cached(name: str, length: int, builder) -> np.ndarray:
-    hit = _FLOAT_CACHE.get(name)
-    if hit is not None and hit[0] >= length:
-        return hit[1][:length]
-    arr = builder(length)
-    _FLOAT_CACHE[name] = (length, arr)
-    return arr
-
-
 _HEAD = 1024  # exact-head length spliced into every float series stage
 
 
@@ -650,7 +630,18 @@ def _tau_float(length: int) -> np.ndarray:
         tau = np.zeros(n)
         tau[1:] = e24[: n - 1]
         return _splice_head(tau, series.delta_exact(min(_HEAD, n)))
-    return _float_cached("tau", length, build)
+    return series.stored(("tau float",), length, build)
+
+
+def _delta_power_float(i: int, length: int) -> np.ndarray:
+    """Delta^i as raw float coefficients, one product onto the stored Delta^(i-1)."""
+    if i == 1:
+        return _tau_float(length)
+
+    def build(n):
+        cur = series.mul_float(_delta_power_float(i - 1, n), _tau_float(n), n)
+        return _splice_head(cur, _delta_power_exact(i, min(_HEAD, n)))
+    return series.stored(("delta^i float", i), length, build)
 
 
 _EXACT_FULL_CUTOFF = 60000
@@ -667,21 +658,12 @@ def _cuspidal_monomial_float(k: int, i: int, alpha: int, beta: int, length: int)
     monomials are built exactly (affordable at the lengths where they are
     ever requested) and converted.
     """
-    if (alpha or beta) and length > _EXACT_FULL_CUTOFF:
+    if not (alpha or beta):
+        return _delta_power_float(i, length)
+    if length > _EXACT_FULL_CUTOFF:
         raise ArithmeticError(
             "Eisenstein-bearing monomial requested beyond the exact-arithmetic cutoff")
-
-    def build(n):
-        if alpha or beta:
-            return np.array([float(x) for x in _monomial_exact(i, alpha, beta, n - 1)])
-        h = min(_HEAD, n)
-        tau = _tau_float(n)
-        cur = tau.copy()
-        for j in range(2, i + 1):
-            cur = series.mul_float(cur, tau, n)
-            _splice_head(cur, _delta_power_exact(j, h))
-        return cur
-    return _float_cached(f"mono:{i},{alpha},{beta}", length, build)
+    return np.array([float(x) for x in _monomial_exact(i, alpha, beta, length - 1)])
 
 
 _EXACT_PREFIX = 512

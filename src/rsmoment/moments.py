@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series as _series
-from .modforms import NewformRecord, cusp_space, dim_cusp, eigenforms
+from .modforms import NewformRecord, dim_cusp, eigenforms
 from .rankin import (DEFAULT_G_SCALE, V_DIRECT_MAX, UncertifiedError, VParams, _vq,
                      central_value, effective_cutoff)
 from .specialfn import bessel_j_array, digamma, zeta_laurent_at_center
@@ -297,7 +297,7 @@ def lhs_moment(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCAL
         cert += abs(w * f.c(p)) * cv.certificate
         lsum += abs(cv.value * f.c(p))
     cert += ow.certificate * lsum / max(ow.rhs_diag, 1e-9)
-    cert += cusp_space(k).float_rel * 4.0 * sum(abs(w) for w in ow.omega)
+    cert += max(f.float_rel for f in forms) * 4.0 * sum(abs(w) for w in ow.omega)
     return CertValue(value=total, certificate=cert)
 
 

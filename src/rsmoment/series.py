@@ -13,16 +13,21 @@ Two multiplication engines:
   other operand's prefix: O(log n) FFTs per product.  Its docstring gives the
   measured accuracy, worst at coefficients far smaller than their neighbours.
 
-Also hosts the arithmetic sieves (sigma_k, divisor counts; the float ones
-are read-only views of one grow-only cache per power) and the standard
+Also hosts the arithmetic sieves (sigma_k, divisor counts) and the standard
 level-1 generators: eta powers via the pentagonal/Jacobi sparse expansions,
 E4, E6, and Delta.
+
+Every length-indexed series here and in ``modforms`` lives in one
+grow-only store (``stored``): a request is a slice of the longest build so
+far, and a request past it rebuilds at 3/2 of the held length or more.
+Exact series and the sieves are the same whatever the build length; a float
+series entry is the prefix of the longest build so far.  ``clear_store``
+drops everything.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -36,7 +41,33 @@ __all__ = [
     "eta6_float",
     "delta_exact",
     "eisenstein_exact",
+    "stored",
+    "clear_store",
 ]
+
+_STORE: dict[tuple, object] = {}  # key -> longest build so far
+
+
+def stored(key: tuple, length: int, build):
+    """The first ``length`` entries of series ``key``, from one grow-only store.
+
+    ``build(n)`` returns the first n entries.  A request within what the
+    store holds is a slice of it; a longer one rebuilds at
+    max(length, 3/2 x held), so ascending requests build a series O(log n)
+    times.  Arrays are stored read-only and lists come back as copies.
+    """
+    held = _STORE.get(key)
+    if held is None or len(held) < length:
+        held = build(max(length, 0 if held is None else len(held) * 3 // 2))
+        if isinstance(held, np.ndarray):
+            held.flags.writeable = False
+        _STORE[key] = held
+    return held[:length]
+
+
+def clear_store():
+    """Drop every stored series."""
+    _STORE.clear()
 
 
 def mul_exact(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -168,33 +199,25 @@ def mul_float(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
     return out
 
 
-_DIVISOR_SUMS: dict[int, np.ndarray] = {}  # power -> read-only sigma_power(m), m < len
-
-
 def _divisor_sums(power: int, length: int) -> np.ndarray:
-    """Read-only view of sigma_power(m) for m < length from a grow-only cache.
+    """Read-only sigma_power(m) for m < length, from the store.
 
     Each index m receives its terms in the same order (d ascending over the
-    divisors d <= sqrt(m), d^p + (m/d)^p at a time) whatever lengths were
-    asked before, so its value is bit-identical across calls.  The cache at
-    least doubles when it grows, so a caller stepping its length by small
-    factors does not re-sieve.
+    divisors d <= sqrt(m), d^p + (m/d)^p at a time) whatever the build
+    length, so every request is bit-identical to a fresh build.
     """
-    old = _DIVISOR_SUMS.get(power, np.zeros(0))
-    if length > len(old):
-        lo, hi = len(old), max(length, 2 * len(old))
-        s = np.zeros(hi)
-        s[:lo] = old
-        for d in range(1, math.isqrt(hi - 1) + 1):
+    def build(n):
+        s = np.zeros(n)
+        d = 1
+        while d * d < n:
             dp = float(d) ** power
-            if d * d >= lo:
-                s[d * d] += dp
-            j0, j1 = max(d + 1, -(-lo // d)), (hi - 1) // d + 1  # cofactors j > d
-            if j0 < j1:
-                s[d * j0:d * j1:d] += dp + _int_powers(j0, j1, power)
-        s.flags.writeable = False
-        _DIVISOR_SUMS[power] = old = s
-    return old[:length]
+            s[d * d] += dp
+            j1 = (n - 1) // d + 1  # cofactors d < j < j1
+            if d + 1 < j1:
+                s[d * (d + 1):d * j1:d] += dp + _int_powers(d + 1, j1, power)
+            d += 1
+        return s
+    return stored(("sigma", power), length, build)
 
 
 def _int_powers(j0: int, j1: int, power: int) -> np.ndarray:
@@ -216,19 +239,16 @@ def divisor_count_sieve(length: int) -> np.ndarray:
     return _divisor_sums(0, length)
 
 
-def clear_sieves():
-    """Drop the cached divisor sums."""
-    _DIVISOR_SUMS.clear()
-
-
-@lru_cache(maxsize=4)
 def sigma_sieve_exact(power: int, length: int) -> tuple[int, ...]:
-    s = [0] * length
-    for d in range(1, length):
-        dp = d ** power
-        for m in range(d, length, d):
-            s[m] += dp
-    return tuple(s)
+    """sigma_power(n) for n < length as exact integers (index 0 is 0)."""
+    def build(n):
+        s = [0] * n
+        for d in range(1, n):
+            dp = d ** power
+            for m in range(d, n, d):
+                s[m] += dp
+        return tuple(s)
+    return stored(("sigma exact", power), length, build)
 
 
 def eta3_sparse(length: int) -> list[int]:
@@ -258,26 +278,22 @@ def eta6_float(length: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=2)
-def _eta24_exact(length: int) -> tuple[int, ...]:
-    e3 = eta3_sparse(length)
-    e6 = mul_exact(e3, e3, length)
-    e12 = mul_exact(e6, e6, length)
-    return tuple(mul_exact(e12, e12, length))
-
-
 def delta_exact(length: int) -> list[int]:
     """tau(n) for n < length: Delta = q * (eta^3)^8 as formal series in q."""
-    e24 = _eta24_exact(max(length - 1, 1))
-    return [0] + list(e24[: length - 1])
+    def build(n):
+        e3 = eta3_sparse(n - 1)
+        e6 = mul_exact(e3, e3, n - 1)
+        e12 = mul_exact(e6, e6, n - 1)
+        return [0] + mul_exact(e12, e12, n - 1)
+    return stored(("delta",), length, build)
 
 
 def eisenstein_exact(weight: int, length: int) -> list[int]:
     """E4 or E6 with exact integer coefficients."""
-    if weight == 4:
-        s = sigma_sieve_exact(3, length)
-        return [1] + [240 * s[n] for n in range(1, length)]
-    if weight == 6:
-        s = sigma_sieve_exact(5, length)
-        return [1] + [-504 * s[n] for n in range(1, length)]
-    raise ValueError("only E4 and E6 are generators here")
+    if weight not in (4, 6):
+        raise ValueError("only E4 and E6 are generators here")
+    scale, power = (240, 3) if weight == 4 else (-504, 5)
+
+    def build(n):
+        return [1] + [scale * x for x in sigma_sieve_exact(power, n)[1:]]
+    return stored(("eisenstein", weight), length, build)

@@ -15,6 +15,7 @@ import pytest
 from rsmoment import modforms as mf
 from rsmoment import moments as mo
 from rsmoment import rankin as rk
+from rsmoment import series
 from rsmoment import tracefmla as tf
 from rsmoment.numfield import Q_SQRT2, Q_SQRT5, embed_float, is_totally_positive, norm, trace
 from rsmoment.specialfn import gamma_quotient_check
@@ -172,7 +173,7 @@ def test_criterion_6_afe_robustness(delta_record):
     elapsed = time.perf_counter() - t0
     assert report(6, "AFE robustness (10 pairs)", ok_all,
                   f"({'; '.join(lines)}; {elapsed:.0f}s)")
-    mf.clear_float_cache()
+    series.clear_store()
 
 
 def test_criterion_7_kloosterman_correctness():

@@ -127,9 +127,54 @@ def test_ramanujan_bound_at_primes():
 
 
 def test_float_extension_validated_against_exact_prefix():
-    sp = mf.cusp_space(36)
-    mf.eigenforms(36, 5000)
-    assert sp.float_rel < 1e-9
+    forms = mf.eigenforms(36, 5000)
+    assert max(f.float_rel for f in forms) < 1e-9
+    assert all(f.float_rel == 0.0 for f in mf.eigenforms(36, 100))  # exact prefix
+
+
+_EXACT_STORED = {
+    "Delta": series.delta_exact,
+    "Delta^3": lambda n: mf._delta_power_exact(3, n),
+    "E4^2 E6": lambda n: mf._eisenstein_power_exact(2, 1, n),
+    "Delta^2 E4 E6": lambda n: mf._monomial_exact(2, 1, 1, n - 1),
+    "sigma_5": lambda n: series.sigma_sieve_exact(5, n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_STORED))
+def test_exact_store_bit_identical_in_any_request_order(name):
+    get = _EXACT_STORED[name]
+    series.clear_store()
+    mf._monomial_exact(3, 2, 1, 900)  # longer builds of Delta, E4, E6 first
+    short, long, again = get(40), get(700), get(40)
+    series.clear_store()
+    fresh = get(700)
+    assert len(short) == len(again) == 40 and len(long) == len(fresh) == 700
+    assert list(short) == list(again) == list(long[:40]) == list(fresh[:40])
+    assert list(long) == list(fresh)
+
+
+def test_float_store_is_read_only_prefix():
+    series.clear_store()
+    long, short = mf._delta_power_float(3, 3000), mf._delta_power_float(3, 500)
+    assert short.tobytes() == long[:500].tobytes()
+    for arr in (long, short, mf._tau_float(2000), series.sigma_sieve(3, 100)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1] = 0.0
+
+
+def test_ascending_requests_build_delta_log_times(monkeypatch):
+    # the scan's pattern: every weight asks a few short lengths and a longer one
+    builds = []
+    eta3 = series.eta3_sparse
+    monkeypatch.setattr(series, "eta3_sparse", lambda n: builds.append(n) or eta3(n))
+    series.clear_store()
+    lengths = [512 + 137 * j for j in range(48)]
+    for n in lengths:
+        for m in (11, 257, n):
+            series.delta_exact(m)
+    assert len(builds) <= 1 + math.log(lengths[-1] / 11, 1.5)
 
 
 def test_evaluate_delta_at_i():

@@ -151,9 +151,9 @@ def _sieve_loop(power, n):
     (5, lambda n: series.sigma_sieve(5, n)),  # sums past 2^53: rounding order shows
 ])
 def test_divisor_sums_bit_identical_in_any_request_order(power, sieve):
-    series.clear_sieves()
+    series.clear_store()
     short, long, again = sieve(300), sieve(20000), sieve(300)
-    series.clear_sieves()
+    series.clear_store()
     fresh = sieve(20000)
     assert len(short) == len(again) == 300 and len(long) == 20000
     assert short.tobytes() == again.tobytes() == long[:300].tobytes()
