@@ -12,8 +12,9 @@ cancellation that floats cannot survive; the overlap with the exact prefix
 is verified on every build, and each form carries that build's error.
 
 Every series behind the forms lives in ``series``' one grow-only store (3/2
-growth; a float entry is the prefix of the longest build so far); the only
-other state is the ``_SPACES`` registry.
+growth; a float entry is the prefix of the longest build so far), and so
+does the shared ``CuspSpace`` of each weight (``cusp_space``);
+``series.clear_store`` resets both.
 
 Also hosts the plain-text newform coefficient file format used to feed the
 fixed form g.
@@ -667,13 +668,11 @@ def _cuspidal_monomial_float(k: int, i: int, alpha: int, beta: int, length: int)
 
 
 _EXACT_PREFIX = 512
-_SPACES: dict[int, CuspSpace] = {}
 
 
 def cusp_space(k: int) -> CuspSpace:
-    if k not in _SPACES:
-        _SPACES[k] = CuspSpace(k)
-    return _SPACES[k]
+    """The shared S_k, one per store."""
+    return series.memo(("cusp space", k), lambda: CuspSpace(k))
 
 
 def eigenforms(k: int, length: int) -> list[Eigenform]:

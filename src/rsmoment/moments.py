@@ -84,14 +84,12 @@ class MomentReport:
                 raise ValueError("non-finite entry in moment report")
 
 
-_OMEGA_CACHE: dict[tuple, OmegaWeights] = {}
-
-
 def omega_weights(k: int, tol: float = 1e-8, rhs_tol: float = 1e-11) -> OmegaWeights:
     """Solve sum_f omega_f C_f(m_i) = rhs(m_i, 1) and cross-validate held-out pairs."""
-    key = (k, tol, rhs_tol)
-    if key in _OMEGA_CACHE:
-        return _OMEGA_CACHE[key]
+    return _series.memo(("omega", k, tol, rhs_tol), lambda: _solve_omega(k, tol, rhs_tol))
+
+
+def _solve_omega(k: int, tol: float, rhs_tol: float) -> OmegaWeights:
     d = dim_cusp(k)
     if d == 0:
         raise ValueError("empty space")
@@ -114,11 +112,9 @@ def omega_weights(k: int, tol: float = 1e-8, rhs_tol: float = 1e-11) -> OmegaWei
             raise ValueError(
                 f"trace formula inconsistency at held-out pair {(m, n)}: "
                 f"|{lhs_val:.12g} - {rv.value:.12g}|")
-    out = OmegaWeights(weight=k, omega=omega, probe_set=tuple(probes),
-                       condition_estimate=cond, certificate=cert,
-                       rhs_diag=rhs[0].value)
-    _OMEGA_CACHE[key] = out
-    return out
+    return OmegaWeights(weight=k, omega=omega, probe_set=tuple(probes),
+                        condition_estimate=cond, certificate=cert,
+                        rhs_diag=rhs[0].value)
 
 
 def _prime_divisors(n: int) -> tuple[int, ...]:

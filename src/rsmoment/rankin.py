@@ -51,6 +51,8 @@ __all__ = [
 DEFAULT_G_SCALE = 0.25
 DEFAULT_CONTOUR = 1.5
 V_DIRECT_MAX = 250_000  # VQuadrature.values takes the spline path above this many points
+_SIGMA_GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0,
+               13.0, 17.0, 22.0, 28.0, 36.0, 45.0, 56.0, 70.0, 88.0, 110.0)  # envelope lines
 _CUTOFF_M_FAR_CAP, _TAIL_M_FAR_CAP = 4_000_000, 8_000_000  # envelope-tail horizons
 
 
@@ -125,6 +127,13 @@ class VQuadrature:
         a1_min = min(a1 for a1, _ in p.gamma_shifts())
         sigma_neg = -min(0.45, max(0.1, a1_min - 0.3))
         self._build(sigma_neg, 0.05, t_max, store=False)
+        # log of the line bound constant per sigma on the envelope grid
+        self._line_logs = [
+            sum((log_gamma(a1 + s) - log_gamma(complex(a1))).real
+                + (log_gamma(a2 + s) - log_gamma(complex(a2))).real
+                for a1, a2 in p.gamma_shifts())
+            + cg * s * s + 0.5 * math.log(math.pi / cg) - math.log(2 * math.pi * s)
+            for s in _SIGMA_GRID]
 
     def _build(self, sigma: float, h: float, t_max: float, store: bool):
         n = int(t_max / h) + 1
@@ -198,44 +207,20 @@ class VQuadrature:
         return spline(np.log(ys)), interp_err
 
     # -- rigorous-envelope machinery ----------------------------------------
-    def _line_log_prefactors(self):
-        # log of the line bound constant per sigma on the grid
-        try:
-            return self._line_logs
-        except AttributeError:
-            cg = self.p.g_scale
-            logs = []
-            for s in self._sigma_grid():
-                lg = sum(
-                    (log_gamma(a1 + s) - log_gamma(complex(a1))).real
-                    + (log_gamma(a2 + s) - log_gamma(complex(a2))).real
-                    for a1, a2 in self.p.gamma_shifts()
-                )
-                logs.append(lg + cg * s * s
-                            + 0.5 * math.log(math.pi / cg) - math.log(2 * math.pi * s))
-            self._line_logs = logs
-            return logs
-
     def envelope(self, y) -> np.ndarray:
         """Upper bound for |V(y)|: min over a sigma-grid of the line bound."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         ly = np.log(y)
-        logs = self._line_log_prefactors()
         best = np.full(y.shape, np.inf)
-        for s, lc in zip(self._sigma_grid(), logs):
+        for s, lc in zip(_SIGMA_GRID, self._line_logs):
             best = np.minimum(best, lc - s * ly)
         return np.exp(np.clip(best, -745.0, 700.0))
 
     def envelope_slope(self, y: float) -> float:
         """The sigma attaining the envelope at y (= local decay exponent)."""
         ly = math.log(y)
-        logs = self._line_log_prefactors()
-        vals = [lc - s * ly for s, lc in zip(self._sigma_grid(), logs)]
-        return self._sigma_grid()[int(np.argmin(vals))]
-
-    def _sigma_grid(self):
-        return [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0,
-                13.0, 17.0, 22.0, 28.0, 36.0, 45.0, 56.0, 70.0, 88.0, 110.0]
+        vals = [lc - s * ly for s, lc in zip(_SIGMA_GRID, self._line_logs)]
+        return _SIGMA_GRID[int(np.argmin(vals))]
 
 
 def _horner_line(weights: np.ndarray, sigma: float, h: float, ly: np.ndarray) -> np.ndarray:
@@ -248,14 +233,8 @@ def _horner_line(weights: np.ndarray, sigma: float, h: float, ly: np.ndarray) ->
     return np.exp(-sigma * ly) * acc.real
 
 
-_VQ_CACHE: dict[tuple, VQuadrature] = {}
-
-
 def _vq(p: VParams, contour: float = DEFAULT_CONTOUR) -> VQuadrature:
-    key = (p, contour)
-    if key not in _VQ_CACHE:
-        _VQ_CACHE[key] = VQuadrature(p, contour)
-    return _VQ_CACHE[key]
+    return _series.memo(("V quadrature", p, contour), lambda: VQuadrature(p, contour))
 
 
 def v_function(y: float, p: VParams, contour: float = DEFAULT_CONTOUR) -> float:

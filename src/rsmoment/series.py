@@ -17,12 +17,15 @@ Also hosts the arithmetic sieves (sigma_k, divisor counts) and the standard
 level-1 generators: eta powers via the pentagonal/Jacobi sparse expansions,
 E4, E6, and Delta.
 
-Every length-indexed series here and in ``modforms`` lives in one
-grow-only store (``stored``): a request is a slice of the longest build so
-far, and a request past it rebuilds at 3/2 of the held length or more.
-Exact series and the sieves are the same whatever the build length; a float
-series entry is the prefix of the longest build so far.  ``clear_store``
-drops everything.
+All program state lives in one store, ``_STORE``.  Every length-indexed
+series here and in ``modforms`` is a grow-only entry (``stored``): a request
+is a slice of the longest build so far, and a request past it rebuilds at
+3/2 of the held length or more.  Exact series and the sieves are the same
+whatever the build length; a float series entry is the prefix of the
+longest build so far.  Everything else the checker reuses (cusp spaces,
+omega solves, V quadratures, Kloosterman rows, inverse and residue tables)
+is built once per key (``memo``).  ``clear_store`` drops everything, so it
+is the one reset of the whole checker.
 """
 
 from __future__ import annotations
@@ -42,10 +45,18 @@ __all__ = [
     "delta_exact",
     "eisenstein_exact",
     "stored",
+    "memo",
     "clear_store",
 ]
 
-_STORE: dict[tuple, object] = {}  # key -> longest build so far
+_STORE: dict[tuple, object] = {}  # key -> longest build so far, or memo entry
+
+
+def _read_only(obj):
+    for a in obj if isinstance(obj, tuple) else (obj,):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return obj
 
 
 def stored(key: tuple, length: int, build):
@@ -58,15 +69,23 @@ def stored(key: tuple, length: int, build):
     """
     held = _STORE.get(key)
     if held is None or len(held) < length:
-        held = build(max(length, 0 if held is None else len(held) * 3 // 2))
-        if isinstance(held, np.ndarray):
-            held.flags.writeable = False
+        held = _read_only(build(max(length, 0 if held is None else len(held) * 3 // 2)))
         _STORE[key] = held
     return held[:length]
 
 
+def memo(key: tuple, build):
+    """The object ``build()`` made for ``key``, built once per store.
+
+    An array result, or each array of a tuple result, is stored read-only.
+    """
+    if key not in _STORE:
+        _STORE[key] = _read_only(build())
+    return _STORE[key]
+
+
 def clear_store():
-    """Drop every stored series."""
+    """Drop every stored series and memo: the one reset of all program state."""
     _STORE.clear()
 
 

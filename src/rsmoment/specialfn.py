@@ -19,7 +19,6 @@ Everything the moment machinery needs from classical analysis lives here:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -296,7 +295,6 @@ def dirichlet_l_at_one(disc: int) -> float:
                 for r in range(1, disc) if _chi_quadratic(disc, r)) / disc
 
 
-@lru_cache(maxsize=64)
 def _ideal_norm_counts(disc: int, length: int) -> np.ndarray:
     """Number of integral ideals of norm m for m < length (r = 1 * chi_disc)."""
     r = np.zeros(length)

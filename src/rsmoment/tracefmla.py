@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .numfield import (FieldDescriptor, FieldElement, conj, embed_float,
+from .numfield import (FieldDescriptor, FieldElement, embed_float, get_field,
                        is_totally_positive, norm, totally_positive_units, trace)
+from .series import memo
 from .specialfn import bessel_j, bessel_j_array, bessel_j_series_bound
 from .rankin import UncertifiedError
 
@@ -56,13 +55,10 @@ class CertValue:
 
 # -- rational Kloosterman sums ---------------------------------------------
 
-@lru_cache(maxsize=4096)
 def _inverse_table(c: int) -> tuple:
-    inv = [-1] * c
-    for x in range(c):
-        if math.gcd(x, c) == 1:
-            inv[x] = pow(x, -1, c)
-    return tuple(inv)
+    """x^-1 mod c for every residue x, -1 where x is not a unit."""
+    return memo(("inverse table", c), lambda: tuple(
+        pow(x, -1, c) if math.gcd(x, c) == 1 else -1 for x in range(c)))
 
 
 def kloosterman_q(m: int, n: int, c: int) -> float:
@@ -81,25 +77,20 @@ def kloosterman_q(m: int, n: int, c: int) -> float:
     return tot
 
 
-_ROW_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def kloosterman_row(n: int, c: int) -> np.ndarray:
     """The vector (S(r, n; c))_{r mod c}; the off-diagonal sums index into it."""
-    key = (n % c, c)
-    row = _ROW_CACHE.get(key)
-    if row is None:
-        if c == 1:
-            row = np.ones(1)
-        else:
-            inv = _inverse_table(c)
-            xs = np.array([x for x in range(1, c) if inv[x] >= 0])
-            phase = np.array([inv[x] for x in xs]) * (n % c) % c
-            rs = np.arange(c)
-            ang = (np.outer(rs, xs) + phase[None, :]) % c
-            row = np.cos(2.0 * math.pi / c * ang).sum(axis=1)
-        _ROW_CACHE[key] = row
-    return row
+    return memo(("kloosterman row", n % c, c), lambda: _build_row(n % c, c))
+
+
+def _build_row(n: int, c: int) -> np.ndarray:
+    if c == 1:
+        return np.ones(1)
+    inv = _inverse_table(c)
+    xs = np.array([x for x in range(1, c) if inv[x] >= 0])
+    phase = np.array([inv[x] for x in xs]) * n % c
+    rs = np.arange(c)
+    ang = (np.outer(rs, xs) + phase[None, :]) % c
+    return np.cos(2.0 * math.pi / c * ang).sum(axis=1)
 
 
 # -- number-field Kloosterman sums -------------------------------------------
@@ -137,33 +128,6 @@ def _residue_box(c: FieldElement):
     return h11, h12, h22
 
 
-def nf_xgcd(x: FieldElement, y: FieldElement):
-    """(g, u, v) with u*x + v*y = g by nearest-coordinate Euclid (norm-Euclidean)."""
-    field = x.field
-    one, zero = field.one, field.element(0)
-    r0, r1 = x, y
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    while not r1.is_zero():
-        q_exact = r0 / r1
-        q = field.element(round(q_exact.a), round(q_exact.b))
-        r0, r1 = r1, r0 - q * r1
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return r0, u0, v0
-
-
-def _nf_inverse(x: FieldElement, c: FieldElement):
-    """x^{-1} mod (c), or None if x is not invertible mod (c)."""
-    g, u, _ = nf_xgcd(x, c)
-    ng = norm(g)
-    if abs(ng) != 1:
-        return None
-    # u*x = g - v*c => x^{-1} = u * g^{-1};  g^{-1} = conj(g)/N(g)
-    ginv = conj(g) * g.field.element(Fraction(1, 1) / ng)
-    return u * ginv
-
-
 def _reduce_mod(x: FieldElement, box) -> FieldElement:
     h11, h12, h22 = box
     a, b = int(x.a), int(x.b)
@@ -180,7 +144,6 @@ class KloostermanQuery:
     alpha: FieldElement
     beta: FieldElement
     c: FieldElement
-    scaling: FieldElement | None = None
 
     def __post_init__(self):
         if self.c.is_zero():
@@ -192,31 +155,34 @@ class KloostermanQuery:
 _KL_NF_CAP = 10_000
 
 
-def _int_xgcd(field: FieldDescriptor, x: tuple[int, int], y: tuple[int, int]):
-    """Extended gcd on integer coordinates (nearest-coordinate Euclid)."""
-    t, n = field.omega_trace, field.omega_norm
+# Integer coordinates (a, b) = a + b*omega, with omega^2 = t*omega - n.
 
-    def mul(u, v):
-        return (u[0] * v[0] - n * u[1] * v[1],
-                u[0] * v[1] + u[1] * v[0] + t * u[1] * v[1])
+def _cmul(t: int, n: int, u, v):
+    return (u[0] * v[0] - n * u[1] * v[1],
+            u[0] * v[1] + u[1] * v[0] + t * u[1] * v[1])
 
-    def nrm(u):
-        return u[0] * u[0] + t * u[0] * u[1] + n * u[1] * u[1]
 
-    def cnj(u):
-        return (u[0] + t * u[1], -u[1])
+def _cnorm(t: int, n: int, u) -> int:
+    return u[0] * u[0] + t * u[0] * u[1] + n * u[1] * u[1]
 
+
+def _cconj(t: int, u):
+    return (u[0] + t * u[1], -u[1])
+
+
+def _int_xgcd(t: int, n: int, x: tuple[int, int], y: tuple[int, int]):
+    """(g, u) with g = u*x mod (y), by nearest-coordinate Euclid (norm-Euclidean)."""
     r0, r1 = x, y
     u0, u1 = (1, 0), (0, 0)
     while r1 != (0, 0):
-        num = mul(r0, cnj(r1))
-        dn = nrm(r1)
+        num = _cmul(t, n, r0, _cconj(t, r1))
+        dn = _cnorm(t, n, r1)
         q = (_iround(num[0], dn), _iround(num[1], dn))
-        qr = mul(q, r1)
+        qr = _cmul(t, n, q, r1)
         r0, r1 = r1, (r0[0] - qr[0], r0[1] - qr[1])
-        qu = mul(q, u1)
+        qu = _cmul(t, n, q, u1)
         u0, u1 = u1, (u0[0] - qu[0], u0[1] - qu[1])
-    return r0, u0, nrm, mul, cnj
+    return r0, u0
 
 
 def _iround(a: int, b: int) -> int:
@@ -226,25 +192,37 @@ def _iround(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-@lru_cache(maxsize=512)
 def _residue_data(field_key: str, ca: int, cb: int):
     """Invertible residues of O/(c) and their inverses, as coordinate arrays."""
-    from .numfield import get_field
-    field = get_field(field_key)
-    c = field.element(ca, cb)
-    h11, h12, h22 = _residue_box(c)
+    c = get_field(field_key).element(ca, cb)
+    return _residues(c, _residue_box(c))
+
+
+def _residues(c: FieldElement, box):
+    """The table of ``_residue_data``, one per ideal.
+
+    It is stored under the HNF box, so every generator of (c) shares it: an
+    inverse is only defined mod (c), and the phases that read it are
+    reduced mod 1.
+    """
+    return memo(("residues", c.field.key, box), lambda: _build_residues(c, box))
+
+
+def _build_residues(c: FieldElement, box):
+    t, n = c.field.omega_trace, c.field.omega_norm
+    ca, cb = int(c.a), int(c.b)
+    h11, _, h22 = box
     xs1, xs2, bs1, bs2 = [], [], [], []
     for x2 in range(h22):
         for x1 in range(h11):
             if x1 == 0 and x2 == 0:
                 continue
-            g, u, nrm, mul, cnj = _int_xgcd(field, (x1, x2), (ca, cb))
-            ng = nrm(g)
+            g, u = _int_xgcd(t, n, (x1, x2), (ca, cb))
+            ng = _cnorm(t, n, g)
             if abs(ng) != 1:
                 continue
             # inverse = u * conj(g) / N(g) = u * conj(g) * sign
-            gi = cnj(g)
-            inv = mul(u, gi)
+            inv = _cmul(t, n, u, _cconj(t, g))
             if ng == -1:
                 inv = (-inv[0], -inv[1])
             xs1.append(x1)
@@ -274,7 +252,7 @@ def kl_nf_raw(field: FieldDescriptor, alpha: FieldElement, beta: FieldElement,
     alpha = _reduce_mod(alpha, box)
     beta = _reduce_mod(beta, box)
     delta = field.different_gen
-    x1, x2, b1, b2 = _residue_data(field.key, int(c.a), int(c.b))
+    x1, x2, b1, b2 = _residues(c, box)
     wa = alpha / (delta * c)
     wb = beta * delta / c
     omega = field.omega
@@ -308,8 +286,7 @@ def kl_nf_exact_phase(field: FieldDescriptor, alpha: FieldElement, beta: FieldEl
 
 def kloosterman_nf(q: KloostermanQuery, cap: int = _KL_NF_CAP) -> float:
     """Kl for totally positive slot data; conjugation symmetry makes it real."""
-    beta = q.beta if q.scaling is None else q.beta * q.scaling
-    val = kl_nf_raw(q.alpha.field, q.alpha, beta, q.c, cap)
+    val = kl_nf_raw(q.alpha.field, q.alpha, q.beta, q.c, cap)
     if abs(val.imag) > 1e-7 * (1.0 + abs(val.real)):
         raise AssertionError(f"Kloosterman sum has nonvanishing imaginary part {val.imag}")
     return val.real

@@ -167,3 +167,25 @@ def test_divisor_sums_bit_identical_in_any_request_order(power, sieve):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[1] = 0.0
+
+
+def test_clear_store_resets_every_memo():
+    from rsmoment import modforms, moments, rankin, tracefmla
+
+    getters = {
+        "V quadrature": lambda: rankin._vq(rankin.VParams((24,), (12,))),
+        "omega": lambda: moments.omega_weights(16),
+        "cusp space": lambda: modforms.cusp_space(16),
+        "kloosterman row": lambda: tracefmla.kloosterman_row(3, 35),
+        "inverse table": lambda: tracefmla._inverse_table(35),
+        "residues": lambda: tracefmla._residue_data("Q_sqrt5", 2, 1),
+    }
+    before = {name: get() for name, get in getters.items()}
+    for name, get in getters.items():
+        assert get() is before[name], name
+    series.clear_store()
+    for name, get in getters.items():
+        assert get() is not before[name], name
+    row = tracefmla.kloosterman_row(3, 35)
+    assert not row.flags.writeable
+    assert not any(a.flags.writeable for a in tracefmla._residue_data("Q_sqrt5", 2, 1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsmoment import tracefmla as tf
+from rsmoment import series, tracefmla as tf
 from rsmoment.numfield import (Q_SQRT2, Q_SQRT5, FieldElement, embed_float,
                                is_totally_positive, norm, trace)
 
@@ -115,6 +115,19 @@ def test_kl_nf_exact_phase_agreement():
         assert abs(fast - slow) < 1e-9
 
 
+def inverse_by_product_scan(field, x, c):
+    """The residue y in the HNF box of (c) with x*y = 1 mod (c)."""
+    box = tf._residue_box(c)
+    h11, _, h22 = box
+    for y2 in range(h22):
+        for y1 in range(h11):
+            y = field.element(y1, y2)
+            r = tf._reduce_mod(x * y - field.one, box)
+            if r.a == 0 and r.b == 0:
+                return y
+    raise AssertionError("x is not invertible mod (c)")
+
+
 def test_kl_nf_crt_factorization():
     field = Q_SQRT5
     # c1 = (2) inert (norm 4), c2 = (2 + omega) of norm 5: coprime
@@ -125,15 +138,50 @@ def test_kl_nf_crt_factorization():
     alpha = field.element(1, 1)
     beta = field.one
     direct = tf.kl_nf_raw(field, alpha, beta, c)
-    g, _, _ = tf.nf_xgcd(c2, c1)
-    assert abs(int(norm(g))) == 1
     # CRT: x = x1 c2 c2* + x2 c1 c1*; the factor sums are the same
     # Kloosterman sums with both slots twisted by the complementary inverse
-    inv_c2_mod_c1 = tf._nf_inverse(c2, c1)
-    inv_c1_mod_c2 = tf._nf_inverse(c1, c2)
+    inv_c2_mod_c1 = inverse_by_product_scan(field, c2, c1)
+    inv_c1_mod_c2 = inverse_by_product_scan(field, c1, c2)
     kl1 = tf.kl_nf_raw(field, alpha * inv_c2_mod_c1, beta * inv_c2_mod_c1, c1)
     kl2 = tf.kl_nf_raw(field, alpha * inv_c1_mod_c2, beta * inv_c1_mod_c2, c2)
     assert abs(direct - kl1 * kl2) < 1e-8
+
+
+def test_residue_tables_built_once_per_ideal(monkeypatch):
+    """Every Q(sqrt2) ideal of norm <= 1000 (623, more than any small LRU
+    holds) builds its table once, whichever generator asks for it."""
+    field = Q_SQRT2
+    gens = [c for c, _ in tf._ideal_generators_canonical(field, 1000)]
+    assert len(gens) == 623
+    calls = [0]
+    xgcd = tf._int_xgcd
+
+    def counting(*args):
+        calls[0] += 1
+        return xgcd(*args)
+
+    monkeypatch.setattr(tf, "_int_xgcd", counting)
+    alpha = field.element(3, 1)
+
+    def sweep(moduli):
+        start = calls[0]
+        vals = [tf.kloosterman_nf(tf.KloostermanQuery(alpha=alpha, beta=field.one, c=c))
+                for c in moduli]
+        return vals, calls[0] - start
+
+    series.clear_store()
+    first, built = sweep(gens)
+    assert built > 0
+    again, built = sweep(gens)
+    assert built == 0 and again == first
+    # another generator of each ideal reads the same table, and gets the
+    # bits a table built from that generator gives
+    other = [field.eps0 * c for c in gens]
+    shared, built = sweep(other)
+    assert built == 0
+    series.clear_store()
+    fresh, _ = sweep(other[:150])
+    assert fresh == shared[:150]
 
 
 def test_residue_enumeration_cap():
