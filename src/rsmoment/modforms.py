@@ -3,13 +3,17 @@
 The degree-1 specialization of the Hilbert machinery: cusp forms for
 SL_2(Z), built from Delta, E4, E6.  Exact big-integer arithmetic is used for
 every structural step (echelon basis, Hecke matrices, characteristic
-polynomials) and for a configurable prefix of each q-expansion; beyond the
+polynomials) and for a fixed prefix of each q-expansion; beyond the
 prefix, normalized coefficients C_f(n) = a_f(n) / n^{(k-1)/2} are extended
-in float64 by convolving the most-cuspidal monomial Delta^d E4^a E6^b of the
-space and spanning the rest with its T_2 Hecke orbit.  That construction
-keeps the float convolutions away from the Eisenstein-versus-cusp
-cancellation that floats cannot survive; the overlap with the exact prefix
-is verified on every build, and each form carries that build's error.
+in float64 from the most-cuspidal monomial Delta^d E4^a E6^b of the space
+and its translates by Hecke words in T_2 and T_3.  The Miller basis is
+echelon, so a cusp form is fixed by a(1..d): a form's coordinates in the
+Hecke-word span are one exact rational inverse of the d x d matrix of the
+words' first d coefficients, applied to a_f(1..d), and that inverse exists
+exactly when the words span S_k.  The construction keeps the float
+convolutions away from the Eisenstein-versus-cusp cancellation that floats
+cannot survive; the overlap with the exact prefix is verified on every
+build, and each form carries that build's error.
 
 Every series behind the forms lives in ``series``' one grow-only store (3/2
 growth; a float entry is the prefix of the longest build so far), and so
@@ -46,7 +50,6 @@ __all__ = [
     "write_newform",
     "newform_from_eigenform",
     "delta_qexp",
-    "eisenstein_qexp",
 ]
 
 
@@ -75,9 +78,6 @@ class QExpansion:
 
     def a(self, n: int) -> int:
         return self.an[n]
-
-    def is_cusp(self) -> bool:
-        return self.an[0] == 0
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,6 @@ class NewformRecord:
 
 def delta_qexp(length: int) -> QExpansion:
     return QExpansion(12, series.delta_exact(length + 1))
-
-
-def eisenstein_qexp(weight: int, length: int) -> QExpansion:
-    return QExpansion(weight, series.eisenstein_exact(weight, length + 1))
 
 
 def _delta_power_exact(i: int, n_out: int) -> list[int]:
@@ -279,7 +275,7 @@ def _sign_changes(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _real_roots_exact(coeffs: list[Fraction], prec_dps: int = 60) -> list[mp.mpf]:
+def _real_roots_exact(coeffs: list[Fraction]) -> list[mp.mpf]:
     """All real roots of a squarefree integer-coefficient polynomial, refined in mpmath."""
     d = len(coeffs) - 1
     bound = Fraction(1) + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
@@ -308,7 +304,7 @@ def _real_roots_exact(coeffs: list[Fraction], prec_dps: int = 60) -> list[mp.mpf
             intervals.append((a, mid))
             intervals.append((mid, b))
     roots = []
-    with mp.workdps(prec_dps + 20):
+    with mp.workdps(80):  # 60 digits plus 20 guard
         fc = [mp.mpf(c.numerator) / c.denominator for c in coeffs]
         for a, b in sorted(isolated):
             if a == b:
@@ -335,36 +331,18 @@ def _real_roots_exact(coeffs: list[Fraction], prec_dps: int = 60) -> list[mp.mpf
     return roots
 
 
-def _null_vector(A: list[list[int]], lam: mp.mpf, dps: int) -> list[mp.mpf]:
-    """Nullspace vector of (A - lam I), via elimination with full pivoting."""
+def _eigenvector(A: list[list[int]], lam: mp.mpf) -> list[mp.mpf]:
+    """The solution of A v = lam v with v[0] = 1, at the working precision.
+
+    In the echelon basis v[i] = a_f(i + 1), and an eigenform never has
+    a(1) = 0, so (A - lam I)[:, 1:] v' = -(A - lam I)[:, 0] has one solution.
+    """
     d = len(A)
-    with mp.workdps(dps):
-        M = [[mp.mpf(A[i][j]) - (lam if i == j else 0) for j in range(d)] for i in range(d)]
-        col_order = list(range(d))
-        for r in range(d - 1):
-            piv_r, piv_c, best = r, r, mp.mpf(-1)
-            for i in range(r, d):
-                for j in range(r, d):
-                    if abs(M[i][j]) > best:
-                        best, piv_r, piv_c = abs(M[i][j]), i, j
-            M[r], M[piv_r] = M[piv_r], M[r]
-            if piv_c != r:
-                for row in M:
-                    row[r], row[piv_c] = row[piv_c], row[r]
-                col_order[r], col_order[piv_c] = col_order[piv_c], col_order[r]
-            for i in range(r + 1, d):
-                fac = M[i][r] / M[r][r]
-                for j in range(r, d):
-                    M[i][j] -= fac * M[r][j]
-        x = [mp.mpf(0)] * d
-        x[d - 1] = mp.mpf(1)
-        for r in range(d - 2, -1, -1):
-            s = sum(M[r][j] * x[j] for j in range(r + 1, d))
-            x[r] = -s / M[r][r]
-        out = [mp.mpf(0)] * d
-        for pos, orig in enumerate(col_order):
-            out[orig] = x[pos]
-        return out
+    if d == 1:
+        return [mp.mpf(1)]
+    B = mp.matrix([[A[i][j] - (lam if i == j else 0) for j in range(1, d)] for i in range(d)])
+    rhs = mp.matrix([-(A[i][0] - (lam if i == 0 else 0)) for i in range(d)])
+    return [mp.mpf(1)] + list(mp.lu_solve(B, rhs))
 
 
 class CuspSpace:
@@ -377,15 +355,11 @@ class CuspSpace:
         self.dim = dim_cusp(k)
         if self.dim < 1:
             raise ValueError("empty space")
-        self._basis: list[QExpansion] | None = None
         self._eigen: list[Eigenform] | None = None
-        self._hecke_used: int | None = None
 
     # -- exact layer --
     def basis(self, length: int) -> list[QExpansion]:
-        if self._basis is None or self._basis[0].length < length:
-            self._basis = miller_basis(self.k, max(length, 2 * self.dim + 8))
-        return self._basis
+        return miller_basis(self.k, max(length, 2 * self.dim + 8))
 
     def hecke_matrix(self, m: int) -> list[list[int]]:
         d = self.dim
@@ -394,7 +368,7 @@ class CuspSpace:
                 for j in range(d)]
 
     def _eigen_data(self):
-        """Eigenvalues/vectors of the first separating Hecke operator."""
+        """(matrix, eigenvalues, m) of the first separating Hecke operator T_m."""
         d = self.dim
         for m in (2, 3, 5):
             A = self.hecke_matrix(m)
@@ -405,8 +379,7 @@ class CuspSpace:
                 abs(roots[i] - roots[j]) > 1e-6 * scale
                 for i in range(d) for j in range(i + 1, d)
             ):
-                self._hecke_used = m
-                return A, roots
+                return A, roots, m
         raise ValueError("cannot separate eigenforms")
 
     def eigenforms(self, length: int) -> list[Eigenform]:
@@ -431,14 +404,13 @@ class CuspSpace:
         k = self.k
         exact_len = max(_EXACT_PREFIX, 2 * d + 8)
         basis = self.basis(exact_len)
-        A, roots = self._eigen_data()
+        A, roots, _ = self._eigen_data()
         bits = max(x.bit_length() for f in basis for x in map(abs, f.an[: exact_len + 1])) + 1
         dps = max(60, int(bits * 0.302) + 40)
         forms = []
         with mp.workdps(dps):
             for idx, lam in enumerate(sorted(roots, reverse=True)):
-                v = _null_vector(A, lam, dps)
-                v = [vi / v[0] for vi in v]  # echelon => a(1) = v[0]
+                v = _eigenvector(A, lam)
                 an = [mp.mpf(0)] * (exact_len + 1)
                 for n in range(1, exact_len + 1):
                     an[n] = sum(v[i] * basis[i].an[n] for i in range(d))
@@ -453,32 +425,17 @@ class CuspSpace:
     # -- float layer --
     def _extend_floats(self, length: int):
         d, k = self.dim, self.k
-        _assert_span_rank(k, d)
+        inv = _span_inverse(k, d)
         orbit = _hecke_orbit_normalized(k, d, length)
-        # Coordinates in the orbit span, least-squares over a probe window
-        # where every orbit vector has O(1)-scaled normalized coefficients.
-        # (Small indices are useless: the most-cuspidal monomial vanishes to
-        # order d, so its normalized values there are astronomically tiny.)
         pref = len(self._eigen[0].an_exact) - 1
-        probe = list(range(max(8 * d, pref // 4), pref // 2 + 1))
         with mp.workdps(90):
-            orbit_exact = _hecke_orbit_exact_prefix(k, d, probe[-1] + 1)
-            scale = [max(abs(orbit_exact[j][n]) for n in probe) for j in range(d)]
-            A = [[orbit_exact[j][n] / scale[j] for j in range(d)] for n in probe]
-            ata = mp.matrix(d, d)
-            for i in range(d):
-                for j in range(d):
-                    ata[i, j] = sum(A[r][i] * A[r][j] for r in range(len(probe)))
             extended = []
             for f in self._eigen:
-                half = mp.mpf(k - 1) / 2
-                target = [f.an_exact[n] / mp.mpf(n) ** half for n in probe]
-                atb = mp.matrix([sum(A[r][i] * target[r] for r in range(len(probe)))
-                                 for i in range(d)])
-                gam = mp.lu_solve(ata, atb)
                 cn = np.zeros(length + 1)
                 for j in range(d):
-                    cn += float(gam[j] / scale[j]) * orbit[j][: length + 1]
+                    gam = sum(mp.mpf(c.numerator) / c.denominator * f.an_exact[i + 1]
+                              for i, c in enumerate(inv[j]))
+                    cn += float(gam) * orbit[j]
                 # splice the exact prefix and validate the overlap
                 ov = slice(max(2, pref // 2), pref + 1)
                 denom = np.abs(f.cn[ov]) + 1e-6
@@ -492,22 +449,10 @@ class CuspSpace:
         self._eigen = extended
 
 
-def _tp_raw_exact(arr: list[int], weight: int, p: int, out_len: int) -> list[int]:
-    """Raw T_p image of an exact expansion: a(pn) + p^{w-1} a(n/p)."""
-    out = [0] * (out_len + 1)
-    pk = p ** (weight - 1)
-    for n in range(1, out_len + 1):
-        v = arr[p * n]
-        if n % p == 0:
-            v += pk * arr[n // p]
-        out[n] = v
-    return out
-
-
 # Hecke words whose translates of the most-cuspidal monomial span S_k; the
-# exact independence of each set is asserted at space construction.  Words
-# multiply the needed base length by prod(word), so this caps the length
-# overhead at 6x even for dim 5 (the plain T_2 orbit would need 16x).
+# exact coordinate step (``_span_inverse``) checks that on every extension.
+# Words multiply the needed base length by prod(word), so this caps the
+# length overhead at 6x even for dim 5 (the plain T_2 orbit would need 16x).
 _SPAN_WORDS = {
     1: [()],
     2: [(), (2,)],
@@ -521,24 +466,27 @@ def _span_length_factor(d: int) -> int:
     return max(math.prod(w) if w else 1 for w in _SPAN_WORDS[d])
 
 
-def _assert_span_rank(k: int, d: int):
-    """Exact (Fraction) full-rank check of the Hecke-word span, on every extension."""
-    L = 3 * d + 8
-    vecs = _span_raw_exact(k, d, L)
-    rows = [[Fraction(v[n]) for v in vecs] for n in range(1, L + 1)]
-    rank, r = 0, 0
+def _span_inverse(k: int, d: int) -> list[list[Fraction]]:
+    """Exact inverse of M[i][j] = a(R_j)(i + 1), i, j < d, R_j the Hecke-word vectors.
+
+    A cusp form f is fixed by a_f(1..d), so f = sum_j gamma_j R_j with
+    gamma = M^-1 (a_f(1), ..., a_f(d)); the words span S_k exactly when M
+    is invertible, and a singular M raises ArithmeticError.
+    """
+    vecs = _span_raw_exact(k, d, d)
+    rows = [[Fraction(v[i]) for v in vecs] + [Fraction(int(i == r + 1)) for r in range(d)]
+            for i in range(1, d + 1)]
     for c in range(d):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(c, d) if rows[i][c] != 0), None)
         if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c] / rows[r][c]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    if rank != d:
-        raise ArithmeticError(f"Hecke-word span of S_{k} is rank-deficient ({rank} < {d})")
+            raise ArithmeticError(f"Hecke-word span of S_{k} is rank-deficient")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(d):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return [row[d:] for row in rows]
 
 
 def _span_raw_exact(k: int, d: int, length: int) -> list[list[int]]:
@@ -550,21 +498,9 @@ def _span_raw_exact(k: int, d: int, length: int) -> list[list[int]]:
         run = need
         for p in reversed(word):
             run //= p
-            cur = _tp_raw_exact(cur, k, p, run)
+            cur = hecke_apply(p, QExpansion(k, cur), run).an
         out.append(list(cur[: length + 1]))
     return out
-
-
-def _hecke_orbit_exact_prefix(k: int, d: int, length: int) -> list[list]:
-    """Normalized exact prefixes of the spanning set, for the coordinate solve."""
-    raws = _span_raw_exact(k, d, length)
-    vecs = []
-    with mp.workdps(80):
-        half = mp.mpf(k - 1) / 2
-        for raw in raws:
-            vecs.append([mp.mpf(0)] + [mp.mpf(raw[n]) / mp.mpf(n) ** half
-                                       for n in range(1, length + 1)])
-    return vecs
 
 
 def _tp_raw_float(arr: np.ndarray, weight: int, p: int, out_len: int) -> np.ndarray:

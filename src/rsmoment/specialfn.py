@@ -232,25 +232,6 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
 
 # -- zeta --------------------------------------------------------------------
 
-def _zeta_em(s: complex, terms: int = 60, bern: int = 8) -> complex:
-    """Riemann zeta by Euler-Maclaurin, valid for Re(s) > 0 (used at Re > 0.5)."""
-    N = terms
-    out = sum(n ** (-s) for n in range(1, N))
-    out += N ** (1 - s) / (s - 1)
-    out += 0.5 * N ** (-s)
-    # correction terms B_{2j}/(2j)! * s(s+1)...(s+2j-2) * N^{-s-2j+1}
-    b2j = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510)
-    fact = 1.0
-    poch = s
-    npow = N ** (-s - 1)
-    for j in range(1, bern + 1):
-        fact *= (2 * j - 1) * (2 * j)
-        out += b2j[j - 1] / fact * poch * npow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        npow /= N * N
-    return out
-
-
 def _chi_quadratic(disc: int, m: int) -> int:
     """Kronecker symbol (disc/m) for disc in {5, 8}."""
     if disc == 5:
@@ -262,9 +243,10 @@ def _chi_quadratic(disc: int, m: int) -> int:
     raise ValueError("unsupported discriminant")
 
 
-def _hurwitz_em(s: complex, a: float, terms: int = 60, bern: int = 8) -> complex:
-    """Hurwitz zeta(s, a) by Euler-Maclaurin for Re(s) > 0, s != 1, 0 < a <= 1."""
-    N = terms
+def _hurwitz_em(s: complex, a: float) -> complex:
+    """Hurwitz zeta(s, a) for Re(s) > 0, s != 1, 0 < a <= 1: Euler-Maclaurin
+    after 60 terms, with the B_2..B_16 corrections."""
+    N = 60
     out = sum((n + a) ** (-s) for n in range(N))
     M = N + a
     out += M ** (1 - s) / (s - 1) + 0.5 * M ** (-s)
@@ -272,9 +254,9 @@ def _hurwitz_em(s: complex, a: float, terms: int = 60, bern: int = 8) -> complex
     fact = 1.0
     poch = s
     mpow = M ** (-s - 1)
-    for j in range(1, bern + 1):
+    for j, b in enumerate(b2j, 1):
         fact *= (2 * j - 1) * (2 * j)
-        out += b2j[j - 1] / fact * poch * mpow
+        out += b / fact * poch * mpow
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         mpow /= M * M
     return out
@@ -309,22 +291,22 @@ def _ideal_norm_counts(disc: int, length: int) -> np.ndarray:
 def zeta_partial(field: FieldDescriptor, s: complex, removed_primes=()) -> complex:
     """zeta_F(s) * prod_{l | removed}(1 - N(l)^{-s}) for Re(s) > 1.
 
-    Over Q this is Riemann zeta by Euler-Maclaurin.  For the quadratic fields
-    the Dedekind factorization zeta_F = zeta * L(chi_disc) is used (an exact
-    identity; the test suite cross-checks it against brute-force norm
-    counting).  removed_primes are rational primes; every prime ideal above
+    Over Q this is Riemann zeta, Hurwitz zeta(s, 1) by Euler-Maclaurin.  For
+    the quadratic fields the Dedekind factorization zeta_F = zeta * L(chi_disc)
+    is used (an exact identity; the test suite cross-checks it against
+    brute-force norm counting).  removed_primes are rational primes; every prime ideal above
     each is removed.
     """
     s = complex(s)
     if s.real <= 1:
         raise ValueError("outside convergence region")
     if field.degree == 1:
-        val = _zeta_em(s)
+        val = _hurwitz_em(s, 1.0)
         for p in removed_primes:
             val *= 1 - p ** (-s)
         return val
     disc = field.discriminant
-    val = _zeta_em(s) * _dirichlet_l_em(disc, s)
+    val = _hurwitz_em(s, 1.0) * _dirichlet_l_em(disc, s)
     for p in removed_primes:
         chi = _chi_quadratic(disc, p)
         if chi == 1:      # split: two ideals of norm p

@@ -268,12 +268,23 @@ def test_newform_parse_failure(tmp_path):
 
 def test_hecke_word_span_rank_checks():
     for k in (24, 36, 48, 60):
-        mf._assert_span_rank(k, mf.dim_cusp(k))
+        d = mf.dim_cusp(k)
+        inv = mf._span_inverse(k, d)
+        vecs = mf._span_raw_exact(k, d, d)
+        for i in range(d):
+            for r in range(d):
+                assert sum(vecs[j][i + 1] * inv[j][r] for j in range(d)) == (i == r)
+
+
+def test_rank_deficient_hecke_words_raise(monkeypatch):
+    # repeated words span a line, not S_24: the coordinate step must refuse
+    monkeypatch.setitem(mf._SPAN_WORDS, 2, [(), ()])
+    with pytest.raises(ArithmeticError, match="rank-deficient"):
+        mf.CuspSpace(24).eigenforms(1000)
 
 
 def test_separating_operator_fallback_logic():
     # T_2 separates every space we use; the fallback path is exercised by
     # asking for the separating data and checking the chosen operator
-    sp = mf.cusp_space(24)
-    sp._eigen_data()
-    assert sp._hecke_used in (2, 3, 5)
+    _, _, m = mf.cusp_space(24)._eigen_data()
+    assert m in (2, 3, 5)
