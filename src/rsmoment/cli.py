@@ -59,8 +59,10 @@ def load_config(path: str | None) -> RunConfig:
             val = val.strip()
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
-            cur = getattr(cfg, key)
-            setattr(cfg, key, type(cur)(val) if not isinstance(cur, bool) else val == "true")
+            try:
+                setattr(cfg, key, type(getattr(cfg, key))(val))
+            except ValueError:
+                raise ValueError(f"config key {key!r}: bad value {val!r}") from None
     return cfg
 
 
@@ -352,8 +354,8 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         ap.print_usage()
         return 2
-    cfg = _apply_overrides(load_config(getattr(args, "config", None)), args)
     try:
+        cfg = _apply_overrides(load_config(getattr(args, "config", None)), args)
         return _COMMANDS[args.command](cfg, args)
     except UncertifiedError as exc:
         print(f"uncertified result: {exc} (certificate {exc.certificate})",

@@ -14,12 +14,12 @@ Numerics: trapezoidal quadrature on the vertical line (the integrand is
 analytic in a strip and Gaussian-decaying, so the trapezoid converges
 geometrically).  The nodes are uniform, t_j = j h, so the quadrature sum
 sum_j w_j y^{-(sigma + i t_j)} is y^{-sigma} P(z) with z = exp(-i h log y)
-and P the polynomial whose coefficients are the weights; arrays of points
-evaluate P by Horner's rule, one complex exp per point and no node matrix.
-Tiny y goes through the residue-split form V = 1 + (shifted contour) to
-dodge float cancellation in y^{-sigma}; mass evaluations over millions of
-points use a cubic spline in log y built on a dense grid, and report their
-own interpolation error.
+and P the polynomial whose coefficients are the weights; every evaluation
+runs P by Horner's rule, one complex exp per point and no node matrix (a
+scalar V is a one-point array).  Tiny y goes through the residue-split form
+V = 1 + (shifted contour) to dodge float cancellation in y^{-sigma}; mass
+evaluations over millions of points use a cubic spline in log y built on a
+dense grid, and report their own interpolation error.
 """
 
 from __future__ import annotations
@@ -115,18 +115,18 @@ class VQuadrature:
         if contour <= 0:
             raise ValueError("contour height must be positive")
         self.p = p
-        self.sigma = contour
         cg = p.g_scale
         # Gaussian tail of the t-integral beyond T, sized for 1e-13
         pref = abs(_gamma_quotient_u(p, complex(contour))) * math.exp(cg * contour ** 2)
         t_max = math.sqrt(max(1.0, math.log(max(pref, 1.0) / (1e-13 * contour)) / cg)) + 2.0
-        self._build(contour, 0.125, t_max, store=True)
+        self.line, tail = self._build(contour, 0.125, t_max)
         # residue-split nodes for tiny y: contour between u = 0 and the
         # nearest gamma pole at u = -min_j (|k_j-l_j|+1)/2, kept at least
         # 0.3 away from it so the trapezoid stays geometric
         a1_min = min(a1 for a1, _ in p.gamma_shifts())
         sigma_neg = -min(0.45, max(0.1, a1_min - 0.3))
-        self._build(sigma_neg, 0.05, t_max, store=False)
+        self.neg_line, neg_tail = self._build(sigma_neg, 0.05, t_max)
+        self.quad_tail = max(tail, neg_tail)  # one tail covers either line
         # log of the line bound constant per sigma on the envelope grid
         self._line_logs = [
             sum((log_gamma(a1 + s) - log_gamma(complex(a1))).real
@@ -135,7 +135,9 @@ class VQuadrature:
             + cg * s * s + 0.5 * math.log(math.pi / cg) - math.log(2 * math.pi * s)
             for s in _SIGMA_GRID]
 
-    def _build(self, sigma: float, h: float, t_max: float, store: bool):
+    def _build(self, sigma: float, h: float, t_max: float):
+        """One line: (weights, sigma, h) with node j at sigma + i j h, and the
+        Gaussian tail of the t-integral past t_max."""
         n = int(t_max / h) + 1
         ts = np.arange(0, n + 1) * h
         us = sigma + 1j * ts
@@ -148,28 +150,14 @@ class VQuadrature:
         gam_line = abs(_gamma_quotient_u(self.p, complex(sigma)))
         tail = gam_line * math.exp(cg * (sigma * sigma - t_max * t_max)) \
             / (2 * math.pi * cg * t_max * abs(sigma))
-        if store:
-            self.h = h
-            self.nodes_t = ts
-            self.weights = w * phi
-            self.quad_tail = tail
-        else:
-            self.neg_h = h
-            self.neg_nodes_t = ts
-            self.neg_weights = w * phi
-            self.neg_sigma = sigma
-            self.neg_quad_tail = tail
+        return (w * phi, sigma, h), tail
 
     # -- point evaluation --------------------------------------------------
     def value(self, y: float) -> float:
+        """V(y) at one point: the Horner kernel at a one-point array."""
         if y <= 0:
             raise ValueError("y must be positive")
-        if y < 0.1:
-            # V(y) = 1 + (1/2pi i) int_{(-0.45)} ...  (residue at u=0 is 1)
-            z = np.exp((-self.neg_sigma - 1j * self.neg_nodes_t) * math.log(y))
-            return 1.0 + float(np.real(np.sum(z * self.neg_weights)))
-        z = np.exp((-self.sigma - 1j * self.nodes_t) * math.log(y))
-        return float(np.real(np.sum(z * self.weights)))
+        return float(self._values_direct(np.array([float(y)]))[0])
 
     def values(self, ys: np.ndarray) -> tuple[np.ndarray, float]:
         """V at every point, and a bound on the interpolation error of this call.
@@ -185,11 +173,11 @@ class VQuadrature:
         out = np.empty(len(ys))
         small = ys < 0.1
         if np.any(small):
-            out[small] = 1.0 + _horner_line(self.neg_weights, self.neg_sigma, self.neg_h,
-                                            np.log(ys[small]))
+            # V(y) = 1 + the integral on the negative line (residue at u=0 is 1)
+            out[small] = 1.0 + _horner_line(*self.neg_line, np.log(ys[small]))
         big = ~small
         if np.any(big):
-            out[big] = _horner_line(self.weights, self.sigma, self.h, np.log(ys[big]))
+            out[big] = _horner_line(*self.line, np.log(ys[big]))
         return out
 
     def _values_spline(self, ys: np.ndarray) -> tuple[np.ndarray, float]:

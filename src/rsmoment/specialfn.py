@@ -6,10 +6,10 @@ Everything the moment machinery needs from classical analysis lives here:
   on the right half-plane, which is the only region the contour integrals
   visit),
 * real digamma,
-* J-Bessel of integer order with a compensated ascending series in the decay
-  regime, a library fallback in the oscillatory regime, a vectorized forward
-  recurrence for arrays of points above the order, and a slow Mellin-Barnes
-  contour evaluation used purely as an independent cross-check,
+* J-Bessel of integer order: one array kernel (forward recurrence above the
+  order, the library's jv below it), scalar J as a one-point call of it, and
+  two slow oracles, an mpmath ascending series and a Mellin-Barnes contour
+  form,
 * Riemann/Dedekind zeta values for Re(s) > 1 and the Laurent data of
   zeta_F(2u+1) at u = 0 that drives the diagonal-term residue,
 * the gamma-quotient ratio the contour-shift argument relies on, which is
@@ -105,48 +105,13 @@ def bessel_j_series_bound(order: int, x: float) -> float:
     return math.exp(lg)
 
 
-def _bessel_series(order: int, x: float) -> float:
-    # dominated regime: first term is the largest, no cancellation growth
-    half = x / 2.0
-    lead = order * math.log(half) - math.lgamma(order + 1) if half > 0 else -math.inf
-    if lead < -745.0:
-        return 0.0
-    term = math.exp(lead)
-    total = term
-    comp = 0.0
-    x2 = half * half
-    j = 0
-    while True:
-        j += 1
-        term *= -x2 / (j * (order + j))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < 1e-20 * abs(total) + 1e-320:
-            return total
-        if j > 500:
-            return total
-
-
 def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for integer order >= 1, x >= 0.
-
-    Ascending series with compensated summation in the dominated regime
-    x <= 2*sqrt(order+1) (every trace-formula tail lives there); the
-    oscillatory regime goes through scipy's AMOS-backed jv, which the test
-    suite cross-checks against the series at raised precision and against
-    the Mellin-Barnes contour form.
-    """
+    """J_order(x) for integer order >= 1, x >= 0: ``bessel_j_array`` at one point."""
     if x < 0:
         raise ValueError("x must be >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if x == 0.0:
-        return 0.0
-    if x <= 2.0 * math.sqrt(order + 1.0):
-        return _bessel_series(order, x)
-    return float(jv(order, x))
+    return float(bessel_j_array(order, np.array([float(x)]))[0])
 
 
 def bessel_j_highprec(order: int, x, dps: int = 40):

@@ -6,7 +6,10 @@ additive character twisted through a totally positive generator of the
 different.  With narrow class number 1 every ideal in the formula is
 principal, so all data is element-level: the residue system is an explicit
 Hermite-form coordinate box and inverses come from the norm-Euclidean
-extended gcd (Q(sqrt5) and Q(sqrt2) are norm-Euclidean).
+extended gcd (Q(sqrt5) and Q(sqrt2) are norm-Euclidean).  One kernel,
+``_kl_nf_slots``, computes a modulus's sums for many first slots at once,
+with every phase an integer form over den = |N(delta c)|; the Petersson
+side calls it once per modulus, the scalar entry points at one slot.
 
 The degree-1 right-hand side folds the sum over c in Z \\ {0} to c >= 1
 (a factor 2); the degree-2 side folds the full unit group action into one
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numfield import (FieldDescriptor, FieldElement, embed_float, get_field,
+from .numfield import (FieldDescriptor, FieldElement, embed_float,
                        is_totally_positive, norm, totally_positive_units, trace)
 from .series import memo
 from .specialfn import bessel_j, bessel_j_array, bessel_j_series_bound
@@ -95,13 +98,6 @@ def _build_row(n: int, c: int) -> np.ndarray:
 
 # -- number-field Kloosterman sums -------------------------------------------
 
-def _mul_matrix(c: FieldElement):
-    """Columns of multiplication-by-c on the basis (1, omega)."""
-    t, n = c.field.omega_trace, c.field.omega_norm
-    a, b = int(c.a), int(c.b)
-    return ((a, -n * b), (b, a + t * b))
-
-
 def _hnf_2x2(mat):
     """Column HNF [[h11, h12], [0, h22]] of an integer 2x2 matrix."""
     (a, b), (c, d) = mat
@@ -119,22 +115,16 @@ def _hnf_2x2(mat):
     return a, b, d
 
 
-def _residue_box(c: FieldElement):
+def _residue_box(field: FieldDescriptor, c) -> tuple[int, int, int]:
     """(h11, h12, h22): residues of O/(c) are x1 + x2*omega, 0<=x1<h11, 0<=x2<h22
-    after reduction by the column basis ((h11,0),(h12,h22))."""
-    h11, h12, h22 = _hnf_2x2(_mul_matrix(c))
-    if h11 * h22 != abs(int(norm(c))):
+    after reduction by the column basis ((h11,0),(h12,h22)) of c*O."""
+    t, n = field.omega_trace, field.omega_norm
+    a, b = c
+    # columns: c*1 and c*omega
+    h11, h12, h22 = _hnf_2x2(((a, -n * b), (b, a + t * b)))
+    if h11 * h22 != abs(_cnorm(t, n, c)):
         raise AssertionError("HNF box does not match the ideal norm")
     return h11, h12, h22
-
-
-def _reduce_mod(x: FieldElement, box) -> FieldElement:
-    h11, h12, h22 = box
-    a, b = int(x.a), int(x.b)
-    k2 = b // h22
-    a, b = a - k2 * h12, b - k2 * h22
-    a %= h11
-    return x.field.element(a, b)
 
 
 @dataclass(frozen=True)
@@ -148,6 +138,8 @@ class KloostermanQuery:
     def __post_init__(self):
         if self.c.is_zero():
             raise ValueError("modulus c must be nonzero")
+        if not all(x.is_integral() for x in (self.alpha, self.beta, self.c)):
+            raise ValueError("alpha, beta and c must be integral")
         if not is_totally_positive(self.alpha) or not is_totally_positive(self.beta):
             raise ValueError("alpha and beta must be totally positive")
 
@@ -155,7 +147,8 @@ class KloostermanQuery:
 _KL_NF_CAP = 10_000
 
 
-# Integer coordinates (a, b) = a + b*omega, with omega^2 = t*omega - n.
+# Integer coordinates (a, b) = a + b*omega, with omega^2 = t*omega - n; the
+# kernel below does all its arithmetic on them.
 
 def _cmul(t: int, n: int, u, v):
     return (u[0] * v[0] - n * u[1] * v[1],
@@ -168,6 +161,13 @@ def _cnorm(t: int, n: int, u) -> int:
 
 def _cconj(t: int, u):
     return (u[0] + t * u[1], -u[1])
+
+
+def _coords(x: FieldElement) -> tuple[int, int]:
+    """The integer coordinates of x; ValueError unless x is integral."""
+    if not x.is_integral():
+        raise ValueError(f"{x} is not integral")
+    return x.a.numerator, x.b.numerator
 
 
 def _int_xgcd(t: int, n: int, x: tuple[int, int], y: tuple[int, int]):
@@ -192,32 +192,27 @@ def _iround(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def _residue_data(field_key: str, ca: int, cb: int):
-    """Invertible residues of O/(c) and their inverses, as coordinate arrays."""
-    c = get_field(field_key).element(ca, cb)
-    return _residues(c, _residue_box(c))
+def _residue_data(field: FieldDescriptor, c):
+    """Invertible residues x of O/(c) and their inverses, as coordinate arrays
+    (x1, x2, b1, b2); the inverses are not reduced into the box.
 
-
-def _residues(c: FieldElement, box):
-    """The table of ``_residue_data``, one per ideal.
-
-    It is stored under the HNF box, so every generator of (c) shares it: an
-    inverse is only defined mod (c), and the phases that read it are
+    The table is stored under the HNF box, so every generator of (c) shares
+    it: an inverse is only defined mod (c), and the phases that read it are
     reduced mod 1.
     """
-    return memo(("residues", c.field.key, box), lambda: _build_residues(c, box))
+    box = _residue_box(field, c)
+    return memo(("residues", field.key, box), lambda: _build_residues(field, c, box))
 
 
-def _build_residues(c: FieldElement, box):
-    t, n = c.field.omega_trace, c.field.omega_norm
-    ca, cb = int(c.a), int(c.b)
+def _build_residues(field: FieldDescriptor, c, box):
+    t, n = field.omega_trace, field.omega_norm
     h11, _, h22 = box
     xs1, xs2, bs1, bs2 = [], [], [], []
     for x2 in range(h22):
         for x1 in range(h11):
             if x1 == 0 and x2 == 0:
                 continue
-            g, u = _int_xgcd(t, n, (x1, x2), (ca, cb))
+            g, u = _int_xgcd(t, n, (x1, x2), c)
             ng = _cnorm(t, n, g)
             if abs(ng) != 1:
                 continue
@@ -233,35 +228,62 @@ def _build_residues(c: FieldElement, box):
             np.array(bs1, dtype=np.int64), np.array(bs2, dtype=np.int64))
 
 
+def _different(field: FieldDescriptor) -> tuple[int, int]:
+    return memo(("different", field.key), lambda: _coords(field.different_gen))
+
+
+def _trace_form(t: int, n: int, y, den: int) -> tuple[int, int]:
+    """(Tr(y), Tr(y*omega)) mod den, so Tr(y*x) = their dot with x's coordinates."""
+    return (2 * y[0] + t * y[1]) % den, (t * y[0] + (t * t - 2 * n) * y[1]) % den
+
+
+def _kl_nf_slots(field: FieldDescriptor, alphas, beta, c,
+                 cap: int = _KL_NF_CAP) -> np.ndarray:
+    """Kl(alpha, beta; c) for every alpha in ``alphas``: the one kernel of the
+    degree-2 Kloosterman sums.  Every argument is an integer coordinate pair.
+
+    The sum runs over x in (D^{-1}/D^{-1}c)^x of e(Tr((alpha x + beta xbar)/c)),
+    x xbar = 1 mod (c).  Writing x = xi/delta with delta >> 0 generating the
+    different puts it on (O/(c))^x.  With den = N(delta)|N(c)| and s the sign
+    of N(c),
+
+        Tr(alpha xi/(delta c))    = s Tr(alpha conj(delta c) xi) / den,
+        Tr(beta delta xibar / c)  = s N(delta) Tr(beta delta conj(c) xibar) / den,
+
+    so each phase is an integer linear form in the coordinates of xi and
+    xibar, reduced mod den before any float enters.  The table's inverse
+    coordinates are not reduced into the box, so they and the form's
+    coefficients are reduced mod den first: no term then reaches den^2,
+    far inside int64 for any N(c) a residue table can hold.
+    """
+    t, n = field.omega_trace, field.omega_norm
+    nc = _cnorm(t, n, c)
+    if abs(nc) > cap:
+        raise ValueError(f"residue enumeration overflow: N(c) = {abs(nc)} > cap {cap}")
+    if abs(nc) == 1:
+        return np.ones(len(alphas), dtype=complex)
+    x1, x2, b1, b2 = _residue_data(field, c)
+    delta = _different(field)
+    nd = _cnorm(t, n, delta)
+    s = 1 if nc > 0 else -1
+    den = nd * abs(nc)
+    cbar = _cconj(t, c)
+    p = _cmul(t, n, (s, 0), _cmul(t, n, _cconj(t, delta), cbar))
+    q = _cmul(t, n, (s * nd, 0), _cmul(t, n, delta, cbar))
+    q1, q2 = _trace_form(t, n, _cmul(t, n, beta, q), den)
+    forms = np.array([_trace_form(t, n, _cmul(t, n, a, p), den) for a in alphas],
+                     dtype=np.int64)
+    fixed = (q1 * (b1 % den) + q2 * (b2 % den)) % den
+    phase = (forms[:, :1] * x1 + forms[:, 1:] * x2 + fixed) % den
+    ang = (2.0 * math.pi / den) * phase
+    return np.cos(ang).sum(axis=1) + 1j * np.sin(ang).sum(axis=1)
+
+
 def kl_nf_raw(field: FieldDescriptor, alpha: FieldElement, beta: FieldElement,
               c: FieldElement, cap: int = _KL_NF_CAP) -> complex:
-    """The full complex Kloosterman sum; no positivity constraints on the slots.
-
-    Sum over x in (D^{-1}/D^{-1}c)^x of e(Tr((alpha x + beta xbar)/c)) where
-    x xbar = 1 mod (c).  Writing x = xi/delta with delta >> 0 generating the
-    different reduces the domain to (O/(c))^x.  Phases are exact rationals
-    reduced mod 1 before any float enters.
-    """
-    nc = abs(int(norm(c)))
-    if nc > cap:
-        raise ValueError(f"residue enumeration overflow: N(c) = {nc} > cap {cap}")
-    if nc == 1:
-        return complex(1.0, 0.0)
-    # the exponent only sees the slots mod (c)
-    box = _residue_box(c)
-    alpha = _reduce_mod(alpha, box)
-    beta = _reduce_mod(beta, box)
-    delta = field.different_gen
-    x1, x2, b1, b2 = _residues(c, box)
-    wa = alpha / (delta * c)
-    wb = beta * delta / c
-    omega = field.omega
-    consts = [trace(wa), trace(wa * omega), trace(wb), trace(wb * omega)]
-    den = math.lcm(*(f.denominator for f in consts))
-    nums = [int(f * den) for f in consts]
-    phase_int = (nums[0] * x1 + nums[1] * x2 + nums[2] * b1 + nums[3] * b2) % den
-    ang = (2.0 * math.pi / den) * phase_int
-    return complex(np.sum(np.cos(ang)), np.sum(np.sin(ang)))
+    """The full complex Kloosterman sum of integral slots, no positivity
+    constraints: ``_kl_nf_slots`` at one slot."""
+    return complex(_kl_nf_slots(field, [_coords(alpha)], _coords(beta), _coords(c), cap)[0])
 
 
 def kl_nf_exact_phase(field: FieldDescriptor, alpha: FieldElement, beta: FieldElement,
@@ -273,7 +295,7 @@ def kl_nf_exact_phase(field: FieldDescriptor, alpha: FieldElement, beta: FieldEl
     if nc == 1:
         return complex(1.0, 0.0)
     delta = field.different_gen
-    x1, x2, b1, b2 = _residue_data(field.key, int(c.a), int(c.b))
+    x1, x2, b1, b2 = _residue_data(field, _coords(c))
     total = 0.0 + 0.0j
     for i in range(len(x1)):
         xi = field.element(int(x1[i]), int(x2[i]))
@@ -327,9 +349,9 @@ def petersson_rhs_q(m: int, n: int, k: int, c_max: int | None = None,
             f"petersson_rhs_q: tail bound {tail:.3e} above tol {tol:.1e}",
             certificate=tail)
     sign = -1.0 if (k // 2) % 2 else 1.0
+    js = bessel_j_array(k - 1, x / np.arange(1, c_max + 1))
     acc = 0.0
-    for c in range(1, c_max + 1):
-        j = bessel_j(k - 1, x / c)
+    for c, j in enumerate(js, 1):
         if j != 0.0:
             acc += kloosterman_q(m, n, c) / c * j
     val = (1.0 if m == n else 0.0) + 2.0 * math.pi * sign * acc
@@ -409,7 +431,7 @@ def _ideal_generators_canonical(field: FieldDescriptor, norm_max: int):
             rt = math.sqrt(anr)
             if not (rt * (1 - 1e-12) <= s1 < window * rt * (1 + 1e-12)):
                 continue
-            key = _residue_box(field.element(a, b))
+            key = _residue_box(field, (a, b))
             cur = out.get(key)
             if cur is None or s1 < cur[0]:
                 out[key] = (s1, a, b, anr)
@@ -429,6 +451,8 @@ def petersson_rhs_nf(nu: FieldElement, xi: FieldElement,
     field = nu.field
     if field.degree != 2:
         raise ValueError("petersson_rhs_nf requires a quadratic field")
+    if not (is_totally_positive(nu) and is_totally_positive(xi)):
+        raise ValueError("nu and xi must be totally positive")
     k1, k2 = params.weight_vec
     diag = 0.0
     ratio = nu / xi
@@ -438,6 +462,8 @@ def petersson_rhs_nf(nu: FieldElement, xi: FieldElement,
     C = sign * (2.0 * math.pi) ** 2 / (2.0 * math.sqrt(field.discriminant))
 
     units = totally_positive_units(field, params.unit_height_bound)
+    slots = [_coords(u * nu) for u in units]
+    beta = _coords(xi)
     nu_emb = np.array(embed_float(nu))
     xi_emb = np.array(embed_float(xi))
     eta_emb = np.array([embed_float(u) for u in units])
@@ -450,12 +476,8 @@ def petersson_rhs_nf(nu: FieldElement, xi: FieldElement,
             / c_emb[None, :]
         j1 = bessel_j_array(k1 - 1, args[:, 0])
         j2 = bessel_j_array(k2 - 1, args[:, 1])
-        jprod = j1 * j2
-        for u, jp in zip(units, jprod):
-            if jp == 0.0 or abs(jp) < 1e-300:
-                continue
-            kl = kloosterman_nf(KloostermanQuery(alpha=_tp(u * nu), beta=xi, c=c))
-            acc += kl / nc * jp
+        kl = _kl_nf_slots(field, slots, beta, _coords(c)).real
+        acc += float(np.dot(kl, j1 * j2)) / nc
     eta_tail = _eta_tail_bound(field, params, nu_emb, xi_emb, gens)
     c_tail = _c_tail_bound(field, params, nu_emb, xi_emb)
     value = diag + C * 2.0 * acc
@@ -465,12 +487,6 @@ def petersson_rhs_nf(nu: FieldElement, xi: FieldElement,
             f"petersson_rhs_nf: certificate {cert:.3e} above tol {params.tol:.1e}",
             certificate=cert)
     return CertValue(value=value, certificate=cert)
-
-
-def _tp(x: FieldElement) -> FieldElement:
-    if not is_totally_positive(x):
-        raise AssertionError("expected a totally positive element")
-    return x
 
 
 def _jprod_bound(k1: int, k2: int, x1: float, x2: float) -> float:

@@ -238,14 +238,15 @@ def _kq_complex_oracle(m, n, c):
 def _kl_nf_oracle(field, alpha, beta, c):
     """Independent enumeration: rectangle residue system, inverses by
     single-pass product scan (no Euclid)."""
-    box = tf._residue_box(c)
-    h11, _, h22 = box
+    h11, h12, h22 = tf._residue_box(field, tf._coords(c))
     res = [field.element(a, b) for b in range(h22) for a in range(h11)]
     inv = {}
     for x in res:
         for y in res:
-            r = tf._reduce_mod(x * y - field.one, box)
-            if r.a == 0 and r.b == 0:
+            # x*y - 1 reduced into the HNF box must be 0
+            r = x * y - field.one
+            k2 = int(r.b) // h22
+            if (int(r.a) - k2 * h12) % h11 == 0 and int(r.b) == k2 * h22:
                 inv[(x.a, x.b)] = y
                 break
     delta = field.different_gen

@@ -80,6 +80,13 @@ def test_rhs_nf_command(capsys, tmp_path):
     assert "certificate" in out
 
 
+def test_rhs_nf_not_totally_positive_exit(capsys, tmp_path):
+    rc = main(["rhs-nf", "--field", "Q_sqrt5", "--k", "20,20", "--nu", "-1",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: nu and xi must be totally positive")
+
+
 def test_trace_check_command(capsys, tmp_path):
     rc = main(["trace-check", "--k", "12,16", "--outdir", str(tmp_path)])
     assert rc == 0
@@ -114,6 +121,23 @@ def test_config_unknown_key(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         from rsmoment.cli import load_config
         load_config(str(cfg))
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--contour", "-1"], None),
+    ([], "afe_tol = abc\n"),
+    ([], "not_a_key = 1\n"),
+])
+def test_bad_config_value_exit(capsys, tmp_path, flags, config):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        flags = flags + ["--config", str(cfg)]
+    rc = main(flags + ["kloosterman", "--m", "1", "--n", "1", "--c", "3",
+                       "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "kloosterman.csv").exists()
 
 
 def test_afe_command(capsys, tmp_path, delta_file):

@@ -171,6 +171,7 @@ def test_divisor_sums_bit_identical_in_any_request_order(power, sieve):
 
 def test_clear_store_resets_every_memo():
     from rsmoment import modforms, moments, rankin, tracefmla
+    from rsmoment.numfield import Q_SQRT5
 
     getters = {
         "V quadrature": lambda: rankin._vq(rankin.VParams((24,), (12,))),
@@ -178,7 +179,7 @@ def test_clear_store_resets_every_memo():
         "cusp space": lambda: modforms.cusp_space(16),
         "kloosterman row": lambda: tracefmla.kloosterman_row(3, 35),
         "inverse table": lambda: tracefmla._inverse_table(35),
-        "residues": lambda: tracefmla._residue_data("Q_sqrt5", 2, 1),
+        "residues": lambda: tracefmla._residue_data(Q_SQRT5, (2, 1)),
     }
     before = {name: get() for name, get in getters.items()}
     for name, get in getters.items():
@@ -188,4 +189,4 @@ def test_clear_store_resets_every_memo():
         assert get() is not before[name], name
     row = tracefmla.kloosterman_row(3, 35)
     assert not row.flags.writeable
-    assert not any(a.flags.writeable for a in tracefmla._residue_data("Q_sqrt5", 2, 1))
+    assert not any(a.flags.writeable for a in tracefmla._residue_data(Q_SQRT5, (2, 1)))

@@ -141,17 +141,6 @@ def test_bessel_j_array_against_highprec(order):
         assert abs(v - ref) <= 1e-13 * scale, (order, x, v, ref)
 
 
-@pytest.mark.parametrize("order", [13, 39, 59])
-def test_bessel_j_array_agrees_with_scalar(order):
-    xs = _bessel_array_grid(order)
-    got = sf.bessel_j_array(order, xs)
-    for x, v in zip(xs, got):
-        scale = max(math.sqrt(2.0 / (math.pi * x)), abs(v))
-        # above 2 sqrt(order + 1) the scalar goes through scipy's jv, whose
-        # error reaches 5e-13 of the envelope at orders 39 and 59
-        assert abs(v - sf.bessel_j(order, float(x))) <= 1e-12 * scale, (order, x)
-
-
 def test_bessel_mellin_barnes_cross_check():
     # contour form at sigma = nu/2 against the primary path
     for (nu, x) in [(11, 2.0), (11, 4 * math.pi), (15, 6.0)]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rsmoment import series, tracefmla as tf
 from rsmoment.numfield import (Q_SQRT2, Q_SQRT5, FieldElement, embed_float,
-                               is_totally_positive, norm, trace)
+                               is_totally_positive, norm, totally_positive_units, trace)
 
 
 def kq_oracle(m, n, c):
@@ -55,21 +55,33 @@ def test_kloosterman_row_matches_pointwise():
 
 # -- number field -------------------------------------------------------------
 
+def box_of(c):
+    return tf._residue_box(c.field, tf._coords(c))
+
+
+def reduce_mod(x, box):
+    """The representative of x in the HNF box ``box``."""
+    h11, h12, h22 = box
+    a, b = int(x.a), int(x.b)
+    k2 = b // h22
+    return x.field.element((a - k2 * h12) % h11, b - k2 * h22)
+
+
 def nf_oracle(field, alpha, beta, c):
     """Brute-force: rectangle residues, pairwise-product inverse search."""
     nc = abs(int(norm(c)))
-    box = tf._residue_box(c)
+    box = box_of(c)
     residues = {}
     for a in range(2 * nc):
         for b in range(2 * nc):
-            x = tf._reduce_mod(field.element(a, b), box)
+            x = reduce_mod(field.element(a, b), box)
             residues[(x.a, x.b)] = x
     delta = field.different_gen
     tot = 0.0 + 0.0j
     for x in residues.values():
         inv = None
         for y in residues.values():
-            r = tf._reduce_mod(x * y - field.one, box)
+            r = reduce_mod(x * y - field.one, box)
             if r.a == 0 and r.b == 0:
                 inv = y
                 break
@@ -88,7 +100,7 @@ def test_kl_nf_unit_modulus():
 
 def test_kl_nf_inert_two_sqrt5():
     c2 = Q_SQRT5.element(2)
-    x1, x2, b1, b2 = tf._residue_data("Q_sqrt5", 2, 0)
+    x1, x2, b1, b2 = tf._residue_data(Q_SQRT5, (2, 0))
     assert len(x1) == 3  # (O/2)^x has 3 units: 2 is inert, N(c) = 4
     v = tf.kloosterman_nf(tf.KloostermanQuery(alpha=Q_SQRT5.one, beta=Q_SQRT5.one, c=c2))
     o = nf_oracle(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, c2)
@@ -109,20 +121,46 @@ def test_kl_nf_against_bruteforce_sample(field):
 
 
 def test_kl_nf_exact_phase_agreement():
-    for c, nc in tf._ideal_generators_canonical(Q_SQRT5, 40):
-        fast = tf.kl_nf_raw(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, c)
-        slow = tf.kl_nf_exact_phase(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, c)
-        assert abs(fast - slow) < 1e-9
+    """The per-modulus kernel at every unit slot u*nu of height <= 50, against
+    exact rational phases, over every modulus of norm <= 60 of both fields.
+    Only the implementation is checked here, not the slot symmetry."""
+    for field, nu, xi in ((Q_SQRT5, Q_SQRT5.element(1, 1), Q_SQRT5.element(2, 1)),
+                          (Q_SQRT2, Q_SQRT2.element(2, -1), Q_SQRT2.element(3, 1))):
+        alphas = [u * nu for u in totally_positive_units(field, 50.0)]
+        assert len(alphas) >= 5
+        slots = [tf._coords(a) for a in alphas]
+        for beta in (xi, field.one):
+            for c, nc in tf._ideal_generators_canonical(field, 60):
+                fast = tf._kl_nf_slots(field, slots, tf._coords(beta), tf._coords(c))
+                for a, v in zip(alphas, fast):
+                    slow = tf.kl_nf_exact_phase(field, a, beta, c)
+                    assert abs(v - slow) < 1e-9, (field.key, a, beta, c, v, slow)
+
+
+def test_kl_nf_rejects_non_integral_data():
+    half = Q_SQRT5.element(1) / 2
+    three = Q_SQRT5.element(3)
+    # int() would truncate 1/2 to 0 and give -1.0; the exact sum is 2 - 3.46i
+    exact = tf.kl_nf_exact_phase(Q_SQRT5, half, Q_SQRT5.one, three)
+    assert abs(exact - (2 - 2j * math.sqrt(3))) < 1e-9
+    with pytest.raises(ValueError, match="must be integral"):
+        tf.KloostermanQuery(alpha=half, beta=Q_SQRT5.one, c=three)
+    with pytest.raises(ValueError, match="not integral"):
+        tf.kl_nf_raw(Q_SQRT5, half, Q_SQRT5.one, three)
+    with pytest.raises(ValueError, match="must be integral"):
+        tf.KloostermanQuery(alpha=Q_SQRT5.one, beta=Q_SQRT5.one, c=three / 2)
+    with pytest.raises(ValueError, match="not integral"):
+        tf.kl_nf_raw(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, three / 2)
 
 
 def inverse_by_product_scan(field, x, c):
     """The residue y in the HNF box of (c) with x*y = 1 mod (c)."""
-    box = tf._residue_box(c)
+    box = box_of(c)
     h11, _, h22 = box
     for y2 in range(h22):
         for y1 in range(h11):
             y = field.element(y1, y2)
-            r = tf._reduce_mod(x * y - field.one, box)
+            r = reduce_mod(x * y - field.one, box)
             if r.a == 0 and r.b == 0:
                 return y
     raise AssertionError("x is not invertible mod (c)")
@@ -260,6 +298,14 @@ def test_rhs_nf_swap_symmetry():
     a = tf.petersson_rhs_nf(nu, xi, p)
     b = tf.petersson_rhs_nf(xi, nu, p)
     assert abs(a.value - b.value) < 1e-10
+
+
+@pytest.mark.parametrize("nu,xi", [((-1, 0), (1, 0)), ((1, 0), (1, -2)), ((0, 1), (1, 0))])
+def test_rhs_nf_rejects_non_totally_positive(nu, xi):
+    p = tf.TraceRHSParams(weight_vec=(20, 20), c_norm_bound=60,
+                          unit_height_bound=30.0, tol=1e-4)
+    with pytest.raises(ValueError, match="totally positive"):
+        tf.petersson_rhs_nf(Q_SQRT5.element(*nu), Q_SQRT5.element(*xi), p)
 
 
 def test_rhs_nf_unit_translates_crushed_at_high_weight():
