@@ -361,7 +361,7 @@ def main(argv=None) -> int:
         print(f"uncertified result: {exc} (certificate {exc.certificate})",
               file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,17 +3,20 @@
 The degree-1 specialization of the Hilbert machinery: cusp forms for
 SL_2(Z), built from Delta, E4, E6.  Exact big-integer arithmetic is used for
 every structural step (echelon basis, Hecke matrices, characteristic
-polynomials) and for a fixed prefix of each q-expansion; beyond the
-prefix, normalized coefficients C_f(n) = a_f(n) / n^{(k-1)/2} are extended
-in float64 from the most-cuspidal monomial Delta^d E4^a E6^b of the space
-and its translates by Hecke words in T_2 and T_3.  The Miller basis is
-echelon, so a cusp form is fixed by a(1..d): a form's coordinates in the
-Hecke-word span are one exact rational inverse of the d x d matrix of the
-words' first d coefficients, applied to a_f(1..d), and that inverse exists
-exactly when the words span S_k.  The construction keeps the float
-convolutions away from the Eisenstein-versus-cusp cancellation that floats
-cannot survive; the overlap with the exact prefix is verified on every
-build, and each form carries that build's error.
+polynomials), and an eigenform's coefficients are the echelon Miller basis
+times its exact eigenvector, at working precision.  When the most-cuspidal
+monomial Delta^d E4^a E6^b of the space carries E4 or E6 (k not 0 mod 12)
+that build serves every length, so those forms are exact at every length.
+For pure Delta^d weights (k = 12d) it serves a fixed prefix; beyond it,
+normalized coefficients C_f(n) = a_f(n) / n^{(k-1)/2} are extended in
+float64 from Delta^d and its translates by Hecke words in T_2 and T_3,
+cusp-by-cusp products free of the Eisenstein-versus-cusp cancellation that
+floats cannot survive.  The Miller basis is echelon, so a cusp form is fixed
+by a(1..d): a form's coordinates in the Hecke-word span are one exact
+rational inverse of the d x d matrix of the words' first d coefficients,
+applied to a_f(1..d), and that inverse exists exactly when the words span
+S_k.  The overlap with the exact prefix is verified on every float build,
+and each form carries that build's error.
 
 Every series behind the forms lives in ``series``' one grow-only store (3/2
 growth; a float entry is the prefix of the longest build so far), and so
@@ -88,7 +91,8 @@ class Eigenform:
     index-aligned with cn[0] = 0.  ``an_exact`` is the high-precision prefix
     (mpmath values), never longer than ``cn``.  ``float_rel`` is the
     float-vs-exact overlap error of the build that made ``cn`` (0 when
-    ``cn`` lies within the exact prefix).
+    ``cn`` was built exactly: within the exact prefix, or at any length
+    for a weight not 0 mod 12).
     """
 
     weight: int
@@ -385,41 +389,48 @@ class CuspSpace:
     def eigenforms(self, length: int) -> list[Eigenform]:
         """Fresh eigenforms with exactly ``length`` read-only coefficients.
 
-        The space keeps its longest-built forms to itself; callers get
-        views cut to ``length``, so a later, longer request (which builds
-        new arrays) never changes a form already handed out.
+        When the most-cuspidal monomial carries E4 or E6 (k not 0 mod 12)
+        every request is built exactly; pure Delta^d weights are built
+        exactly to ``_EXACT_PREFIX`` and extended in float past it.  The
+        space keeps its longest-built forms to itself; callers get views cut
+        to ``length``, so a later, longer request (which builds new arrays)
+        never changes a form already handed out.
         """
         if length < 1:
             raise ValueError("length must be positive")
-        if self._eigen is None:
-            self._build_eigen()
+        exact = self.k % 12 != 0
+        if self._eigen is None or (exact and self._eigen[0].length < length):
+            self._build_eigen(max(length, _EXACT_PREFIX) if exact else _EXACT_PREFIX)
         if self._eigen[0].length < length:
             self._extend_floats(length)
         return [replace(f, cn=f.cn[: length + 1], an_exact=f.an_exact[: length + 1],
                         float_rel=f.float_rel if length >= len(f.an_exact) else 0.0)
                 for f in self._eigen]
 
-    def _build_eigen(self):
+    def _build_eigen(self, length: int):
+        """The echelon Miller basis to ``length`` times each exact eigenvector,
+        at working precision; ``an_exact`` keeps the first ``_EXACT_PREFIX``."""
         d = self.dim
         k = self.k
-        exact_len = max(_EXACT_PREFIX, 2 * d + 8)
-        basis = self.basis(exact_len)
+        basis = self.basis(length)
         A, roots, _ = self._eigen_data()
-        bits = max(x.bit_length() for f in basis for x in map(abs, f.an[: exact_len + 1])) + 1
+        bits = max(x.bit_length() for f in basis for x in map(abs, f.an[: length + 1])) + 1
         dps = max(60, int(bits * 0.302) + 40)
         forms = []
         with mp.workdps(dps):
+            half = mp.mpf(k - 1) / 2
+            scale = [mp.mpf(n) ** half for n in range(length + 1)]
             for idx, lam in enumerate(sorted(roots, reverse=True)):
                 v = _eigenvector(A, lam)
-                an = [mp.mpf(0)] * (exact_len + 1)
-                for n in range(1, exact_len + 1):
+                an = [mp.mpf(0)] * (length + 1)
+                cn = np.zeros(length + 1)
+                for n in range(1, length + 1):
                     an[n] = sum(v[i] * basis[i].an[n] for i in range(d))
-                cn = np.zeros(exact_len + 1)
-                for n in range(1, exact_len + 1):
-                    cn[n] = float(an[n] / mp.mpf(n) ** (mp.mpf(k - 1) / 2))
+                    cn[n] = float(an[n] / scale[n])
                 cn.flags.writeable = False
                 forms.append(Eigenform(weight=k, index=idx, cn=cn,
-                                       an_exact=tuple(an), lam2=float(an[2])))
+                                       an_exact=tuple(an[: _EXACT_PREFIX + 1]),
+                                       lam2=float(an[2])))
         self._eigen = forms
 
     # -- float layer --
@@ -449,7 +460,7 @@ class CuspSpace:
         self._eigen = extended
 
 
-# Hecke words whose translates of the most-cuspidal monomial span S_k; the
+# Hecke words whose translates of Delta^d span S_{12d}; the
 # exact coordinate step (``_span_inverse``) checks that on every extension.
 # Words multiply the needed base length by prod(word), so this caps the
 # length overhead at 6x even for dim 5 (the plain T_2 orbit would need 16x).
@@ -490,11 +501,11 @@ def _span_inverse(k: int, d: int) -> list[list[Fraction]]:
 
 
 def _span_raw_exact(k: int, d: int, length: int) -> list[list[int]]:
-    alpha, beta = _monomial_exponents(k, d)
+    """The Hecke-word translates of Delta^d in S_k, k = 12d, exact to ``length``."""
     out = []
     for word in _SPAN_WORDS[d]:
         need = length * (math.prod(word) if word else 1)
-        cur = _monomial_exact(d, alpha, beta, need)
+        cur = _delta_power_exact(d, need + 1)
         run = need
         for p in reversed(word):
             run //= p
@@ -525,20 +536,19 @@ def _normalize_raw(raw: np.ndarray, k: int, exact_head: list[int]) -> np.ndarray
 
 
 def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
-    """Normalized float arrays of the Hecke-translate spanning set of S_k.
+    """Normalized float arrays of the Hecke-translate spanning set of S_k, k = 12d.
 
-    Every vector is a T-word applied to the most-cuspidal monomial, read off
-    the monomial's float expansion by index gathers, so the only convolution
-    work is the monomial itself.  Exact heads are spliced in throughout: the
-    float convolution noise is absolute, so the structurally tiny early
-    coefficients would otherwise be noise and every downstream read (the
-    T-words read indices p*n) would amplify it.
+    Every vector is a T-word applied to Delta^d, read off Delta^d's float
+    expansion by index gathers, so the only convolution work is Delta^d
+    itself.  Exact heads are spliced in throughout: the float convolution
+    noise is absolute, so the structurally tiny early coefficients would
+    otherwise be noise and every downstream read (the T-words read indices
+    p*n) would amplify it.
     """
-    alpha, beta = _monomial_exponents(k, d)
     head = _EXACT_PREFIX * 2
     heads = _span_raw_exact(k, d, min(head, length))
     need = (length + 1) * _span_length_factor(d)
-    base = _cuspidal_monomial_float(k, d, alpha, beta, need)
+    base = _delta_power_float(d, need)
     out = []
     for word, hd in zip(_SPAN_WORDS[d], heads):
         cur = base
@@ -579,28 +589,6 @@ def _delta_power_float(i: int, length: int) -> np.ndarray:
         cur = series.mul_float(_delta_power_float(i - 1, n), _tau_float(n), n)
         return _splice_head(cur, _delta_power_exact(i, min(_HEAD, n)))
     return series.stored(("delta^i float", i), length, build)
-
-
-_EXACT_FULL_CUTOFF = 60000
-
-
-def _cuspidal_monomial_float(k: int, i: int, alpha: int, beta: int, length: int) -> np.ndarray:
-    """Delta^i E4^alpha E6^beta as raw float coefficients.
-
-    Pure Delta powers are float-safe at any length (cusp-by-cusp products
-    have no Eisenstein-versus-cusp cancellation); the exact head spliced
-    into every stage keeps the structurally tiny early coefficients clean.
-    A product with an Eisenstein factor cancels ~n * (weight-dependent
-    scale-ratio) digits, which float64 cannot survive at depth, so those
-    monomials are built exactly (affordable at the lengths where they are
-    ever requested) and converted.
-    """
-    if not (alpha or beta):
-        return _delta_power_float(i, length)
-    if length > _EXACT_FULL_CUTOFF:
-        raise ArithmeticError(
-            "Eisenstein-bearing monomial requested beyond the exact-arithmetic cutoff")
-    return np.array([float(x) for x in _monomial_exact(i, alpha, beta, length - 1)])
 
 
 _EXACT_PREFIX = 512

@@ -29,7 +29,7 @@ from . import series as _series
 from .modforms import NewformRecord, dim_cusp, eigenforms
 from .rankin import (DEFAULT_G_SCALE, V_DIRECT_MAX, UncertifiedError, VParams, _vq,
                      central_value, effective_cutoff)
-from .specialfn import bessel_j_array, digamma, zeta_laurent_at_center
+from .specialfn import bessel_j_array, bessel_j_c_tail_bound, digamma, zeta_laurent_at_center
 from .tracefmla import CertValue, kloosterman_row, petersson_rhs_q
 from .numfield import Q as FIELD_Q
 
@@ -214,7 +214,7 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
     x_max = float(x_all[-1])
     # c-range: certified by the J-series bound with |S(nu,p;c)| <= c
     cmax = _e_cmax(k, x_max, np.abs(wt), tol / 4.0)
-    c_tail = _e_c_tail(k, x_all, np.abs(wt), cmax)
+    c_tail = float(np.sum(np.abs(wt) * bessel_j_c_tail_bound(k - 1, x_all, cmax)))
     sign = -1.0 if (k // 2) % 2 else 1.0
     acc = 0.0
     for c in range(1, cmax + 1):
@@ -235,19 +235,11 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
 def _e_cmax(k: int, x_max: float, wt_abs: np.ndarray, tol: float) -> int:
     c = max(8, int(x_max / (k - 1)) + 1)
     total_wt = float(np.sum(wt_abs)) + 1e-300
-    while True:
-        # sum_{c > C} (x/2c)^{k-1}/(k-1)! <= (x/2C)^{k-1}/((k-1)! (k-2)) * C
-        lg = (k - 1) * math.log(x_max / (2 * c)) - math.lgamma(k) + math.log(c / (k - 2))
-        if lg < math.log(tol / total_wt) or lg < -700:
-            return c
+    while float(bessel_j_c_tail_bound(k - 1, x_max, c)) >= tol / total_wt:
         c *= 2
         if c > 10 ** 7:
             raise UncertifiedError("e_term: c-range not certifiable")
-
-
-def _e_c_tail(k: int, x_all: np.ndarray, wt_abs: np.ndarray, cmax: int) -> float:
-    lg = (k - 1) * np.log(x_all / (2 * cmax)) - math.lgamma(k) + math.log(cmax / (k - 2))
-    return float(np.sum(wt_abs * np.exp(np.minimum(lg, 700.0))))
+    return c
 
 
 def _e_nu_tail(vp: VParams, p: int, k: int, M: int) -> float:

@@ -33,6 +33,7 @@ __all__ = [
     "bessel_j_array",
     "bessel_j_mellin_barnes",
     "bessel_j_series_bound",
+    "bessel_j_c_tail_bound",
     "zeta_partial",
     "zeta_laurent_at_center",
     "gamma_quotient_check",
@@ -103,6 +104,18 @@ def bessel_j_series_bound(order: int, x: float) -> float:
     if lg > 700.0:
         return math.inf
     return math.exp(lg)
+
+
+def bessel_j_c_tail_bound(order: int, x, c_from: float) -> np.ndarray:
+    """Rigorous bound on sum_{c > c_from} (x/2c)^order / order!, elementwise in x.
+
+    The series bound of J_order(x/c) summed over the tail of c: with
+    sum_{c > C} c^-order <= C^{1-order}/(order-1) (order >= 2) it is at most
+    (x/2C)^order C / (order! (order-1)); inf where that passes exp(700).
+    """
+    lg = (order * np.log(np.asarray(x, dtype=float) / (2 * c_from)) - math.lgamma(order + 1)
+          + math.log(c_from / (order - 1)))
+    return np.where(lg > 700.0, np.inf, np.exp(np.minimum(lg, 700.0)))
 
 
 def bessel_j(order: int, x: float) -> float:
@@ -188,10 +201,6 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
         for m in range(1, order):
             prev, cur = cur, (2.0 * m / x) * cur - prev
         out[up] = cur if order >= 1 else prev
-    # guard against underflow noise from the library in the deep tail
-    tiny = xs <= 1e-8
-    if np.any(tiny):
-        out = np.where(tiny, np.where(xs == 0.0, 0.0, out), out)
     return out
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .numfield import (FieldDescriptor, FieldElement, embed_float,
                        is_totally_positive, norm, totally_positive_units, trace)
 from .series import memo
-from .specialfn import bessel_j, bessel_j_array, bessel_j_series_bound
+from .specialfn import bessel_j, bessel_j_array, bessel_j_c_tail_bound, bessel_j_series_bound
 from .rankin import UncertifiedError
 
 __all__ = [
@@ -318,12 +318,7 @@ def kloosterman_nf(q: KloostermanQuery, cap: int = _KL_NF_CAP) -> float:
 
 def _rhs_q_tail(x: float, k: int, c_from: float) -> float:
     """2 pi * sum_{c > c_from} (1/c) * c * J-bound((x/c)) with J <= (x/2c)^{k-1}/(k-1)!"""
-    lg = (k - 1) * math.log(x / 2.0) - math.lgamma(k)
-    # sum_{c > C} c^{1-k} <= C^{2-k}/(k-2)
-    lt = lg + (2 - k) * math.log(c_from) - math.log(k - 2)
-    if lt > 700:
-        return math.inf
-    return 2.0 * math.pi * math.exp(lt)
+    return 2.0 * math.pi * float(bessel_j_c_tail_bound(k - 1, x, c_from))
 
 
 def petersson_rhs_q(m: int, n: int, k: int, c_max: int | None = None,

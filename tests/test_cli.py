@@ -140,6 +140,16 @@ def test_bad_config_value_exit(capsys, tmp_path, flags, config):
     assert not (tmp_path / "kloosterman.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--config", "/nonexistent/x.cfg", "units", "--field", "Q_sqrt5"],
+    ["moment", "--g", "/nonexistent.nf", "--k", "16"],
+    ["make-newform", "--k", "12", "--count", "50", "--out", "/nonexistent/dir/x.nf"],
+])
+def test_missing_or_unwritable_file_exit(capsys, tmp_path, args):
+    assert main(args + ["--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_afe_command(capsys, tmp_path, delta_file):
     rc = main(["afe", "--g", delta_file, "--k", "16", "--outdir", str(tmp_path)])
     assert rc == 0

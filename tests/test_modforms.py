@@ -106,8 +106,8 @@ def test_eigen_sum_matches_trace():
 
 
 def test_multiplicativity_and_hecke_relation_float_range():
-    # pure-Delta weights extend to any length; Eisenstein-bearing weights
-    # are capped by the exact-arithmetic cutoff (span factor 3 at dim 3)
+    # a pure-Delta weight extended in float, and an Eisenstein-bearing
+    # weight built exactly at the full length
     for k, length in ((24, 40000), (40, 15000)):
         f = mf.eigenforms(k, length)[0]
         for (m, n) in ((2, 3), (3, 8), (25, 49), (121, 169), (37, 41)):
@@ -226,7 +226,8 @@ def test_eigenforms_exact_length_read_only_and_stable():
     # The request order is fixed here: long, then short, then longer still.
     # The shared space may already be longer from other tests, so a fresh
     # CuspSpace is asked too; there the last request really extends it.
-    for k, long_n, short_n in ((12, 20000, 10000), (24, 3000, 100)):
+    # k = 40 (dim 3, monomial Delta^3 E4) is built exactly at every length.
+    for k, long_n, short_n in ((12, 20000, 10000), (24, 3000, 100), (40, 3000, 100)):
         for get in (functools.partial(mf.eigenforms, k), mf.CuspSpace(k).eigenforms):
             long_forms = get(long_n)
             kept = [f.cn.copy() for f in long_forms]
@@ -240,6 +241,7 @@ def test_eigenforms_exact_length_read_only_and_stable():
                     assert f.cn.flags.writeable is False
                     with pytest.raises(ValueError):
                         f.cn[1] = 0.0
+                    assert k % 12 == 0 or f.float_rel == 0.0
             for f, s, cn in zip(long_forms, short_forms, kept):
                 assert np.array_equal(f.cn, cn)
                 assert np.array_equal(s.cn, cn[: short_n + 1])

@@ -113,6 +113,17 @@ def test_bessel_series_domination():
             assert 0.0 <= v <= sf.bessel_j_series_bound(nu, x) * (1 + 1e-12)
 
 
+def test_bessel_j_c_tail_bound_dominates_direct_sum():
+    for order, C in ((13, 8), (39, 40), (59, 200)):
+        xs = np.array([1.0, 50.0, 4.0 * math.pi * math.sqrt(3000.0)])
+        got = sf.bessel_j_c_tail_bound(order, xs, C)
+        assert got.shape == xs.shape
+        cs = np.arange(C + 1, 200001, dtype=float)
+        for x, b in zip(xs, got):
+            direct = float(np.sum((x / (2.0 * cs)) ** order)) / math.factorial(order)
+            assert direct <= b * (1 + 1e-12), (order, x, C)
+
+
 def test_bessel_against_highprec_series():
     for (nu, x) in [(11, 4 * math.pi), (15, 2 * math.pi), (19, 30.0), (39, 5.0),
                     (29, 77.0), (11, 300.0)]:
@@ -122,22 +133,24 @@ def test_bessel_against_highprec_series():
 
 
 def _bessel_array_grid(order):
-    """x from 1e-3 to 1000, dense around x = order and x = 2 sqrt(order + 1)."""
+    """x = 0 and x from 1e-3 to 1000, dense around x = order and x = 2 sqrt(order + 1)."""
     turn = 2.0 * math.sqrt(order + 1.0)
-    return np.unique(np.concatenate([
+    xs = np.unique(np.concatenate([
+        [0.0],
         np.geomspace(1e-3, 1000.0, 40),
         order + np.linspace(-2.0, 2.0, 17),
         turn + np.linspace(-1.0, 1.0, 9),
     ]))
+    return xs[xs >= 0.0]
 
 
-@pytest.mark.parametrize("order", [13, 39, 59])
+@pytest.mark.parametrize("order", [0, 13, 39, 59])
 def test_bessel_j_array_against_highprec(order):
     xs = _bessel_array_grid(order)
     got = sf.bessel_j_array(order, xs)
     for x, v in zip(xs, got):
         ref = float(sf.bessel_j_highprec(order, float(x)))
-        scale = max(math.sqrt(2.0 / (math.pi * x)), abs(ref))
+        scale = max(math.sqrt(2.0 / (math.pi * x)) if x else 0.0, abs(ref))
         assert abs(v - ref) <= 1e-13 * scale, (order, x, v, ref)
 
 
