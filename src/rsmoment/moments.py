@@ -117,17 +117,11 @@ def _solve_omega(k: int, tol: float, rhs_tol: float) -> OmegaWeights:
                         rhs_diag=rhs[0].value)
 
 
-def _prime_divisors(n: int) -> tuple[int, ...]:
-    """The primes dividing n, ascending (none for n < 2)."""
-    return tuple(q for q in range(2, n + 1)
-                 if n % q == 0 and all(q % r for r in range(2, math.isqrt(q) + 1)))
-
-
 def _validate_pair(g: NewformRecord, p: int, k: int):
     if k <= g.weight:
         raise ValueError("weight constraint k_j > l_j violated")
     if p != 1:
-        if _prime_divisors(p) != (p,):
+        if _series.prime_divisors(p) != (p,):
             raise ValueError("p must be 1 or prime")
         if g.level % p == 0:
             raise ValueError("p must not divide the level of g")
@@ -181,7 +175,7 @@ def m_term_direct(g: NewformRecord, p: int, k: int,
 def m_term_residue(g: NewformRecord, p: int, k: int) -> float:
     """The contour-shift residue form of M (the O(1/k) remainder not added)."""
     _validate_pair(g, p, k)
-    gm1, g0 = zeta_laurent_at_center(FIELD_Q, _prime_divisors(g.level))
+    gm1, g0 = zeta_laurent_at_center(FIELD_Q, _series.prime_divisors(g.level))
     l = g.weight
     arg = 4.0 * math.pi ** 2 * p / g.level
     res = g0 + 0.5 * gm1 * (digamma((k - l + 1) / 2.0) + digamma((k + l - 1) / 2.0)
@@ -349,7 +343,7 @@ def asymptotic_scan(g: NewformRecord, p: int, k_list,
     lhs = np.array([r.lhs for r in reports])
     A = np.vstack([lk, np.ones_like(lk)]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, lhs, rcond=None)
-    gm1, _ = zeta_laurent_at_center(FIELD_Q, _prime_divisors(g.level))
+    gm1, _ = zeta_laurent_at_center(FIELD_Q, _series.prime_divisors(g.level))
     a_theory = 2.0 * g.c(p) / math.sqrt(p) * gm1
     resid = float(np.max(np.abs(lhs - (slope * lk + intercept))))
     return ScanResult(reports=reports, slope=float(slope), intercept=float(intercept),

@@ -29,7 +29,6 @@ __all__ = [
     "embed",
     "is_totally_positive",
     "totally_positive_units",
-    "unit_square_coset_reps",
 ]
 
 
@@ -268,15 +267,6 @@ def totally_positive_units(field: FieldDescriptor, bound: float) -> list[FieldEl
         units.append(pos)
         units.append(field.one / pos)
     return sorted(units, key=lambda u: float(embed(u, 64)[0]))
-
-
-def unit_square_coset_reps(field: FieldDescriptor) -> list[FieldElement]:
-    """Representatives of O^{x,+}/O^{x,2}; trivial for the supported fields."""
-    if field.degree == 1:
-        return [field.one]
-    if field.fundamental_unit_norm != -1:
-        raise ValueError("epsilon coset nontrivial: unsupported")
-    return [field.one]
 
 
 Q = FieldDescriptor(key="Q", degree=1, discriminant=1, omega_trace=0,

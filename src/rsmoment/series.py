@@ -13,9 +13,9 @@ Two multiplication engines:
   other operand's prefix: O(log n) FFTs per product.  Its docstring gives the
   measured accuracy, worst at coefficients far smaller than their neighbours.
 
-Also hosts the arithmetic sieves (sigma_k, divisor counts) and the standard
-level-1 generators: eta powers via the pentagonal/Jacobi sparse expansions,
-E4, E6, and Delta.
+Also hosts the arithmetic sieves (sigma_k, divisor counts), prime divisors,
+and the standard level-1 generators: eta powers via the pentagonal/Jacobi
+sparse expansions, E4, E6, and Delta.
 
 All program state lives in one store, ``_STORE``.  Every length-indexed
 series here and in ``modforms`` is a grow-only entry (``stored``): a request
@@ -43,6 +43,7 @@ __all__ = [
     "eta3_sparse",
     "eta6_float",
     "delta_exact",
+    "prime_divisors",
     "eisenstein_exact",
     "stored",
     "memo",
@@ -110,23 +111,12 @@ def mul_exact(a: list[int], b: list[int], n_out: int) -> list[int]:
     offset = int.from_bytes(half.to_bytes(slot, "little") * nslots, "little")
     C += offset
     raw = C.to_bytes(slot * (nslots + 2), "little", signed=False)
+    # every coefficient lies in (-half, half), so each offset slot is one
+    # base-2^nbits digit and no carry crosses a slot boundary
     out = [
         int.from_bytes(raw[i * slot:(i + 1) * slot], "little") - half
         for i in range(n)
     ]
-    # carry propagation left over from the offset trick
-    carry = 0
-    for i in range(n):
-        v = out[i] + carry
-        if v >= half:
-            v -= 1 << nbits
-            carry = 1
-        elif v < -half:
-            v += 1 << nbits
-            carry = -1
-        else:
-            carry = 0
-        out[i] = v
     return out + [0] * (n_out - n)
 
 
@@ -256,6 +246,21 @@ def sigma_sieve(power: int, length: int) -> np.ndarray:
 def divisor_count_sieve(length: int) -> np.ndarray:
     """d(n) for n < length as read-only float64 (index 0 is 0)."""
     return _divisor_sums(0, length)
+
+
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The primes dividing n, ascending (none for n < 2), by trial division."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def sigma_sieve_exact(power: int, length: int) -> tuple[int, ...]:

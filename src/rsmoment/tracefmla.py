@@ -5,11 +5,14 @@ number-field version runs over a residue system of (O_F/(c))^x with the
 additive character twisted through a totally positive generator of the
 different.  With narrow class number 1 every ideal in the formula is
 principal, so all data is element-level: the residue system is an explicit
-Hermite-form coordinate box and inverses come from the norm-Euclidean
-extended gcd (Q(sqrt5) and Q(sqrt2) are norm-Euclidean).  One kernel,
-``_kl_nf_slots``, computes a modulus's sums for many first slots at once,
-with every phase an integer form over den = |N(delta c)|; the Petersson
-side calls it once per modulus, the scalar entry points at one slot.
+Hermite-form coordinate box.  Every modular inverse, of either degree, is
+read from one integer table per modulus, ``_inverse_table``: a unit x of
+O/(c) has inverse conj(y) N(y)^-1 for a shift y of x by a multiple of c
+whose norm is a unit mod N(c).  Each degree has one kernel that computes a
+modulus's sums for many first slots at once: ``_kl_q_sums`` over Z/c and
+``_kl_nf_slots``, with every phase an integer form over den = |N(delta c)|.
+The Petersson sides call them once per modulus, the scalar entry points at
+one slot.
 
 The degree-1 right-hand side folds the sum over c in Z \\ {0} to c >= 1
 (a factor 2); the degree-2 side folds the full unit group action into one
@@ -27,7 +30,7 @@ import numpy as np
 
 from .numfield import (FieldDescriptor, FieldElement, embed_float,
                        is_totally_positive, norm, totally_positive_units, trace)
-from .series import memo
+from .series import memo, prime_divisors
 from .specialfn import bessel_j, bessel_j_array, bessel_j_c_tail_bound, bessel_j_series_bound
 from .rankin import UncertifiedError
 
@@ -58,42 +61,46 @@ class CertValue:
 
 # -- rational Kloosterman sums ---------------------------------------------
 
-def _inverse_table(c: int) -> tuple:
-    """x^-1 mod c for every residue x, -1 where x is not a unit."""
-    return memo(("inverse table", c), lambda: tuple(
-        pow(x, -1, c) if math.gcd(x, c) == 1 else -1 for x in range(c)))
+def _inverse_table(c: int) -> np.ndarray:
+    """x^-1 mod c for every residue x, -1 where x is not a unit (int64): the
+    module's one modular inverse."""
+    def build():
+        # Euler: x^(phi(c) - 1) inverts every unit x; products stay below c^2
+        phi = c
+        for p in prime_divisors(c):
+            phi = phi // p * (p - 1)
+        xs = np.arange(c, dtype=np.int64)
+        out, base, e = np.full(c, 1 % c, dtype=np.int64), xs, phi - 1
+        while e:
+            if e & 1:
+                out = out * base % c
+            base = base * base % c
+            e >>= 1
+        return np.where(np.gcd(xs, c) == 1, out, -1)
+    return memo(("inverse table", c), build)
+
+
+def _kl_q_sums(ms, n: int, c: int) -> np.ndarray:
+    """S(m, n; c) for every residue m in ``ms``: the one kernel of the rational
+    Kloosterman sums, every phase an integer mod c."""
+    inv = _inverse_table(c)
+    xs = np.flatnonzero(inv >= 0)
+    phase = inv[xs] * n % c
+    ang = (np.outer(ms, xs) + phase[None, :]) % c
+    return np.cos(2.0 * math.pi / c * ang).sum(axis=1)
 
 
 def kloosterman_q(m: int, n: int, c: int) -> float:
     """S(m, n; c) = sum over x in (Z/c)^x of e((m x + n x^-1)/c).  Real."""
     if c < 1:
         raise ValueError("modulus must be positive")
-    if c == 1:
-        return 1.0
-    inv = _inverse_table(c)
-    tot = 0.0
-    two_pi_over_c = 2.0 * math.pi / c
-    for x in range(1, c):
-        xb = inv[x]
-        if xb >= 0:
-            tot += math.cos(two_pi_over_c * ((m * x + n * xb) % c))
-    return tot
+    return float(_kl_q_sums([m % c], n % c, c)[0])
 
 
 def kloosterman_row(n: int, c: int) -> np.ndarray:
     """The vector (S(r, n; c))_{r mod c}; the off-diagonal sums index into it."""
-    return memo(("kloosterman row", n % c, c), lambda: _build_row(n % c, c))
-
-
-def _build_row(n: int, c: int) -> np.ndarray:
-    if c == 1:
-        return np.ones(1)
-    inv = _inverse_table(c)
-    xs = np.array([x for x in range(1, c) if inv[x] >= 0])
-    phase = np.array([inv[x] for x in xs]) * n % c
-    rs = np.arange(c)
-    ang = (np.outer(rs, xs) + phase[None, :]) % c
-    return np.cos(2.0 * math.pi / c * ang).sum(axis=1)
+    return memo(("kloosterman row", n % c, c),
+                lambda: _kl_q_sums(np.arange(c), n % c, c))
 
 
 # -- number-field Kloosterman sums -------------------------------------------
@@ -170,31 +177,9 @@ def _coords(x: FieldElement) -> tuple[int, int]:
     return x.a.numerator, x.b.numerator
 
 
-def _int_xgcd(t: int, n: int, x: tuple[int, int], y: tuple[int, int]):
-    """(g, u) with g = u*x mod (y), by nearest-coordinate Euclid (norm-Euclidean)."""
-    r0, r1 = x, y
-    u0, u1 = (1, 0), (0, 0)
-    while r1 != (0, 0):
-        num = _cmul(t, n, r0, _cconj(t, r1))
-        dn = _cnorm(t, n, r1)
-        q = (_iround(num[0], dn), _iround(num[1], dn))
-        qr = _cmul(t, n, q, r1)
-        r0, r1 = r1, (r0[0] - qr[0], r0[1] - qr[1])
-        qu = _cmul(t, n, q, u1)
-        u0, u1 = u1, (u0[0] - qu[0], u0[1] - qu[1])
-    return r0, u0
-
-
-def _iround(a: int, b: int) -> int:
-    # round(a/b) with exact integer arithmetic
-    if b < 0:
-        a, b = -a, -b
-    return (2 * a + b) // (2 * b)
-
-
 def _residue_data(field: FieldDescriptor, c):
     """Invertible residues x of O/(c) and their inverses, as coordinate arrays
-    (x1, x2, b1, b2); the inverses are not reduced into the box.
+    (x1, x2, b1, b2); the inverse coordinates lie in [0, N(c)), not in the box.
 
     The table is stored under the HNF box, so every generator of (c) shares
     it: an inverse is only defined mod (c), and the phases that read it are
@@ -205,27 +190,32 @@ def _residue_data(field: FieldDescriptor, c):
 
 
 def _build_residues(field: FieldDescriptor, c, box):
+    """The unit residues x of the box, x2 outer and x1 inner, with inverses
+    b = conj(y) N(y)^-1 mod N, N = |N(c)|: y = x + j c for the first j in
+    0..omega(N) whose norm is a unit mod N.  N lies in (c), so x b = 1 mod (c).
+
+    A non-unit x lies in a prime q | (c), and so does every shift: it has no
+    such y.  For a unit x, x + j c lies in a prime q | p | N only when q does
+    not divide (c).  Then q is split, c is a unit mod q, and q rules out one
+    class of j mod p.  Split p is at least 7 in both fields, more than
+    omega(N) for any N under the cap, so some j <= omega(N) is left.
+    """
     t, n = field.omega_trace, field.omega_norm
     h11, _, h22 = box
-    xs1, xs2, bs1, bs2 = [], [], [], []
-    for x2 in range(h22):
-        for x1 in range(h11):
-            if x1 == 0 and x2 == 0:
-                continue
-            g, u = _int_xgcd(t, n, (x1, x2), c)
-            ng = _cnorm(t, n, g)
-            if abs(ng) != 1:
-                continue
-            # inverse = u * conj(g) / N(g) = u * conj(g) * sign
-            inv = _cmul(t, n, u, _cconj(t, g))
-            if ng == -1:
-                inv = (-inv[0], -inv[1])
-            xs1.append(x1)
-            xs2.append(x2)
-            bs1.append(inv[0])
-            bs2.append(inv[1])
-    return (np.array(xs1, dtype=np.int64), np.array(xs2, dtype=np.int64),
-            np.array(bs1, dtype=np.int64), np.array(bs2, dtype=np.int64))
+    nc = h11 * h22
+    inv = _inverse_table(nc)
+    c1, c2 = c[0] % nc, c[1] % nc  # c mod every prime above N, small in int64
+    x2, x1 = np.divmod(np.arange(1, nc, dtype=np.int64), h11)
+    b1, b2 = np.zeros_like(x1), np.zeros_like(x1)
+    found = np.zeros(len(x1), dtype=bool)
+    for j in range(len(prime_divisors(nc)) + 1):
+        y1, y2 = x1 + j * c1, x2 + j * c2
+        u = inv[(y1 * y1 + t * y1 * y2 + n * y2 * y2) % nc]
+        new = (u >= 0) & ~found
+        b1[new] = (y1 + t * y2)[new] * u[new] % nc
+        b2[new] = -y2[new] * u[new] % nc
+        found |= new
+    return x1[found], x2[found], b1[found], b2[found]
 
 
 def _different(field: FieldDescriptor) -> tuple[int, int]:
@@ -237,8 +227,7 @@ def _trace_form(t: int, n: int, y, den: int) -> tuple[int, int]:
     return (2 * y[0] + t * y[1]) % den, (t * y[0] + (t * t - 2 * n) * y[1]) % den
 
 
-def _kl_nf_slots(field: FieldDescriptor, alphas, beta, c,
-                 cap: int = _KL_NF_CAP) -> np.ndarray:
+def _kl_nf_slots(field: FieldDescriptor, alphas, beta, c) -> np.ndarray:
     """Kl(alpha, beta; c) for every alpha in ``alphas``: the one kernel of the
     degree-2 Kloosterman sums.  Every argument is an integer coordinate pair.
 
@@ -251,15 +240,14 @@ def _kl_nf_slots(field: FieldDescriptor, alphas, beta, c,
         Tr(beta delta xibar / c)  = s N(delta) Tr(beta delta conj(c) xibar) / den,
 
     so each phase is an integer linear form in the coordinates of xi and
-    xibar, reduced mod den before any float enters.  The table's inverse
-    coordinates are not reduced into the box, so they and the form's
-    coefficients are reduced mod den first: no term then reaches den^2,
-    far inside int64 for any N(c) a residue table can hold.
+    xibar, reduced mod den before any float enters.  The coordinates and the
+    form's coefficients all lie in [0, den), so no term reaches den^2, far
+    inside int64 for any N(c) a residue table can hold.
     """
     t, n = field.omega_trace, field.omega_norm
     nc = _cnorm(t, n, c)
-    if abs(nc) > cap:
-        raise ValueError(f"residue enumeration overflow: N(c) = {abs(nc)} > cap {cap}")
+    if abs(nc) > _KL_NF_CAP:
+        raise ValueError(f"residue enumeration overflow: N(c) = {abs(nc)} > cap {_KL_NF_CAP}")
     if abs(nc) == 1:
         return np.ones(len(alphas), dtype=complex)
     x1, x2, b1, b2 = _residue_data(field, c)
@@ -273,25 +261,25 @@ def _kl_nf_slots(field: FieldDescriptor, alphas, beta, c,
     q1, q2 = _trace_form(t, n, _cmul(t, n, beta, q), den)
     forms = np.array([_trace_form(t, n, _cmul(t, n, a, p), den) for a in alphas],
                      dtype=np.int64)
-    fixed = (q1 * (b1 % den) + q2 * (b2 % den)) % den
+    fixed = (q1 * b1 + q2 * b2) % den
     phase = (forms[:, :1] * x1 + forms[:, 1:] * x2 + fixed) % den
     ang = (2.0 * math.pi / den) * phase
     return np.cos(ang).sum(axis=1) + 1j * np.sin(ang).sum(axis=1)
 
 
 def kl_nf_raw(field: FieldDescriptor, alpha: FieldElement, beta: FieldElement,
-              c: FieldElement, cap: int = _KL_NF_CAP) -> complex:
+              c: FieldElement) -> complex:
     """The full complex Kloosterman sum of integral slots, no positivity
     constraints: ``_kl_nf_slots`` at one slot."""
-    return complex(_kl_nf_slots(field, [_coords(alpha)], _coords(beta), _coords(c), cap)[0])
+    return complex(_kl_nf_slots(field, [_coords(alpha)], _coords(beta), _coords(c))[0])
 
 
 def kl_nf_exact_phase(field: FieldDescriptor, alpha: FieldElement, beta: FieldElement,
-                      c: FieldElement, cap: int = _KL_NF_CAP) -> complex:
+                      c: FieldElement) -> complex:
     """Same sum with exact rational phases (slow; the independent cross-check)."""
     nc = abs(int(norm(c)))
-    if nc > cap:
-        raise ValueError(f"residue enumeration overflow: N(c) = {nc} > cap {cap}")
+    if nc > _KL_NF_CAP:
+        raise ValueError(f"residue enumeration overflow: N(c) = {nc} > cap {_KL_NF_CAP}")
     if nc == 1:
         return complex(1.0, 0.0)
     delta = field.different_gen
@@ -306,9 +294,9 @@ def kl_nf_exact_phase(field: FieldDescriptor, alpha: FieldElement, beta: FieldEl
     return total
 
 
-def kloosterman_nf(q: KloostermanQuery, cap: int = _KL_NF_CAP) -> float:
+def kloosterman_nf(q: KloostermanQuery) -> float:
     """Kl for totally positive slot data; conjugation symmetry makes it real."""
-    val = kl_nf_raw(q.alpha.field, q.alpha, q.beta, q.c, cap)
+    val = kl_nf_raw(q.alpha.field, q.alpha, q.beta, q.c)
     if abs(val.imag) > 1e-7 * (1.0 + abs(val.real)):
         raise AssertionError(f"Kloosterman sum has nonvanishing imaginary part {val.imag}")
     return val.real

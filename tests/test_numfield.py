@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rsmoment.numfield import (Q, Q_SQRT2, Q_SQRT5, FieldElement, conj, embed,
                                get_field, is_totally_positive, norm,
-                               totally_positive_units, trace,
-                               unit_square_coset_reps)
+                               totally_positive_units, trace)
 
 FIELDS = [Q, Q_SQRT5, Q_SQRT2]
 
@@ -124,17 +123,6 @@ def test_unit_set_closed_under_inversion_and_unit_norms():
             assert field.one / u in uset
             assert abs(norm(u)) == 1
             assert is_totally_positive(u)
-
-
-def test_unit_square_coset_reps():
-    assert unit_square_coset_reps(Q) == [Q.one]
-    for field in (Q_SQRT5, Q_SQRT2):
-        reps = unit_square_coset_reps(field)
-        assert reps == [field.one]
-        # oracle: eps0^2 is the square of a unit, so O^{x,+} = O^{x,2}
-        e2 = field.eps0 * field.eps0
-        assert e2 == field.eps0 ** 2
-        assert is_totally_positive(e2)
 
 
 def test_zeta_residue_class_number_formula():

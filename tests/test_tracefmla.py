@@ -192,13 +192,13 @@ def test_residue_tables_built_once_per_ideal(monkeypatch):
     gens = [c for c, _ in tf._ideal_generators_canonical(field, 1000)]
     assert len(gens) == 623
     calls = [0]
-    xgcd = tf._int_xgcd
+    build = tf._build_residues
 
     def counting(*args):
         calls[0] += 1
-        return xgcd(*args)
+        return build(*args)
 
-    monkeypatch.setattr(tf, "_int_xgcd", counting)
+    monkeypatch.setattr(tf, "_build_residues", counting)
     alpha = field.element(3, 1)
 
     def sweep(moduli):
@@ -223,9 +223,45 @@ def test_residue_tables_built_once_per_ideal(monkeypatch):
 
 
 def test_residue_enumeration_cap():
-    big = Q_SQRT5.element(200, 0)
+    big = Q_SQRT5.element(200, 0)  # norm 40,000, above the 10,000 limit
     with pytest.raises(ValueError, match="overflow"):
-        tf.kl_nf_raw(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, big, cap=100)
+        tf.kl_nf_raw(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, big)
+    with pytest.raises(ValueError, match="overflow"):
+        tf.kl_nf_exact_phase(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, big)
+
+
+def units_by_product_scan(field, box):
+    """How many residues of the HNF box have some y with x*y - 1 in (c),
+    in plain integer coordinates."""
+    t, n = field.omega_trace, field.omega_norm
+    h11, h12, h22 = box
+    y2, y1 = np.divmod(np.arange(h11 * h22), h11)
+    count = 0
+    for x1, x2 in zip(y1, y2):
+        p1 = x1 * y1 - n * x2 * y2 - 1
+        p2 = x1 * y2 + x2 * y1 + t * x2 * y2
+        in_c = (p2 % h22 == 0) & ((p1 - p2 // h22 * h12) % h11 == 0)
+        count += bool(in_c.any())
+    return count
+
+
+@pytest.mark.parametrize("field", [Q_SQRT5, Q_SQRT2])
+def test_residue_tables_invert_every_unit(field):
+    """Every ideal of norm 2..200: each row has x*b = 1 mod (c), reduced in
+    the HNF box, and the rows are exactly the residues a product scan finds
+    invertible, so the shifted inverses (N(x) not a unit mod N(c)) miss no
+    unit.  N(c) = 1 never reads a table."""
+    shifted = 0
+    for c, nc in tf._ideal_generators_canonical(field, 200)[1:]:
+        box = box_of(c)
+        x1, x2, b1, b2 = tf._residue_data(field, tf._coords(c))
+        for i in range(len(x1)):
+            x = field.element(int(x1[i]), int(x2[i]))
+            b = field.element(int(b1[i]), int(b2[i]))
+            assert reduce_mod(x * b - field.one, box) == field.element(0), (c, x, b)
+            shifted += math.gcd(int(norm(x)), nc) != 1
+        assert len(x1) == units_by_product_scan(field, box), (c, nc)
+    assert shifted > 0
 
 
 # -- trace formula RHS, degree 1 -------------------------------------------------
