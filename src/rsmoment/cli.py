@@ -145,8 +145,7 @@ def cmd_rhs_nf(cfg: RunConfig, args) -> int:
 def cmd_units(cfg: RunConfig, args) -> int:
     field = get_field(cfg.field)
     rows = ["field,lambda0,height_exponent,partial_sum,tail_certificate"]
-    eps1 = float(field.embed_omega(64)[0] * field.fundamental_unit[1]
-                 + field.fundamental_unit[0])
+    eps1 = field.eps1
     certs = {}
     for t in range(2, args.tmax + 1, 2):
         us = unit_sum_tail(field, args.lam, eps1 ** t)

@@ -326,9 +326,6 @@ class ScanResult:
     slope_theoretical: float
     max_abs_residual_from_fit: float
 
-    def fitted(self, k: float) -> float:
-        return self.slope * math.log(k) + self.intercept
-
 
 def asymptotic_scan(g: NewformRecord, p: int, k_list,
                     g_scale: float = DEFAULT_G_SCALE,

@@ -59,9 +59,12 @@ class FieldDescriptor:
         """Residue of the Dedekind zeta function at s=1 (class number formula, h=1, w=2)."""
         if self.degree == 1:
             return 1.0
-        reg = math.log(float(self.embed_omega(prec=64)[0] * self.fundamental_unit[1]
-                             + self.fundamental_unit[0]))
-        return 2.0 * reg / math.sqrt(self.discriminant)
+        return 2.0 * math.log(self.eps1) / math.sqrt(self.discriminant)
+
+    @property
+    def eps1(self) -> float:
+        """sigma_1(eps0) > 1 in float64: the one float of the fundamental unit."""
+        return float(embed(self.eps0, 53)[0])
 
     def embed_omega(self, prec: int = 53):
         """The two real roots of omega's minimal polynomial, larger first."""
@@ -251,22 +254,16 @@ def is_totally_positive(x: FieldElement) -> bool:
 def totally_positive_units(field: FieldDescriptor, bound: float) -> list[FieldElement]:
     """All units eta >> 0 with max_j |log sigma_j(eta)| <= log(bound).
 
-    For the supported degree-2 fields these are eps0^(2t); over Q only 1.
+    For the supported degree-2 fields these are eps0^(2t), |t| <= tmax, in
+    ascending order of sigma_1 (sigma_1(eps0) > 1); over Q only 1.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if field.degree == 1:
         return [field.one]
-    log_eps = math.log(float(embed(field.eps0, 64)[0]))
-    tmax = int(math.floor((math.log(bound) + 1e-12) / (2 * log_eps)))
-    units = [field.one]
-    e2 = field.eps0 * field.eps0
-    pos = field.one
-    for _ in range(tmax):
-        pos = pos * e2
-        units.append(pos)
-        units.append(field.one / pos)
-    return sorted(units, key=lambda u: float(embed(u, 64)[0]))
+    tmax = int(math.floor((math.log(bound) + 1e-12) / (2 * math.log(field.eps1))))
+    pos = [field.eps0 ** (2 * t) for t in range(1, tmax + 1)]
+    return [field.one / u for u in reversed(pos)] + [field.one] + pos
 
 
 Q = FieldDescriptor(key="Q", degree=1, discriminant=1, omega_trace=0,

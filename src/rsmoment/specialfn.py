@@ -96,14 +96,12 @@ def digamma(a: float) -> float:
 
 # -- J-Bessel ----------------------------------------------------------------
 
-def bessel_j_series_bound(order: int, x: float) -> float:
-    """Rigorous bound (x/2)^order / order! valid whenever x >= 0."""
-    if x == 0.0:
-        return 0.0
-    lg = order * math.log(x / 2.0) - math.lgamma(order + 1)
-    if lg > 700.0:
-        return math.inf
-    return math.exp(lg)
+def bessel_j_series_bound(order: int, x) -> np.ndarray:
+    """Rigorous bound (x/2)^order / order! on |J_order(x)|, elementwise in
+    x >= 0 for order >= 1; inf where it passes exp(700)."""
+    with np.errstate(divide="ignore"):
+        lg = order * np.log(np.asarray(x, dtype=float) / 2.0) - math.lgamma(order + 1)
+    return np.where(lg > 700.0, np.inf, np.exp(np.minimum(lg, 700.0)))
 
 
 def bessel_j_c_tail_bound(order: int, x, c_from: float) -> np.ndarray:

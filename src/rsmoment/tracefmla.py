@@ -9,16 +9,18 @@ Hermite-form coordinate box.  Every modular inverse, of either degree, is
 read from one integer table per modulus, ``_inverse_table``: a unit x of
 O/(c) has inverse conj(y) N(y)^-1 for a shift y of x by a multiple of c
 whose norm is a unit mod N(c).  Each degree has one kernel that computes a
-modulus's sums for many first slots at once: ``_kl_q_sums`` over Z/c and
-``_kl_nf_slots``, with every phase an integer form over den = |N(delta c)|.
-The Petersson sides call them once per modulus, the scalar entry points at
-one slot.
+modulus's sums for many first slots at once: ``kloosterman_row`` over Z/c,
+stored per (n mod c, c), and ``_kl_nf_slots``, with every phase an integer
+form over den = |N(delta c)|.  The Petersson sides call them once per
+modulus, the scalar entry points at one slot.
 
 The degree-1 right-hand side folds the sum over c in Z \\ {0} to c >= 1
 (a factor 2); the degree-2 side folds the full unit group action into one
 canonical generator per ideal, a totally positive unit sum, and a factor 2
-for the sign.  All truncations carry certified tails from the J-Bessel
-series bound.
+for the sign.  Its geometry, the canonical moduli and the units with their
+float embeddings, is stored per field and bound, and one helper,
+``_translate_tail``, bounds every sum over unit translates past a cut.  All
+truncations carry certified tails from the J-Bessel series bound.
 """
 
 from __future__ import annotations
@@ -80,27 +82,33 @@ def _inverse_table(c: int) -> np.ndarray:
     return memo(("inverse table", c), build)
 
 
-def _kl_q_sums(ms, n: int, c: int) -> np.ndarray:
-    """S(m, n; c) for every residue m in ``ms``: the one kernel of the rational
-    Kloosterman sums, every phase an integer mod c."""
-    inv = _inverse_table(c)
-    xs = np.flatnonzero(inv >= 0)
-    phase = inv[xs] * n % c
-    ang = (np.outer(ms, xs) + phase[None, :]) % c
-    return np.cos(2.0 * math.pi / c * ang).sum(axis=1)
+_ROW_BLOCK = 1 << 20  # phases held at once while a row is built
+
+
+def kloosterman_row(n: int, c: int) -> np.ndarray:
+    """The vector (S(r, n; c))_{r mod c}: the one kernel of the rational
+    Kloosterman sums, every phase an integer mod c.  ``kloosterman_q``, the
+    degree-1 Petersson side and the E-term all index into it.  Rows are
+    built in blocks of residues r, each summed alone, so a large c holds at
+    most ``_ROW_BLOCK`` phases."""
+    def build():
+        inv = _inverse_table(c)
+        xs = np.flatnonzero(inv >= 0)
+        phase = inv[xs] * (n % c) % c
+        step = max(1, _ROW_BLOCK // len(xs))
+        blocks = []
+        for r in range(0, c, step):
+            ang = (np.outer(np.arange(r, min(r + step, c)), xs) + phase[None, :]) % c
+            blocks.append(np.cos(2.0 * math.pi / c * ang).sum(axis=1))
+        return np.concatenate(blocks)
+    return memo(("kloosterman row", n % c, c), build)
 
 
 def kloosterman_q(m: int, n: int, c: int) -> float:
     """S(m, n; c) = sum over x in (Z/c)^x of e((m x + n x^-1)/c).  Real."""
     if c < 1:
         raise ValueError("modulus must be positive")
-    return float(_kl_q_sums([m % c], n % c, c)[0])
-
-
-def kloosterman_row(n: int, c: int) -> np.ndarray:
-    """The vector (S(r, n; c))_{r mod c}; the off-diagonal sums index into it."""
-    return memo(("kloosterman row", n % c, c),
-                lambda: _kl_q_sums(np.arange(c), n % c, c))
+    return float(kloosterman_row(n, c)[m % c])
 
 
 # -- number-field Kloosterman sums -------------------------------------------
@@ -336,7 +344,7 @@ def petersson_rhs_q(m: int, n: int, k: int, c_max: int | None = None,
     acc = 0.0
     for c, j in enumerate(js, 1):
         if j != 0.0:
-            acc += kloosterman_q(m, n, c) / c * j
+            acc += float(kloosterman_row(n, c)[m % c]) / c * j
     val = (1.0 if m == n else 0.0) + 2.0 * math.pi * sign * acc
     return CertValue(value=val, certificate=tail)
 
@@ -390,8 +398,7 @@ def _ideal_generators_canonical(field: FieldDescriptor, norm_max: int):
     lattice is a complete ideal invariant and drives the deduplication.
     """
     w1, w2 = (float(v) for v in field.embed_omega(64))
-    eps1 = float(embed_float(field.eps0)[0])
-    window = eps1 * eps1
+    window = field.eps1 * field.eps1
     s1_max = window * math.sqrt(norm_max)
     s2_max = math.sqrt(norm_max)
     out: dict = {}
@@ -422,6 +429,26 @@ def _ideal_generators_canonical(field: FieldDescriptor, norm_max: int):
     return [(field.element(a, b), anr) for (s1, a, b, anr) in vals]
 
 
+def _moduli(field: FieldDescriptor, norm_max: int):
+    """The canonical moduli of norm <= norm_max, built once per (field, bound):
+    their integer coordinates, their norms, and |sigma_j(c)| one row each."""
+    def build():
+        gens = _ideal_generators_canonical(field, norm_max)
+        return ([_coords(c) for c, _ in gens],
+                np.array([nc for _, nc in gens], dtype=float),
+                np.abs(np.array([embed_float(c) for c, _ in gens])))
+    return memo(("moduli", field.key, norm_max), build)
+
+
+def _units(field: FieldDescriptor, height: float):
+    """The totally positive units of height <= ``height`` and sigma_j(eta) one
+    row each, built once per (field, height)."""
+    def build():
+        units = totally_positive_units(field, height)
+        return units, np.array([embed_float(u) for u in units])
+    return memo(("units", field.key, height), build)
+
+
 def petersson_rhs_nf(nu: FieldElement, xi: FieldElement,
                      params: TraceRHSParams) -> CertValue:
     """Geometric side of the trace formula over a real quadratic field.
@@ -444,25 +471,30 @@ def petersson_rhs_nf(nu: FieldElement, xi: FieldElement,
     sign = -1.0 if ((k1 + k2) // 2) % 2 else 1.0
     C = sign * (2.0 * math.pi) ** 2 / (2.0 * math.sqrt(field.discriminant))
 
-    units = totally_positive_units(field, params.unit_height_bound)
+    units, eta_emb = _units(field, params.unit_height_bound)
     slots = [_coords(u * nu) for u in units]
     beta = _coords(xi)
     nu_emb = np.array(embed_float(nu))
     xi_emb = np.array(embed_float(xi))
-    eta_emb = np.array([embed_float(u) for u in units])
+    moduli, norms, c_emb = _moduli(field, params.c_norm_bound)
 
+    # every (c, eta) argument at once, the embedding j last
+    args = 4.0 * math.pi * np.sqrt(eta_emb * nu_emb * xi_emb)[None, :, :] / c_emb[:, None, :]
+    jprod = bessel_j_array(k1 - 1, args[..., 0]) * bessel_j_array(k2 - 1, args[..., 1])
     acc = 0.0
-    gens = _ideal_generators_canonical(field, params.c_norm_bound)
-    for c, nc in gens:
-        c_emb = np.abs(np.array(embed_float(c)))
-        args = 4.0 * math.pi * np.sqrt(eta_emb * nu_emb[None, :] * xi_emb[None, :]) \
-            / c_emb[None, :]
-        j1 = bessel_j_array(k1 - 1, args[:, 0])
-        j2 = bessel_j_array(k2 - 1, args[:, 1])
-        kl = _kl_nf_slots(field, slots, beta, _coords(c)).real
-        acc += float(np.dot(kl, j1 * j2)) / nc
-    eta_tail = _eta_tail_bound(field, params, nu_emb, xi_emb, gens)
-    c_tail = _c_tail_bound(field, params, nu_emb, xi_emb)
+    for c, nc, jp in zip(moduli, norms, jprod):
+        kl = _kl_nf_slots(field, slots, beta, c).real
+        acc += float(np.dot(kl, jp)) / nc
+
+    # units past the height bound, over the kept moduli: eta = eps0^(2t) scales
+    # the two arguments by eps1^t and eps1^-t
+    x = 4.0 * math.pi * np.sqrt(nu_emb * xi_emb)
+    s = field.eps1
+    t_start = int(math.floor(math.log(params.unit_height_bound) / (2 * math.log(s)))) + 1
+    b1, b2 = x[0] / c_emb[:, 0], x[1] / c_emb[:, 1]
+    eta_tail = float(np.sum((_translate_tail(k1, k2, b1, b2, s, t_start)
+                             + _translate_tail(k2, k1, b2, b1, s, t_start)) / norms))
+    c_tail = _c_tail_bound(k1, k2, x, s, params.c_norm_bound)
     value = diag + C * 2.0 * acc
     cert = abs(C) * 2.0 * (eta_tail + c_tail)
     if cert > params.tol:
@@ -472,70 +504,46 @@ def petersson_rhs_nf(nu: FieldElement, xi: FieldElement,
     return CertValue(value=value, certificate=cert)
 
 
-def _jprod_bound(k1: int, k2: int, x1: float, x2: float) -> float:
-    b1 = min(0.7, bessel_j_series_bound(k1 - 1, x1))
-    b2 = min(0.7, bessel_j_series_bound(k2 - 1, x2))
-    return b1 * b2
+def _translate_tail(k_up: int, k_down: int, x_up, x_down, s: float, t_from: int) -> np.ndarray:
+    """Per row, sum over t >= t_from of min(0.7, B(x_up s^t)) min(0.7, B(x_down s^-t)),
+    with s > 1 and B the J series bound of order k_up - 1 resp. k_down - 1.
+
+    A row stops at its first term below 1e-30 whose rising factor sits at the
+    0.7 cap.  Every later term is that cap times the falling factor, which
+    shrinks by r = s^-(k_down - 1) per step, so the stopping term stands for
+    itself and the rest at weight 1/(1 - r).  Rows that run past 512 terms
+    give inf.
+    """
+    width = 16
+    while True:
+        st = s ** np.arange(t_from, t_from + width, dtype=float)
+        up = np.minimum(0.7, bessel_j_series_bound(k_up - 1, np.outer(x_up, st)))
+        terms = up * np.minimum(0.7, bessel_j_series_bound(k_down - 1, np.outer(x_down, 1.0 / st)))
+        done = (terms < 1e-30) & (up == 0.7)
+        if done[:, -1].all():
+            break
+        if width >= 512:
+            return np.full(len(terms), np.inf)
+        width *= 2
+    col = np.arange(width) - np.argmax(done, axis=1)[:, None]
+    weight = np.where(col < 0, 1.0, np.where(col == 0, 1.0 / (1.0 - s ** (1 - k_down)), 0.0))
+    return (terms * weight).sum(axis=1)
 
 
-def _eta_tail_bound(field, params, nu_emb, xi_emb, gens) -> float:
-    """Units above the height bound, summed over the kept moduli."""
-    eps1 = float(embed_float(field.eps0)[0])
-    t_start = int(math.floor(math.log(params.unit_height_bound) / (2 * math.log(eps1)))) + 1
-    total = 0.0
-    for c, nc in gens:
-        c_emb = np.abs(np.array(embed_float(c)))
-        base1 = 4.0 * math.pi * math.sqrt(nu_emb[0] * xi_emb[0]) / c_emb[0]
-        base2 = 4.0 * math.pi * math.sqrt(nu_emb[1] * xi_emb[1]) / c_emb[1]
-        k1, k2 = params.weight_vec
-        for sgn in (1, -1):
-            t = t_start
-            while True:
-                sk = eps1 ** (sgn * t)
-                bound = _jprod_bound(k1, k2, base1 * sk, base2 / sk) / nc
-                total += bound
-                if bound < 1e-30:
-                    break
-                t += 1
-                if t > t_start + 400:
-                    return math.inf
-    return total
-
-
-def _c_tail_bound(field, params, nu_emb, xi_emb) -> float:
-    """Ideals beyond the norm bound: r(N) <= sqrt(3N), canonical-window
-    embeddings satisfy |sigma_j(c)| >= sqrt(N)/eps0^2."""
-    eps1 = float(embed_float(field.eps0)[0])
-    k1, k2 = params.weight_vec
-    scale1 = 4.0 * math.pi * math.sqrt(nu_emb[0] * xi_emb[0]) * eps1 * eps1
-    scale2 = 4.0 * math.pi * math.sqrt(nu_emb[1] * xi_emb[1]) * eps1 * eps1
-    total = 0.0
-    n0 = params.c_norm_bound + 1
-    per_eta = 0.0
-    for N in range(n0, 8 * n0):
-        rn = math.sqrt(3.0 * N)
-        # eta-sum at this norm: same geometric structure, bounded crudely
-        per_eta = 0.0
-        t = 0
-        while True:
-            sk = eps1 ** t
-            b = _jprod_bound(k1, k2, scale1 * sk / math.sqrt(N), scale2 / (sk * math.sqrt(N)))
-            if t > 0:
-                b += _jprod_bound(k1, k2, scale1 / (sk * math.sqrt(N)), scale2 * sk / math.sqrt(N))
-            per_eta += b
-            if b < 1e-30:
-                break
-            t += 1
-            if t > 400:
-                return math.inf
-        total += rn * per_eta
-    # beyond 8*n0: the series bound scales like N^{-(k1+k2-2)/2} per eta-sum
+def _c_tail_bound(k1: int, k2: int, x, s: float, norm_bound: int) -> float:
+    """Ideals beyond the norm bound, x_j = 4 pi sqrt(sigma_j(nu xi)):
+    r(N) <= sqrt(3N), and canonical-window embeddings satisfy
+    |sigma_j(c)| >= sqrt(N)/eps0^2."""
+    n0 = norm_bound + 1
+    norms = np.arange(n0, 8 * n0, dtype=float)
+    x1, x2 = (x * s * s)[:, None] / np.sqrt(norms)
+    per_eta = _translate_tail(k1, k2, x1, x2, s, 0) + _translate_tail(k2, k1, x2, x1, s, 1)
+    total = float(np.sum(np.sqrt(3.0 * norms) * per_eta))
+    # beyond 8*n0: assumes each eta-sum decays like N^{-(k1+k2-2)/2}, which
+    # terms held at the 0.7 cap do not (ROADMAP item 5)
     decay = (k1 + k2 - 2) / 2.0
-    if decay <= 1.6:
-        return math.inf
     far = 8 * n0 - 1
-    remainder = math.sqrt(3.0) * per_eta * far ** 1.5 / (decay - 1.5)
-    return total + remainder
+    return total + math.sqrt(3.0) * float(per_eta[-1]) * far ** 1.5 / (decay - 1.5)
 
 
 def unit_sum_tail(field: FieldDescriptor, lambda0: float, bound: float) -> CertValue:
@@ -545,11 +553,10 @@ def unit_sum_tail(field: FieldDescriptor, lambda0: float, bound: float) -> CertV
         raise ValueError("unit sums require a quadratic field")
     if lambda0 < 0:
         raise ValueError("lambda0 must be >= 0")
-    eps1 = float(embed_float(field.eps0)[0])
-    if lambda0 == 0.0:
-        t_max = int(math.floor(math.log(bound) / (2 * math.log(eps1))))
-        return CertValue(value=float(2 * t_max + 1), certificate=math.inf)
+    eps1 = field.eps1
     t_max = int(math.floor(math.log(bound) / (2 * math.log(eps1))))
+    if lambda0 == 0.0:
+        return CertValue(value=float(2 * t_max + 1), certificate=math.inf)
     r = eps1 ** (-2.0 * lambda0)
     partial = 1.0 + 2.0 * sum(r ** t for t in range(1, t_max + 1))
     tail = 2.0 * r ** (t_max + 1) / (1.0 - r)

@@ -113,6 +113,19 @@ def test_bessel_series_domination():
             assert 0.0 <= v <= sf.bessel_j_series_bound(nu, x) * (1 + 1e-12)
 
 
+def test_bessel_j_series_bound_array_matches_scalar_calls():
+    xs = np.array([0.0, 1e-300, 0.3, 2.0, 17.5, 120.0, 5e3, 1e300])
+    for order in (1, 3, 19, 39):
+        got = sf.bessel_j_series_bound(order, xs)
+        assert got.shape == xs.shape
+        one = [float(sf.bessel_j_series_bound(order, x)) for x in xs]
+        assert got.tolist() == one
+        assert got[0] == 0.0 and math.isinf(got[-1]) == (order > 1)  # past exp(700)
+        mid = got[2:6]
+        want = [math.exp(order * math.log(x / 2.0) - math.lgamma(order + 1)) for x in xs[2:6]]
+        assert np.allclose(mid, want, rtol=1e-13, atol=0.0)
+
+
 def test_bessel_j_c_tail_bound_dominates_direct_sum():
     for order, C in ((13, 8), (39, 40), (59, 200)):
         xs = np.array([1.0, 50.0, 4.0 * math.pi * math.sqrt(3000.0)])

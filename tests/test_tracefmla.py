@@ -356,6 +356,80 @@ def test_rhs_nf_unit_translates_crushed_at_high_weight():
     assert abs(a.value - b.value) < 1e-8
 
 
+def test_rhs_nf_geometry_embedded_once(monkeypatch):
+    """Two calls with the same (field, bounds) embed each canonical modulus
+    and each unit once; the second call embeds only nu and xi."""
+    field = Q_SQRT5
+    p = tf.TraceRHSParams(weight_vec=(20, 20), c_norm_bound=100,
+                          unit_height_bound=50.0, tol=1e-4)
+    nu, xi = field.element(1, 1), field.element(2, 1)
+    calls = []
+    embed = tf.embed_float
+
+    def counting(x):
+        calls.append(x)
+        return embed(x)
+
+    monkeypatch.setattr(tf, "embed_float", counting)
+    series.clear_store()
+    first = tf.petersson_rhs_nf(nu, xi, p)
+    n_first = len(calls)
+    assert n_first == (len(tf._ideal_generators_canonical(field, 100))
+                       + len(totally_positive_units(field, 50.0)) + 2)
+    again = tf.petersson_rhs_nf(nu, xi, p)
+    assert calls[n_first:] == [nu, xi]
+    assert again == first
+
+
+def stop_free_certificate(nu, xi, params, t_max=300):
+    """The degree-2 certificate with every unit-translate sum taken over all
+    t <= t_max, no stop rule: the same terms, |J| <= min(0.7, series bound)."""
+    field = nu.field
+    k1, k2 = params.weight_vec
+    s = float(embed_float(field.eps0)[0])
+    t = np.arange(t_max + 1.0)
+    st = s ** t
+
+    def capped(k, y):
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.minimum(0.7, np.exp((k - 1) * np.log(y / 2.0) - math.lgamma(k)))
+
+    def both_ways(x1, x2, t_up, t_down):
+        up = capped(k1, np.outer(x1, st)) * capped(k2, np.outer(x2, 1.0 / st))
+        down = capped(k1, np.outer(x1, 1.0 / st)) * capped(k2, np.outer(x2, st))
+        return (up * (t >= t_up)).sum(axis=1) + (down * (t >= t_down)).sum(axis=1)
+
+    x = 4.0 * math.pi * np.sqrt(np.array(embed_float(nu)) * np.array(embed_float(xi)))
+    gens = tf._ideal_generators_canonical(field, params.c_norm_bound)
+    c_emb = np.abs(np.array([embed_float(c) for c, _ in gens]))
+    norms = np.array([nc for _, nc in gens], dtype=float)
+    t_start = int(math.floor(math.log(params.unit_height_bound) / (2 * math.log(s)))) + 1
+    eta_tail = np.sum(both_ways(x[0] / c_emb[:, 0], x[1] / c_emb[:, 1], t_start, t_start) / norms)
+    n0 = params.c_norm_bound + 1
+    big = np.arange(n0, 8 * n0, dtype=float)
+    per_eta = both_ways(x[0] * s * s / np.sqrt(big), x[1] * s * s / np.sqrt(big), 0, 1)
+    c_tail = (np.sum(np.sqrt(3.0 * big) * per_eta) + math.sqrt(3.0) * per_eta[-1]
+              * (8 * n0 - 1) ** 1.5 / ((k1 + k2 - 2) / 2.0 - 1.5))
+    C = (2.0 * math.pi) ** 2 / (2.0 * math.sqrt(field.discriminant))
+    return 2.0 * C * (eta_tail + c_tail)
+
+
+@pytest.mark.parametrize("field,nu,xi,kvec,bound,height", [
+    (Q_SQRT2, (1, 0), (1, 0), (4, 40), 300, 50.0),
+    (Q_SQRT5, (1, 0), (1, 0), (4, 40), 100, 50.0),
+    (Q_SQRT5, (1, 0), (1, 0), (20, 20), 300, 2500.0),
+    (Q_SQRT2, (2, -1), (2, 0), (20, 24), 1000, 50.0),
+])
+def test_rhs_nf_certificate_dominates_stop_free_sum(field, nu, xi, kvec, bound, height):
+    """The J-product grows like eps1^(|k1 - k2| t) until one factor reaches its
+    cap, so a sum stopped at its first small term can miss most of the tail."""
+    p = tf.TraceRHSParams(weight_vec=kvec, c_norm_bound=bound,
+                          unit_height_bound=height, tol=math.inf)
+    nu, xi = field.element(*nu), field.element(*xi)
+    cert = tf.petersson_rhs_nf(nu, xi, p).certificate
+    assert cert >= stop_free_certificate(nu, xi, p) * (1 - 1e-12)
+
+
 # -- unit sums -------------------------------------------------------------------
 
 def test_unit_sum_examples():
