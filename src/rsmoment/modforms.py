@@ -30,6 +30,7 @@ fixed form g.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -360,6 +361,7 @@ class CuspSpace:
         if self.dim < 1:
             raise ValueError("empty space")
         self._eigen: list[Eigenform] | None = None
+        self._separating = None  # (A, roots, m) of _eigen_data, once found
 
     # -- exact layer --
     def basis(self, length: int) -> list[QExpansion]:
@@ -372,7 +374,10 @@ class CuspSpace:
                 for j in range(d)]
 
     def _eigen_data(self):
-        """(matrix, eigenvalues, m) of the first separating Hecke operator T_m."""
+        """(matrix, eigenvalues, m) of the first separating Hecke operator T_m,
+        solved once per space: every build of the eigenforms reuses it."""
+        if self._separating is not None:
+            return self._separating
         d = self.dim
         for m in (2, 3, 5):
             A = self.hecke_matrix(m)
@@ -383,7 +388,8 @@ class CuspSpace:
                 abs(roots[i] - roots[j]) > 1e-6 * scale
                 for i in range(d) for j in range(i + 1, d)
             ):
-                return A, roots, m
+                self._separating = A, roots, m
+                return self._separating
         raise ValueError("cannot separate eigenforms")
 
     def eigenforms(self, length: int) -> list[Eigenform]:
@@ -408,28 +414,46 @@ class CuspSpace:
                 for f in self._eigen]
 
     def _build_eigen(self, length: int):
-        """The echelon Miller basis to ``length`` times each exact eigenvector,
-        at working precision; ``an_exact`` keeps the first ``_EXACT_PREFIX``."""
+        """The echelon Miller basis to ``length`` times each exact eigenvector.
+
+        For n <= ``_EXACT_PREFIX`` a_f(n) = sum_i v_i b_i(n) is evaluated in
+        mpmath at working precision, and ``an_exact``, ``lam2`` and those
+        C_f(n) come from it.  Past the prefix the evaluation is in integers:
+        V_i = nint(v_i 2^P) with P = (bit length of the basis) + 60,
+        s = sum_i V_i b_i(n) exactly, and
+        C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n), the int/int division
+        correctly rounded.  Rounding V_i moves C_f(n) by at most
+        d max_i |b_i(n)| 2^-P / n^((k-1)/2), below d 2^-60 / n^((k-1)/2),
+        and the two float divisions add at most 3 ulp.
+        """
         d = self.dim
         k = self.k
         basis = self.basis(length)
         A, roots, _ = self._eigen_data()
         bits = max(x.bit_length() for f in basis for x in map(abs, f.an[: length + 1])) + 1
         dps = max(60, int(bits * 0.302) + 40)
+        head = min(length, _EXACT_PREFIX)
+        P = bits + 60
+        tail_ns = np.arange(head + 1, length + 1)
+        dens = [(n ** ((k - 2) // 2)) << P for n in range(head + 1, length + 1)]
+        cols = list(zip(*(f.an[head + 1: length + 1] for f in basis)))
         forms = []
         with mp.workdps(dps):
             half = mp.mpf(k - 1) / 2
-            scale = [mp.mpf(n) ** half for n in range(length + 1)]
+            scale = [mp.mpf(n) ** half for n in range(head + 1)]
             for idx, lam in enumerate(sorted(roots, reverse=True)):
                 v = _eigenvector(A, lam)
-                an = [mp.mpf(0)] * (length + 1)
+                an = [mp.mpf(0)] * (head + 1)
                 cn = np.zeros(length + 1)
-                for n in range(1, length + 1):
+                for n in range(1, head + 1):
                     an[n] = sum(v[i] * basis[i].an[n] for i in range(d))
                     cn[n] = float(an[n] / scale[n])
+                V = [int(mp.nint(mp.ldexp(x, P))) for x in v]
+                cn[head + 1:] = np.array(
+                    [sum(map(operator.mul, V, col)) / den for col, den in zip(cols, dens)]
+                ) / np.sqrt(tail_ns)
                 cn.flags.writeable = False
-                forms.append(Eigenform(weight=k, index=idx, cn=cn,
-                                       an_exact=tuple(an[: _EXACT_PREFIX + 1]),
+                forms.append(Eigenform(weight=k, index=idx, cn=cn, an_exact=tuple(an),
                                        lam2=float(an[2])))
         self._eigen = forms
 

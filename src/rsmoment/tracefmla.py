@@ -12,7 +12,8 @@ whose norm is a unit mod N(c).  Each degree has one kernel that computes a
 modulus's sums for many first slots at once: ``kloosterman_row`` over Z/c,
 stored per (n mod c, c), and ``_kl_nf_slots``, with every phase an integer
 form over den = |N(delta c)|.  The Petersson sides call them once per
-modulus, the scalar entry points at one slot.
+modulus and ``kloosterman_nf`` at one slot; ``kloosterman_q`` sums its one
+slot alone, so a single sum at a large modulus stores no row.
 
 The degree-1 right-hand side folds the sum over c in Z \\ {0} to c >= 1
 (a factor 2); the degree-2 side folds the full unit group action into one
@@ -87,10 +88,9 @@ _ROW_BLOCK = 1 << 20  # phases held at once while a row is built
 
 def kloosterman_row(n: int, c: int) -> np.ndarray:
     """The vector (S(r, n; c))_{r mod c}: the one kernel of the rational
-    Kloosterman sums, every phase an integer mod c.  ``kloosterman_q``, the
-    degree-1 Petersson side and the E-term all index into it.  Rows are
-    built in blocks of residues r, each summed alone, so a large c holds at
-    most ``_ROW_BLOCK`` phases."""
+    Kloosterman sums, every phase an integer mod c.  The degree-1 Petersson
+    side and the E-term index into it.  Rows are built in blocks of residues
+    r, each summed alone, so a large c holds at most ``_ROW_BLOCK`` phases."""
     def build():
         inv = _inverse_table(c)
         xs = np.flatnonzero(inv >= 0)
@@ -105,10 +105,16 @@ def kloosterman_row(n: int, c: int) -> np.ndarray:
 
 
 def kloosterman_q(m: int, n: int, c: int) -> float:
-    """S(m, n; c) = sum over x in (Z/c)^x of e((m x + n x^-1)/c).  Real."""
+    """S(m, n; c) = sum over x in (Z/c)^x of e((m x + n x^-1)/c).  Real.
+
+    One sum, phi(c) phases read from ``_inverse_table``; no row is stored.
+    """
     if c < 1:
         raise ValueError("modulus must be positive")
-    return float(kloosterman_row(n, c)[m % c])
+    inv = _inverse_table(c)
+    xs = np.flatnonzero(inv >= 0)
+    ang = (xs * (m % c) + inv[xs] * (n % c)) % c
+    return float(np.cos(2.0 * math.pi / c * ang).sum())
 
 
 # -- number-field Kloosterman sums -------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,19 @@ def delta_file(tmp_path_factory):
     assert main(["make-newform", "--k", "12", "--count", "20000",
                  "--out", str(path)]) == 0
     return str(path)
+
+
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    # scipy.signal pulls in scipy.stats, about a second of start-up per process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import rsmoment.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_kloosterman_command(capsys, tmp_path):

@@ -132,6 +132,33 @@ def test_float_extension_validated_against_exact_prefix():
     assert all(f.float_rel == 0.0 for f in mf.eigenforms(36, 100))  # exact prefix
 
 
+@pytest.mark.parametrize("k", [16, 40, 46])
+def test_integer_eigen_evaluation_matches_mpmath(k):
+    # the prefix is the mpmath evaluation itself; past it the integer path
+    # is held to its stated error bound at 200 sampled n
+    length = 3000
+    series.clear_store()
+    forms = mf.eigenforms(k, length)
+    basis = mf.miller_basis(k, length)
+    A, roots, _ = mf.cusp_space(k)._eigen_data()
+    bits = max(abs(x).bit_length() for f in basis for x in f.an[: length + 1]) + 1
+    sample = np.random.default_rng(k).choice(np.arange(513, length + 1), 200, replace=False)
+    with mp.workdps(max(60, int(bits * 0.302) + 40)):
+        half = mp.mpf(k - 1) / 2
+        for f, lam in zip(forms, sorted(roots, reverse=True)):
+            v = mf._eigenvector(A, lam)
+
+            def a(n):
+                return sum(vi * b.an[n] for vi, b in zip(v, basis))
+            head = [mp.mpf(0)] + [a(n) for n in range(1, 513)]
+            assert f.an_exact == tuple(head)
+            assert np.array_equal(f.cn[:513], [0.0] + [float(head[n] / mp.mpf(n) ** half)
+                                                       for n in range(1, 513)])
+            for n in sample:
+                ref = float(a(int(n)) / mp.mpf(int(n)) ** half)
+                assert abs(f.cn[n] - ref) <= 1e-15 * max(1.0, abs(ref)), (k, n)
+
+
 _EXACT_STORED = {
     "Delta": series.delta_exact,
     "Delta^3": lambda n: mf._delta_power_exact(3, n),

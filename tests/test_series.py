@@ -30,6 +30,53 @@ def test_mul_exact_huge_coefficients():
     assert series.mul_exact(a, b, 5) == schoolbook(a, b, 5)
 
 
+def _big_series(min_size, max_size):
+    # a last term near 2^600 fixes the slot width and the packed length, so
+    # 150+ terms pack past the FFT threshold whatever the other terms are
+    return st.builds(
+        lambda top, sign, rest: rest + [sign * top],
+        st.integers(2 ** 599, 2 ** 600), st.sampled_from((1, -1)),
+        st.lists(st.integers(-2 ** 600, 2 ** 600), min_size=min_size - 1,
+                 max_size=max_size - 1))
+
+
+def _counting_fft_mul(monkeypatch):
+    """Record what every ``_fft_mul`` call returns (None: a guard failed)."""
+    real, results = series._fft_mul, []
+
+    def counted(A, B):
+        results.append(real(A, B))
+        return results[-1]
+    monkeypatch.setattr(series, "_fft_mul", counted)
+    return results
+
+
+@given(_big_series(150, 400), _big_series(150, 400), st.integers(1, 900))
+@settings(max_examples=25, deadline=None)
+def test_mul_exact_fft_branch_matches_schoolbook(a, b, n_out):
+    with pytest.MonkeyPatch.context() as patch:
+        results = _counting_fft_mul(patch)
+        got = series.mul_exact(a, b, n_out)
+    assert got == schoolbook(a, b, n_out)
+    assert len(results) == 1 and results[0] is not None  # FFT ran, no fallback
+
+
+@pytest.mark.parametrize("shift", [0.4, 1.0])  # fails the 1/4 guard; the mod-p check
+def test_mul_exact_falls_back_when_a_guard_fails(monkeypatch, shift):
+    a = [(-1) ** i * (3 ** 700 + i) for i in range(200)]
+    b = [(i * 7919) ** 80 - 5 for i in range(180)]
+    real = series._fft_conv
+
+    def perturbed(x, y):
+        out = real(x, y)
+        out[len(out) // 3] += shift
+        return out
+    monkeypatch.setattr(series, "_fft_conv", perturbed)
+    results = _counting_fft_mul(monkeypatch)
+    assert series.mul_exact(a, b, 400) == schoolbook(a, b, 400)
+    assert results == [None]
+
+
 def naive_delta(n):
     """q * prod_{m<n} (1-q^m)^24 by direct exact polynomial multiplication."""
     poly = [1]

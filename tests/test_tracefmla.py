@@ -53,6 +53,13 @@ def test_kloosterman_row_matches_pointwise():
         assert abs(row[r] - tf.kloosterman_q(r, 3, 35)) < 1e-10
 
 
+def test_kloosterman_q_stores_no_row():
+    series.clear_store()
+    v = tf.kloosterman_q(3, 5, 10007)
+    assert not any(key[0] == "kloosterman row" for key in series._STORE)
+    assert abs(v - tf.kloosterman_row(5, 10007)[3]) < 1e-10
+
+
 # -- number field -------------------------------------------------------------
 
 def box_of(c):
