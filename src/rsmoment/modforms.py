@@ -350,6 +350,12 @@ def _eigenvector(A: list[list[int]], lam: mp.mpf) -> list[mp.mpf]:
     return [mp.mpf(1)] + list(mp.lu_solve(B, rhs))
 
 
+def _eigen_dps_bits(basis: list[QExpansion], n: int) -> tuple[int, int]:
+    """(working decimal digits, bit length + 1) of the basis coefficients 0..n."""
+    bits = max(x.bit_length() for f in basis for x in map(abs, f.an[: n + 1])) + 1
+    return max(60, int(bits * 0.302) + 40), bits
+
+
 class CuspSpace:
     """All derived data for S_k: exact basis prefix, eigen data, float extensions."""
 
@@ -417,9 +423,11 @@ class CuspSpace:
         """The echelon Miller basis to ``length`` times each exact eigenvector.
 
         For n <= ``_EXACT_PREFIX`` a_f(n) = sum_i v_i b_i(n) is evaluated in
-        mpmath at working precision, and ``an_exact``, ``lam2`` and those
-        C_f(n) come from it.  Past the prefix the evaluation is in integers:
-        V_i = nint(v_i 2^P) with P = (bit length of the basis) + 60,
+        mpmath at a working precision set by the basis on that prefix alone,
+        so ``an_exact``, ``lam2`` and those C_f(n) are the same whatever the
+        build length.  Past the prefix the evaluation is in integers:
+        V_i = nint(v_i 2^P) with P = (bit length of the basis) + 60, v solved
+        again at the precision of that bit length,
         s = sum_i V_i b_i(n) exactly, and
         C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n), the int/int division
         correctly rounded.  Rounding V_i moves C_f(n) by at most
@@ -430,15 +438,15 @@ class CuspSpace:
         k = self.k
         basis = self.basis(length)
         A, roots, _ = self._eigen_data()
-        bits = max(x.bit_length() for f in basis for x in map(abs, f.an[: length + 1])) + 1
-        dps = max(60, int(bits * 0.302) + 40)
         head = min(length, _EXACT_PREFIX)
+        head_dps, _ = _eigen_dps_bits(basis, head)
+        tail_dps, bits = _eigen_dps_bits(basis, length)
         P = bits + 60
         tail_ns = np.arange(head + 1, length + 1)
         dens = [(n ** ((k - 2) // 2)) << P for n in range(head + 1, length + 1)]
         cols = list(zip(*(f.an[head + 1: length + 1] for f in basis)))
         forms = []
-        with mp.workdps(dps):
+        with mp.workdps(head_dps):
             half = mp.mpf(k - 1) / 2
             scale = [mp.mpf(n) ** half for n in range(head + 1)]
             for idx, lam in enumerate(sorted(roots, reverse=True)):
@@ -448,10 +456,12 @@ class CuspSpace:
                 for n in range(1, head + 1):
                     an[n] = sum(v[i] * basis[i].an[n] for i in range(d))
                     cn[n] = float(an[n] / scale[n])
-                V = [int(mp.nint(mp.ldexp(x, P))) for x in v]
-                cn[head + 1:] = np.array(
-                    [sum(map(operator.mul, V, col)) / den for col, den in zip(cols, dens)]
-                ) / np.sqrt(tail_ns)
+                if length > head:
+                    with mp.workdps(tail_dps):
+                        V = [int(mp.nint(mp.ldexp(x, P))) for x in _eigenvector(A, lam)]
+                    cn[head + 1:] = np.array(
+                        [sum(map(operator.mul, V, col)) / den for col, den in zip(cols, dens)]
+                    ) / np.sqrt(tail_ns)
                 cn.flags.writeable = False
                 forms.append(Eigenform(weight=k, index=idx, cn=cn, an_exact=tuple(an),
                                        lam2=float(an[2])))

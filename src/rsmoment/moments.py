@@ -27,8 +27,8 @@ import numpy as np
 
 from . import series as _series
 from .modforms import NewformRecord, dim_cusp, eigenforms
-from .rankin import (DEFAULT_G_SCALE, V_DIRECT_MAX, UncertifiedError, VParams, _vq,
-                     central_value, effective_cutoff)
+from .rankin import (DEFAULT_CONTOUR, DEFAULT_G_SCALE, V_DIRECT_MAX, UncertifiedError,
+                     VParams, _afe_grid, _afe_sum, _vq, central_value, effective_cutoff)
 from .specialfn import bessel_j_array, bessel_j_c_tail_bound, digamma, zeta_laurent_at_center
 from .tracefmla import CertValue, kloosterman_row, petersson_rhs_q
 from .numfield import Q as FIELD_Q
@@ -130,22 +130,25 @@ def _validate_pair(g: NewformRecord, p: int, k: int):
 def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
     """W(nu) = sum_{gcd(d,level)=1} V(4 pi^2 nu d^2 / Q)/d at ascending nus, certified.
 
-    The d range ends at the first coprime d >= 4 with envelope(nus[0])/d < tol.
-    Returns (W, cert, d_end): the terms d < d_end are summed, and cert bounds
-    the error of every W(nu).
+    The d range ends at the first coprime d >= 4 with envelope(nus[0])/d < tol,
+    searched on blocks of d, one envelope call per block.  Returns
+    (W, cert, d_end): the terms d < d_end are summed, and cert bounds the
+    error of every W(nu).
     """
     vq = _vq(vp)
-    ds, d = [], 0
+    start, size = 1, 64
     while True:
-        d += 1
-        if math.gcd(d, level) != 1:
-            continue
-        env = float(vq.envelope(vp.afe_argument(nus[0] * d * d))[0])
-        if env / d < tol and d >= 4:
+        block = np.arange(start, start + size)
+        envs = vq.envelope(vp.afe_argument(nus[0] * block * block))
+        stop = np.nonzero((envs / block < tol) & (block >= 4) & (np.gcd(block, level) == 1))[0]
+        if len(stop):
+            d, env = int(block[stop[0]]), float(envs[stop[0]])
             break
-        ds.append(d)
-        if d > 10 ** 6:
+        start += size
+        size *= 2
+        if start > 10 ** 6:
             raise UncertifiedError("d-sum failed to certify")
+    ds = [e for e in range(1, d) if math.gcd(e, level) == 1]
     # geometric-ish remainder (envelope slope >= 1 in d beyond here), and the
     # quadrature tail once per term, sum_{d' < d} 1/d' <= 1 + log d
     cert = 4.0 * env / d + vq.quad_tail * (1.0 + math.log(d))
@@ -183,6 +186,9 @@ def m_term_residue(g: NewformRecord, p: int, k: int) -> float:
     return 2.0 * g.c(p) / math.sqrt(p) * res
 
 
+_E_SKIP_SHARE = 1e-4  # of the E certificate, spent on skipped (nu, c) points
+
+
 @dataclass(frozen=True)
 class ETruncation:
     """Truncation policy of the off-diagonal sum; None fields auto-size."""
@@ -193,14 +199,23 @@ class ETruncation:
 
 def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
            g_scale: float = DEFAULT_G_SCALE) -> CertValue:
-    """Off-diagonal term: 4 pi (-1)^{k/2} sum_nu sum_c S(nu,p;c)/c J_{k-1} * weights."""
+    """Off-diagonal term: 4 pi (-1)^{k/2} sum_nu sum_c S(nu,p;c)/c J_{k-1} * weights.
+
+    With |S(nu,p;c)| <= c and |J_{k-1}(y)| <= (y/2)^{k-1}/(k-1)!, the (nu, c)
+    term is at most c^-(k-1) B_nu, B_nu = |wt_nu| (x_nu/2)^{k-1}/(k-1)!.
+    Row c skips the longest prefix of nus whose bound mass
+    c^-(k-1) sum_{nu' < nu0} B_nu' is at most _E_SKIP_SHARE of the
+    certificate before skipping, over cmax, and the skipped mass joins the
+    c-tail: skipping raises the certificate by at most that share.
+    """
     _validate_pair(g, p, k)
     tol = trunc.tol
     vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
     M = trunc.nu_cutoff or effective_cutoff(vp, tol / 16.0)
     if g.length < M:
         raise ValueError(f"need C_g up to {M}")
-    nus = np.arange(1, M + 1, dtype=float)
+    nu_idx = np.arange(1, M + 1)
+    nus = nu_idx.astype(float)
     W, w_cert, _ = _w_sum(vp, g.level, nus, tol * 1e-4)
     cg = np.asarray(g.cn[: M + 1])
     wt = cg[1:] * W / np.sqrt(nus)
@@ -209,17 +224,28 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
     # c-range: certified by the J-series bound with |S(nu,p;c)| <= c
     cmax = _e_cmax(k, x_max, np.abs(wt), tol / 4.0)
     c_tail = float(np.sum(np.abs(wt) * bessel_j_c_tail_bound(k - 1, x_all, cmax)))
-    sign = -1.0 if (k // 2) % 2 else 1.0
-    acc = 0.0
-    for c in range(1, cmax + 1):
-        row = kloosterman_row(p, c)
-        jv = bessel_j_array(k - 1, x_all / c)
-        s_of_nu = row[np.arange(1, M + 1) % c]
-        acc += float(np.dot(wt * s_of_nu, jv)) / c
-    value = 4.0 * math.pi * sign * acc
     # nu-tail: |C_g| <= d(nu); c-sum bounded by counting oscillatory c's
     nu_tail = _e_nu_tail(vp, p, k, M)
     dsum_mass = float(np.sum(np.abs(cg[1:]) / np.sqrt(nus)))
+    budget = _E_SKIP_SHARE * (c_tail + nu_tail + dsum_mass * w_cert)
+    # row c skips its first cut[c - 1] nus: one search in the running log of sum B_nu
+    with np.errstate(divide="ignore"):
+        log_b = np.log(np.abs(wt)) + (k - 1) * np.log(x_all / 2.0) - math.lgamma(k)
+    log_mass = np.logaddexp.accumulate(log_b)
+    log_cpow = (k - 1) * np.log(np.arange(1, cmax + 1))
+    cut = np.searchsorted(log_mass, math.log(budget / cmax) + log_cpow, side="right")
+    c_tail += float(np.sum(np.exp(log_mass[cut[cut > 0] - 1] - log_cpow[cut > 0])))
+    kept = [(c, int(lo)) for c, lo in enumerate(cut, 1) if lo < M]
+    # every kept point of every row, in one J call
+    xs = [x_all[lo:] / c for c, lo in kept]
+    bj = bessel_j_array(k - 1, np.concatenate(xs)) if xs else None
+    acc, at = 0.0, 0
+    for c, lo in kept:
+        row = kloosterman_row(p, c)
+        acc += float(np.dot(wt[lo:] * row[nu_idx[lo:] % c], bj[at: at + M - lo])) / c
+        at += M - lo
+    sign = -1.0 if (k // 2) % 2 else 1.0
+    value = 4.0 * math.pi * sign * acc
     cert = 4.0 * math.pi * (c_tail + nu_tail + dsum_mass * w_cert)
     if cert > 50 * tol:
         raise UncertifiedError(f"e_term certificate {cert:.2e} far above tol", cert)
@@ -261,16 +287,18 @@ def lhs_moment(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCAL
     _validate_pair(g, p, k)
     if dim_cusp(k) == 0:
         return CertValue(value=0.0, certificate=0.0)
-    ow = omega_weights(k)
     vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
     cutoff = effective_cutoff(vp, afe_tol / 2.0)
-    forms = eigenforms(k, cutoff)
     if g.length < cutoff:
         raise ValueError(f"need C_g up to {cutoff}")
+    # the long build first: omega's short request is then a slice of it
+    forms = eigenforms(k, cutoff)
+    ow = omega_weights(k)
+    grid = _afe_grid(vp, DEFAULT_CONTOUR, cutoff)
     total, cert = 0.0, 0.0
     lsum = 0.0
     for w, f in zip(ow.omega, forms):
-        cv = central_value(f, g, g_scale=g_scale, tol=afe_tol, cutoff=cutoff)
+        cv = _afe_sum(f, g, grid)
         if cv.value < -1e-6:
             import warnings
             warnings.warn(f"negative central value L = {cv.value:.3e} at k={k} "

@@ -362,22 +362,38 @@ def central_value(f: Eigenform, g: NewformRecord, g_scale: float = DEFAULT_G_SCA
         raise ValueError("Rankin-Selberg pair f = g has a polar L-function; "
                          "the symmetric approximate functional equation does not apply")
     p = VParams((f.weight,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
-    vq = _vq(p, contour)
     if cutoff is None:
         cutoff = effective_cutoff(p, tol / 2.0)
     if f.length < cutoff or g.length < cutoff:
         raise ValueError(f"insufficient coefficients: need {cutoff}")
-    rs = b_coefficients(f, g, cutoff)
+    return _afe_sum(f, g, _afe_grid(p, contour, cutoff, rigorous_tail))
+
+
+def _afe_grid(p: VParams, contour: float, cutoff: int, rigorous_tail: bool = True):
+    """The part of the AFE sum no form enters, shared by every form of a weight.
+
+    (p, V quadrature, sqrt(m), V(y_m), interpolation error, tail) for
+    m = 1..cutoff; tail is afe_tail_bound(p, cutoff), or None when each form
+    sizes its own (``rigorous_tail=False``).
+    """
+    vq = _vq(p, contour)
     ms = np.arange(1, cutoff + 1, dtype=float)
     vv, interp_err = vq.values(p.afe_argument(ms))
-    val = 2.0 * float(np.sum(rs.b[1:] / np.sqrt(ms) * vv))
-    if rigorous_tail:
-        tail = afe_tail_bound(p, cutoff)
-    else:
+    tail = afe_tail_bound(p, cutoff) if rigorous_tail else None
+    return p, vq, np.sqrt(ms), vv, interp_err, tail
+
+
+def _afe_sum(f: Eigenform, g: NewformRecord, grid) -> CentralValue:
+    """L(f x g, 1/2) and its certificate on one ``_afe_grid``."""
+    p, vq, sqrt_ms, vv, interp_err, tail = grid
+    cutoff = len(vv)
+    rs = b_coefficients(f, g, cutoff)
+    val = 2.0 * float(np.sum(rs.b[1:] / sqrt_ms * vv))
+    if tail is None:
         env = float(vq.envelope(p.afe_argument(float(cutoff)))[0])
         slope = vq.envelope_slope(p.afe_argument(float(cutoff)))
         bbar = float(np.mean(np.abs(rs.b[max(1, cutoff // 2):]))) + 1.0
         tail = 2 * bbar * env * math.sqrt(cutoff) / max(slope - 0.5, 0.5)
-    weight_mass = float(np.sum(np.abs(rs.b[1:]) / np.sqrt(ms)))
+    weight_mass = float(np.sum(np.abs(rs.b[1:]) / sqrt_ms))
     cert = 2.0 * tail + 2.0 * (vq.quad_tail + interp_err) * weight_mass
     return CentralValue(value=val, cutoff=cutoff, certificate=cert)

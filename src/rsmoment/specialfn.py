@@ -6,10 +6,11 @@ Everything the moment machinery needs from classical analysis lives here:
   on the right half-plane, which is the only region the contour integrals
   visit),
 * real digamma,
-* J-Bessel of integer order: one array kernel (forward recurrence above the
-  order, the library's jv below it), scalar J as a one-point call of it, and
-  two slow oracles, an mpmath ascending series and a Mellin-Barnes contour
-  form,
+* J-Bessel of integer order: one array kernel with no library J of general
+  order (forward recurrence at or above the order, the ascending series up
+  to 2 sqrt(order + 1), Miller's backward recurrence between), scalar J as
+  a one-point call of it, and two slow oracles, an mpmath ascending series
+  and a Mellin-Barnes contour form,
 * Riemann/Dedekind zeta values for Re(s) > 1 and the Laurent data of
   zeta_F(2u+1) at u = 0 that drives the diagonal-term residue,
 * the gamma-quotient ratio the contour-shift argument relies on, which is
@@ -22,7 +23,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy.special import j0, j1, jv
+from scipy.special import j0, j1
 
 from .numfield import FieldDescriptor
 
@@ -182,24 +183,128 @@ def _log_gamma_vec(z: np.ndarray) -> np.ndarray:
 def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized J_order for integer order >= 0 over a nonnegative float array.
 
-    Points with x >= order run the forward recurrence
-    J_{m+1}(x) = (2m/x) J_m(x) - J_{m-1}(x) up from scipy's j0 and j1; it is
-    stable while m <= x (Gautschi, SIAM Review 9 (1967)), and there it is both
-    faster and more accurate than the library's jv.  Points below the order
-    go to jv.
+    Three paths, split by x; none calls a library J of general order.
+
+    * x >= order: the forward recurrence J_{m+1}(x) = (2m/x) J_m(x) - J_{m-1}(x)
+      up from scipy's j0 and j1.  It is stable while m <= x (Gautschi,
+      SIAM Review 9 (1967)).
+    * x <= 2 sqrt(order + 1): the ascending series (``_bessel_series``).
+    * in between: Miller's backward recurrence (``_bessel_miller``).
     """
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.shape)
     up = xs >= order
-    if not np.all(up):
-        out[~up] = jv(order, xs[~up])
+    low = xs <= 2.0 * math.sqrt(order + 1.0)
+    mid = ~up & ~low
+    low &= ~up
     if np.any(up):
         x = xs[up]
         prev, cur = j0(x), j1(x)
         for m in range(1, order):
             prev, cur = cur, (2.0 * m / x) * cur - prev
         out[up] = cur if order >= 1 else prev
+    if np.any(low):
+        out[low] = _bessel_series(order, xs[low])
+    if np.any(mid):
+        out[mid] = _bessel_miller(order, xs[mid])
     return out
+
+
+_SERIES_TERMS = 20
+_MILLER_LOG_EPS = -60.0 * math.log(2.0)
+
+
+def _bessel_series(order: int, x: np.ndarray) -> np.ndarray:
+    """J_order(x) = t_0 sum_j (-q)^j / (j! (order+1)_j), q = (x/2)^2 <= order + 1.
+
+    t_0 = (x/2)^order / order!.  Term j + 1 over term j is
+    q / ((j+1)(order+j+1)) <= 1/(j+1), so the series alternates with terms
+    below t_0/j!.  The sum over t_0 decreases in q on this range, and at
+    q = order + 1 it is 0.283 for order 1, rising toward 1/e (mpmath, orders
+    1..400), so the sum is at least t_0/4.  Twenty terms, summed by Horner's
+    rule, leave a relative error below 4/20! < 2e-18.
+    """
+    q = 0.25 * x * x
+    acc = np.ones_like(x)
+    for j in range(_SERIES_TERMS - 1, 0, -1):
+        acc = 1.0 - q * acc / (j * (order + j))
+    if order <= 170:  # (x/2)^order <= (order+1)^(order/2) and order! stay finite
+        lead = np.power(0.5 * x, order) / float(math.factorial(order))
+    else:
+        lead = np.exp(order * np.log(0.5 * x) - math.lgamma(order + 1.0))
+    return lead * acc
+
+
+def _miller_start(order: int, x: float) -> int:
+    """The least N >= order with 8 order s_{N+1} prod_{m=order+1}^{N} s_m^2 <= 2^-60,
+    s_m = exp(-arccosh(m/x)); see ``_bessel_miller``."""
+    need = math.log(8.0 * order) - _MILLER_LOG_EPS
+    n, acc = order, 0.0
+    while True:
+        a = math.acosh((n + 1) / x)
+        if acc + a >= need:
+            return n
+        acc += 2.0 * a
+        n += 1
+
+
+def _bessel_miller(order: int, x: np.ndarray) -> np.ndarray:
+    """J_order(x) for 2 sqrt(order+1) < x < order by Miller's backward recurrence.
+
+    f_{N+1} = 0, f_N = 1 and f_{m-1} = (2m/x) f_m - f_{m+1} down to f_0, with
+    N = ``_miller_start(order, max x)``; then J_order = lam f_order with lam
+    = (J_0 f_0 + J_1 f_1)/(f_0^2 + f_1^2), the least-squares fit of (f_0, f_1)
+    to scipy's (j0, j1), which no common zero of J_0 and J_1 can spoil.
+
+    Truncation error of the start index, in exact arithmetic (n = order):
+
+    1. Ratios above the order.  For m > x put a_m = 2m/x > 2,
+       r_m = J_m/J_{m-1} and r~_m = f_m/f_{m-1}; both satisfy
+       r_m = 1/(a_m - r_{m+1}) (J_m > 0 there: j_{m,1} > m).  The fixed
+       point of r -> 1/(a_m - r) is s_m = exp(-arccosh(m/x)), decreasing in
+       m, so from r~_{N+1} = 0 induction gives 0 <= r~_m <= s_m; r_m is the
+       limit of r~_m as N grows (J is the minimal solution; Pincherle, as in
+       Gautschi 1967), so 0 < r_m <= s_m too.  The difference
+       d_m = r_m - r~_m obeys d_m = d_{m+1} r_m r~_m, hence
+       |d_{n+1}| <= s_{N+1} prod_{m=n+1}^{N} s_m^2.
+    2. Down to 0.  (1, r~_{n+1}) = (1, r_{n+1}) - d_{n+1} (0, 1), so below the
+       order f_m = (f_n/J_n)(J_m - d_{n+1} J_n G_m), with G the solution with
+       G_n = 0, G_{n+1} = 1.  By the Casoratian J_{m+1}Y_m - J_m Y_{m+1}
+       = 2/(pi x) (DLMF 10.5.5), G_m = (pi x/2)(J_m Y_n - Y_m J_n).
+    3. The fit.  With u = (J_0, J_1), v = (Y_0, Y_1), w = (G_0, G_1) and
+       beta = |d_{n+1}| J_n |w|/|u|, the computed value is
+       J_n <u, u - e w>/|u - e w|^2 (e = d_{n+1} J_n), whose relative error
+       is at most beta (1 + beta)/(1 - beta)^2 <= 2 beta for beta <= 0.01.
+    4. Sizes.  J_n |w| <= (pi x/2)(J_n |Y_n| |u| + J_n^2 |v|).  Nicholson's
+       integral (DLMF 10.9.30) makes J_m^2 + Y_m^2 increase in m, and J_m
+       decreases for m > x, so |Y_n| <= |Y_{n+1}|; the Casoratian then gives
+       J_n |Y_n| <= 2/(pi x (1 - r_{n+1})) <= 2(1 + sqrt n)/(pi x), as
+       r_{n+1} <= s_{n+1} <= exp(-arccosh(1 + 1/n)) <= exp(-1/sqrt n).
+       Also J_n^2 <= 1/2 (DLMF 10.14.1), |u| |v| >= 2/(pi x) (Casoratian at
+       m = 0, Cauchy-Schwarz), |v|^2 <= 2 (J_1^2 + Y_1^2) (Nicholson again),
+       and x (J_1^2 + Y_1^2) decreases in x (Watson 13.74) from 0.689 at
+       x = 2.  So beta <= |d_{n+1}| (1 + sqrt n + 1.7 x) <= 4 n |d_{n+1}|.
+
+    Since s_m grows with x, the start index for the largest x serves every
+    point, and the truncation error is below 8 n s_{N+1} prod s_m^2 <= 2^-60
+    relative; N - n is 15 at n = 5 and 34 at n = 59.  Rounding is the
+    recurrence's own: backward it is stable above x and neutral below.  The
+    values are rescaled whenever they pass 1e150, so nothing overflows.
+    """
+    start = _miller_start(order, float(np.max(x)))
+    two_over_x = 2.0 / x
+    hi, lo = np.zeros_like(x), np.ones_like(x)  # f_{m+1}, f_m
+    f_order = lo
+    for m in range(start, 0, -1):
+        hi, lo = lo, (m * two_over_x) * lo - hi
+        if m - 1 == order:
+            f_order = lo
+        if m % 16 == 0:
+            scale = np.where(np.abs(lo) > 1e150, 1e-150, 1.0)
+            hi, lo, f_order = hi * scale, lo * scale, f_order * scale
+    norm = np.maximum(np.abs(lo), np.abs(hi))
+    f0, f1, f_order = lo / norm, hi / norm, f_order / norm
+    return f_order * (j0(x) * f0 + j1(x) * f1) / (f0 * f0 + f1 * f1)
 
 
 # -- zeta --------------------------------------------------------------------

@@ -167,6 +167,24 @@ def test_bessel_j_array_against_highprec(order):
         assert abs(v - ref) <= 1e-13 * scale, (order, x, v, ref)
 
 
+def test_bessel_j_array_branch_edges_and_bessel_zeros():
+    # the two branch boundaries (x = order and x = 2 sqrt(order + 1), each
+    # from both sides), tiny x, and the first zeros of J_0 and J_1, where the
+    # backward recurrence's fit to (J_0, J_1) leans on one of the two
+    zeros = [float(mp.besseljzero(nu, s)) for nu in (0, 1) for s in (1, 2, 3, 4)]
+    for order in range(1, 61):
+        turn = 2.0 * math.sqrt(order + 1.0)
+        edges = [float(order), turn]
+        xs = np.array(sorted({1e-300, 1e-8, *zeros, *edges,
+                              *(np.nextafter(e, 0.0) for e in edges),
+                              *(np.nextafter(e, np.inf) for e in edges)}))
+        got = sf.bessel_j_array(order, xs)
+        for x, v in zip(xs, got):
+            ref = float(sf.bessel_j_highprec(order, float(x)))
+            scale = max(math.sqrt(2.0 / (math.pi * x)), abs(ref))
+            assert abs(v - ref) <= 1e-13 * scale, (order, x, v, ref)
+
+
 def test_bessel_mellin_barnes_cross_check():
     # contour form at sigma = nu/2 against the primary path
     for (nu, x) in [(11, 2.0), (11, 4 * math.pi), (15, 6.0)]:
