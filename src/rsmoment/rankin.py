@@ -100,12 +100,17 @@ class VParams:
         return (4.0 ** n) * math.pi ** (2 * n) * m / self.conductor
 
 
-def _gamma_quotient_u(p: VParams, u: complex) -> complex:
-    out = 0.0 + 0.0j
+def _log_gamma_quotient(p: VParams, u):
+    """log of prod_j Gamma(a1 + u) Gamma(a2 + u) / (Gamma(a1) Gamma(a2)),
+    elementwise in u."""
+    out = 0.0
     for a1, a2 in p.gamma_shifts():
-        out += log_gamma(a1 + u) - log_gamma(complex(a1))
-        out += log_gamma(a2 + u) - log_gamma(complex(a2))
-    return np.exp(out)
+        out = out + (log_gamma(a1 + u) - log_gamma(a1)) + (log_gamma(a2 + u) - log_gamma(a2))
+    return out
+
+
+def _gamma_quotient_u(p: VParams, u):
+    return np.exp(_log_gamma_quotient(p, u))
 
 
 class VQuadrature:
@@ -128,12 +133,9 @@ class VQuadrature:
         self.neg_line, neg_tail = self._build(sigma_neg, 0.05, t_max)
         self.quad_tail = max(tail, neg_tail)  # one tail covers either line
         # log of the line bound constant per sigma on the envelope grid
-        self._line_logs = [
-            sum((log_gamma(a1 + s) - log_gamma(complex(a1))).real
-                + (log_gamma(a2 + s) - log_gamma(complex(a2))).real
-                for a1, a2 in p.gamma_shifts())
-            + cg * s * s + 0.5 * math.log(math.pi / cg) - math.log(2 * math.pi * s)
-            for s in _SIGMA_GRID]
+        s = np.array(_SIGMA_GRID)
+        self._line_logs = (_log_gamma_quotient(p, s).real + cg * s * s
+                           + 0.5 * math.log(math.pi / cg) - np.log(2 * math.pi * s))
 
     def _build(self, sigma: float, h: float, t_max: float):
         """One line: (weights, sigma, h) with node j at sigma + i j h, and the
@@ -142,8 +144,7 @@ class VQuadrature:
         ts = np.arange(0, n + 1) * h
         us = sigma + 1j * ts
         cg = self.p.g_scale
-        phi = np.array([_gamma_quotient_u(self.p, u) for u in us])
-        phi = phi * np.exp(cg * us * us) / us
+        phi = _gamma_quotient_u(self.p, us) * np.exp(cg * us * us) / us
         # half weight at t=0; factor 2 for t<0 via Hermitian symmetry
         w = np.full(n + 1, h / math.pi)
         w[0] *= 0.5

@@ -11,12 +11,15 @@ Two multiplication engines:
   integers.  Two guards, every FFT output within 1/4 of an integer and an
   exact check of the product modulo 2^61 - 1, send a failed FFT product back
   to ``A * B``; Percival's error bound is 3.8e-3 at 2 MB per operand, far
-  inside the 1/2 rounding needs, so every product equals ``A * B``.
+  inside the 1/2 rounding needs, so every product equals ``A * B``.  A
+  square packs its operand once and squares it on either path.
 * ``mul_float`` -- float64 banded block convolution.  Both operands are cut
   into dyadic blocks; block pairs within 3 octaves of the diagonal are
   convolved by FFT with each block scaled to unit max, and the pairs further
   off the diagonal are merged into one scaled FFT of each block against the
-  other operand's prefix: O(log n) FFTs per product.  Its docstring gives the
+  other operand's prefix: O(log n) FFTs per product.  A square counts each
+  unordered block pair once, at weight 2 off the diagonal, and transforms a
+  diagonal block once: about half the FFTs.  Its docstring gives the
   measured accuracy, worst at coefficients far smaller than their neighbours.
 
 Both engines convolve through one helper, ``_fft_conv`` (``numpy.fft`` real
@@ -106,20 +109,23 @@ def mul_exact(a: list[int], b: list[int], n_out: int) -> list[int]:
     fixed-width byte slot per coefficient, the two are multiplied once by
     ``_big_mul`` (CPython's ``A * B``, or a byte-wise FFT product checked
     exactly above ``_FFT_MIN_BYTES`` per operand), and the slots are read
-    back with a sign offset.  The result equals the schoolbook product.
+    back with a sign offset.  The result equals the schoolbook product.  A
+    square (``a == b``) packs once and hands ``_big_mul`` one integer twice,
+    so CPython or the FFT squares it.
     """
     la, lb = len(a), len(b)
     if la == 0 or lb == 0 or n_out <= 0:
         return [0] * n_out
+    square = a == b
     ma = max(max(abs(x) for x in a), 1)
-    mb = max(max(abs(x) for x in b), 1)
+    mb = ma if square else max(max(abs(x) for x in b), 1)
     bound = ma * mb * min(la, lb)
     slot = (bound.bit_length() + 10) // 8 + 1  # bytes; room for sign offset
     nbits = 8 * slot
     half = 1 << (nbits - 1)
 
     A = _pack_signed(a, slot)
-    B = _pack_signed(b, slot)
+    B = A if square else _pack_signed(b, slot)
     C = _big_mul(A, B)
     # shift every base-2^nbits digit into [0, 2^nbits) so byte slicing works
     n = min(n_out, la + lb - 1)
@@ -142,7 +148,8 @@ _CHECK_PRIME = (1 << 61) - 1  # modulus of the exact check on every FFT product
 
 def _big_mul(A: int, B: int) -> int:
     """A * B: CPython's product below ``_FFT_MIN_BYTES`` bytes in either
-    operand, else ``_fft_mul``'s, or CPython's where a guard of it fails."""
+    operand, else ``_fft_mul``'s, or CPython's where a guard of it fails.
+    ``B is A`` squares on either path."""
     if min(A.bit_length(), B.bit_length()) < 8 * _FFT_MIN_BYTES:
         return A * B
     C = _fft_mul(A, B)
@@ -166,11 +173,11 @@ def _fft_mul(A: int, B: int) -> int | None:
     b = e / sqrt2, K = log2 of the transform length.  For 2 MB operands
     (larger than any the checker multiplies), all bytes 255, that is
     3.8e-3 against the 1/2 that rounding needs, so the guards are not
-    expected to fail.
+    expected to fail.  ``B is A`` converts the bytes once and takes one
+    forward transform.
     """
-    x = np.frombuffer(abs(A).to_bytes((A.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    y = np.frombuffer(abs(B).to_bytes((B.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    conv = _fft_conv(x.astype(np.float64), y.astype(np.float64))
+    x = _byte_floats(A)
+    conv = _fft_conv(x, x if B is A else _byte_floats(B))
     digits = np.rint(conv)
     if np.max(np.abs(conv - digits)) > 0.25:
         return None
@@ -181,9 +188,16 @@ def _fft_mul(A: int, B: int) -> int | None:
     if (A < 0) != (B < 0):
         C = -C
     p = _CHECK_PRIME
-    if C % p != (A % p) * (B % p) % p:
+    ra = A % p
+    if C % p != ra * (ra if B is A else B % p) % p:
         return None
     return C
+
+
+def _byte_floats(A: int) -> np.ndarray:
+    """The little-endian bytes of |A| as float64."""
+    raw = abs(A).to_bytes((A.bit_length() + 7) // 8, "little")
+    return np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
 
 
 def _fft_conv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -191,10 +205,13 @@ def _fft_conv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The transform length is the next 5-smooth size; ``numpy.fft`` keeps no
     plan cache per length, which ``scipy.fft`` would grow with every size.
+    ``y is x`` squares: one forward transform, squared.
     """
     n = len(x) + len(y) - 1
     size = next_fast_len(n, True)
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:n]
+    X = np.fft.rfft(x, size)
+    X *= X if y is x else np.fft.rfft(y, size)  # in place: no third spectrum
+    return np.fft.irfft(X, size)[:n]
 
 
 def _pack_signed(v: list[int], slot: int) -> int:
@@ -230,12 +247,15 @@ def _block_start(s: int) -> int:
 _BAND = 3
 
 
-def _add_scaled_conv(out: np.ndarray, x: np.ndarray, x0: int, y: np.ndarray, y0: int):
-    """out[x0 + y0 + m] += sum_{i+j=m} x[i] y[j], each factor scaled to unit max."""
+def _add_scaled_conv(out: np.ndarray, x: np.ndarray, x0: int, y: np.ndarray, y0: int,
+                     weight: float = 1.0):
+    """out[x0 + y0 + m] += weight sum_{i+j=m} x[i] y[j], each factor scaled to
+    unit max.  ``y is x`` squares the block with one forward transform."""
     base = x0 + y0
     room = len(out) - base
     if room <= 0:
         return
+    square = y is x
     x, y = x[:room], y[:room]  # later entries only reach indices past the output
     if len(x) == 0 or len(y) == 0:
         return
@@ -244,12 +264,13 @@ def _add_scaled_conv(out: np.ndarray, x: np.ndarray, x0: int, y: np.ndarray, y0:
         return
     span = min(room, len(x) + len(y) - 1)
     if len(x) == 1:
-        out[base:base + span] += x[0] * y[:span]
+        out[base:base + span] += (weight * x[0]) * y[:span]
     elif len(y) == 1:
-        out[base:base + span] += y[0] * x[:span]
+        out[base:base + span] += (weight * y[0]) * x[:span]
     else:
-        conv = _fft_conv(x / sx, y / sy)
-        out[base:base + span] += conv[:span] * (sx * sy)
+        xs = x / sx
+        conv = _fft_conv(xs, xs if square else y / sy)
+        out[base:base + span] += conv[:span] * (weight * sx * sy)
 
 
 def mul_float(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
@@ -262,16 +283,33 @@ def mul_float(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
     prefix's max, and b-block t once with the a prefix below a-block t - 3.
     Each block pair is counted exactly once, at O(log n) FFTs per product.
 
+    A square (the truncated operands are equal) counts each unordered pair
+    once: pair (s, t) with t < s and the one block-against-prefix merge per
+    block are added with weight 2, which is exact, and a diagonal pair takes
+    one forward transform.  That is about half the FFTs of a product.
+
     Each FFT's error is relative to its largest terms, so coefficients far
     smaller than their neighbours are the least accurate.  Against
     ``mul_exact`` at n = 2^14, worst (median) per-coefficient relative error:
-    Delta*Delta 7.8e-11 (9.5e-15), Delta^2*Delta 1.1e-8 (1.3e-13).  Merging
-    the whole prefix, without the band, loses about three digits.
+    Delta*Delta (the square path) 7.8e-11 (9.9e-15), Delta^2*Delta 1.1e-8
+    (1.3e-13).  Merging the whole prefix, without the band, loses about
+    three digits.
     """
     a = np.asarray(a, dtype=np.float64)[:n_out]
     b = np.asarray(b, dtype=np.float64)[:n_out]
     out = np.zeros(n_out)
-    ablocks, bblocks = _dyadic_blocks(len(a)), _dyadic_blocks(len(b))
+    ablocks = _dyadic_blocks(len(a))
+    if np.array_equal(a, b):
+        for s, (i0, i1) in enumerate(ablocks):
+            x = a[i0:i1]
+            _add_scaled_conv(out, x, i0, x, i0)
+            for t in range(max(0, s - _BAND), s):
+                j0, j1 = ablocks[t]
+                _add_scaled_conv(out, x, i0, a[j0:j1], j0, 2.0)
+            if s > _BAND:
+                _add_scaled_conv(out, x, i0, a[:_block_start(s - _BAND)], 0, 2.0)
+        return out
+    bblocks = _dyadic_blocks(len(b))
     for s, (i0, i1) in enumerate(ablocks):
         for t in range(max(0, s - _BAND), min(len(bblocks), s + _BAND + 1)):
             j0, j1 = bblocks[t]

@@ -6,6 +6,7 @@ import pytest
 
 from rsmoment import modforms as mf
 from rsmoment import rankin as rk
+from rsmoment.specialfn import log_gamma
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,23 @@ def test_v_horner_matches_mpmath_line_sum(k):
         # absolute where the terms are O(1); where they reach 1e5 (k = 60,
         # y = 0.1) no float summation order keeps more than eps * mass
         assert abs(v - ref) <= 2e-15 * max(1.0, mass), (k, y, v - ref, mass)
+
+
+@pytest.mark.parametrize("k", [14, 40, 60])
+def test_log_gamma_array_on_v_lines_matches_mpmath(k):
+    p = rk.VParams((k,), (12,))
+    vq = rk._vq(p)
+    for weights, sigma, h in (vq.line, vq.neg_line):
+        for a in p.gamma_shifts()[0]:
+            z = a + sigma + 1j * h * np.arange(len(weights))
+            got = log_gamma(z)
+            with mp.workdps(30):
+                ref = np.array([complex(mp.loggamma(mp.mpc(v.real, v.imag))) for v in z])
+            # relative to |log Gamma|, absolute where it is below 1: it
+            # vanishes at z = 1, which the k = 14 line passes near
+            err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() <= 1e-14, (k, sigma, a, err.max())
+            assert got[7] == log_gamma(z[7])  # a scalar is a one-point call
 
 
 def test_effective_cutoff_examples():

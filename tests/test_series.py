@@ -61,6 +61,26 @@ def test_mul_exact_fft_branch_matches_schoolbook(a, b, n_out):
     assert len(results) == 1 and results[0] is not None  # FFT ran, no fallback
 
 
+@given(_big_series(150, 400), st.integers(1, 900))
+@settings(max_examples=10, deadline=None)
+def test_mul_exact_square_fft_branch_packs_once(a, n_out):
+    real, packed = series._pack_signed, []
+
+    def counted(v, slot):
+        packed.append(len(v))
+        return real(v, slot)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_pack_signed", counted)
+        results = _counting_fft_mul(patch)
+        same = series.mul_exact(a, a, n_out)
+        equal = series.mul_exact(a, list(a), n_out)  # equal, not one object
+        patch.setattr(series, "_FFT_MIN_BYTES", 10 ** 12)  # CPython's A * A
+        cpython = series.mul_exact(a, a, n_out)
+    assert same == equal == cpython == schoolbook(a, a, n_out)
+    assert packed == [len(a)] * 3  # each square packs its operand once
+    assert len(results) == 2 and None not in results  # FFT ran, no fallback
+
+
 @pytest.mark.parametrize("shift", [0.4, 1.0])  # fails the 1/4 guard; the mod-p check
 def test_mul_exact_falls_back_when_a_guard_fails(monkeypatch, shift):
     a = [(-1) ** i * (3 ** 700 + i) for i in range(200)]
@@ -74,7 +94,8 @@ def test_mul_exact_falls_back_when_a_guard_fails(monkeypatch, shift):
     monkeypatch.setattr(series, "_fft_conv", perturbed)
     results = _counting_fft_mul(monkeypatch)
     assert series.mul_exact(a, b, 400) == schoolbook(a, b, 400)
-    assert results == [None]
+    assert series.mul_exact(a, a, 400) == schoolbook(a, a, 400)  # a square
+    assert results == [None, None]
 
 
 def naive_delta(n):
@@ -158,6 +179,39 @@ def test_mul_float_matches_schoolbook(a, b, n_out):
     # every block pair counted once: rounding recovers the integers exactly
     assert np.array_equal(np.rint(got), ref)
     assert np.max(np.abs(got - ref)) < 1e-6
+
+
+@given(small_int_series(), st.integers(1, 700))
+@example(a=[7], n_out=4)
+@example(a=series.eta3_sparse(300), n_out=700)
+@example(a=list(range(-150, 150)), n_out=300)
+@settings(max_examples=150, deadline=None)
+def test_mul_float_square_matches_schoolbook(a, n_out):
+    x = np.array(a, dtype=float)
+    got = series.mul_float(x, x.copy(), n_out)  # equal operands, not one object
+    ref = np.array(schoolbook(a, a, n_out), dtype=float)
+    assert got.shape == (n_out,)
+    assert np.array_equal(np.rint(got), ref)
+    assert np.max(np.abs(got - ref)) < 1e-6
+
+
+def test_mul_float_square_takes_about_half_the_ffts(monkeypatch):
+    n = 2 ** 14
+    d = series.delta_exact(n)
+    fd = np.array([float(x) for x in d])
+    fd2 = np.array([float(x) for x in series.mul_exact(d, d, n)])
+    real, calls = series._fft_conv, []
+
+    def counted(x, y):
+        calls.append(y is x)
+        return real(x, y)
+    monkeypatch.setattr(series, "_fft_conv", counted)
+    series.mul_float(fd, fd.copy(), n)
+    square = list(calls)
+    calls.clear()
+    series.mul_float(fd2, fd, n)
+    assert len(square) <= 0.6 * len(calls), (len(square), len(calls))
+    assert any(square) and not any(calls)  # diagonal pairs take one transform
 
 
 def _rel_errors(got, exact):
