@@ -8,12 +8,12 @@ principal, so all data is element-level: the residue system is an explicit
 Hermite-form coordinate box.  Every modular inverse, of either degree, is
 read from one integer table per modulus, ``_inverse_table``: a unit x of
 O/(c) has inverse conj(y) N(y)^-1 for a shift y of x by a multiple of c
-whose norm is a unit mod N(c).  Each degree has one kernel that computes a
-modulus's sums for many first slots at once: ``kloosterman_row`` over Z/c,
-stored per (n mod c, c), and ``_kl_nf_slots``, with every phase an integer
-form over den = |N(delta c)|.  The Petersson sides call them once per
-modulus and ``kloosterman_nf`` at one slot; ``kloosterman_q`` sums its one
-slot alone, so a single sum at a large modulus stores no row.
+whose norm is a unit mod N(c).  As a function of its first slot a
+Kloosterman sum is a Fourier transform over the residue box, so one kernel,
+``_box_sums``, gives a modulus's sums at every first slot by one inverse FFT:
+``kloosterman_row`` over Z/c, stored per (n mod c, c) and read by
+``kloosterman_q``, and ``_kl_nf_slots``, every phase an integer form over
+den = |N(delta c)|.  The Petersson sides call them once per modulus.
 
 The degree-1 right-hand side folds the sum over c in Z \\ {0} to c >= 1
 (a factor 2); the degree-2 side folds the full unit group action into one
@@ -83,38 +83,44 @@ def _inverse_table(c: int) -> np.ndarray:
     return memo(("inverse table", c), build)
 
 
-_ROW_BLOCK = 1 << 20  # phases held at once while a row is built
+def _box_sums(h11: int, h22: int, x1, x2, phase, den: int, forms) -> np.ndarray:
+    """Sum over the residues (x1, x2) of the box [0, h11) x [0, h22) of
+    e((f1 x1 + f2 x2 + phase)/den), for every row (f1, f2) of ``forms``: the
+    one kernel of the Kloosterman sums of both degrees.  Forms and phases are
+    integers in [0, den).
+
+    Each form is a character of the ring whose residues fill the box, and
+    (h11, 0) lies in its ideal, so den divides f1 h11: a form reads frequency
+    k1 = f1 h11/den of one inverse FFT along x1, then sums over x2 directly.
+    """
+    grid = np.zeros((h22, h11), dtype=complex)
+    grid[x2, x1] = np.exp((2j * math.pi / den) * phase)
+    cols = h11 * np.fft.ifft(grid, axis=1)
+    k1, off = np.divmod(forms[:, 0] * h11, den)
+    if off.any():
+        raise AssertionError("a first-slot form is not a character of the box")
+    turn = np.exp((2j * math.pi / den) * (np.outer(np.arange(h22), forms[:, 1]) % den))
+    return (cols[:, k1] * turn).sum(axis=0)
 
 
 def kloosterman_row(n: int, c: int) -> np.ndarray:
-    """The vector (S(r, n; c))_{r mod c}: the one kernel of the rational
-    Kloosterman sums, every phase an integer mod c.  The degree-1 Petersson
-    side and the E-term index into it.  Rows are built in blocks of residues
-    r, each summed alone, so a large c holds at most ``_ROW_BLOCK`` phases."""
+    """The vector (S(r, n; c))_{r mod c}: ``_box_sums`` over Z/c, the box
+    (c, 0, 1), at every r.  The degree-1 Petersson side, the E-term and
+    ``kloosterman_q`` index into it."""
     def build():
         inv = _inverse_table(c)
         xs = np.flatnonzero(inv >= 0)
-        phase = inv[xs] * (n % c) % c
-        step = max(1, _ROW_BLOCK // len(xs))
-        blocks = []
-        for r in range(0, c, step):
-            ang = (np.outer(np.arange(r, min(r + step, c)), xs) + phase[None, :]) % c
-            blocks.append(np.cos(2.0 * math.pi / c * ang).sum(axis=1))
-        return np.concatenate(blocks)
+        r = np.arange(c, dtype=np.int64)
+        forms = np.stack([r, np.zeros_like(r)], axis=1)
+        return _box_sums(c, 1, xs, np.zeros_like(xs), inv[xs] * (n % c) % c, c, forms).real
     return memo(("kloosterman row", n % c, c), build)
 
 
 def kloosterman_q(m: int, n: int, c: int) -> float:
-    """S(m, n; c) = sum over x in (Z/c)^x of e((m x + n x^-1)/c).  Real.
-
-    One sum, phi(c) phases read from ``_inverse_table``; no row is stored.
-    """
+    """S(m, n; c) = sum over x in (Z/c)^x of e((m x + n x^-1)/c).  Real."""
     if c < 1:
         raise ValueError("modulus must be positive")
-    inv = _inverse_table(c)
-    xs = np.flatnonzero(inv >= 0)
-    ang = (xs * (m % c) + inv[xs] * (n % c)) % c
-    return float(np.cos(2.0 * math.pi / c * ang).sum())
+    return float(kloosterman_row(n, c)[m % c])
 
 
 # -- number-field Kloosterman sums -------------------------------------------
@@ -191,15 +197,15 @@ def _coords(x: FieldElement) -> tuple[int, int]:
     return x.a.numerator, x.b.numerator
 
 
-def _residue_data(field: FieldDescriptor, c):
+def _residue_data(field: FieldDescriptor, c, box):
     """Invertible residues x of O/(c) and their inverses, as coordinate arrays
     (x1, x2, b1, b2); the inverse coordinates lie in [0, N(c)), not in the box.
+    ``box`` is ``_residue_box(field, c)``.
 
     The table is stored under the HNF box, so every generator of (c) shares
     it: an inverse is only defined mod (c), and the phases that read it are
     reduced mod 1.
     """
-    box = _residue_box(field, c)
     return memo(("residues", field.key, box), lambda: _build_residues(field, c, box))
 
 
@@ -264,7 +270,8 @@ def _kl_nf_slots(field: FieldDescriptor, alphas, beta, c) -> np.ndarray:
         raise ValueError(f"residue enumeration overflow: N(c) = {abs(nc)} > cap {_KL_NF_CAP}")
     if abs(nc) == 1:
         return np.ones(len(alphas), dtype=complex)
-    x1, x2, b1, b2 = _residue_data(field, c)
+    box = _residue_box(field, c)
+    x1, x2, b1, b2 = _residue_data(field, c, box)
     delta = _different(field)
     nd = _cnorm(t, n, delta)
     s = 1 if nc > 0 else -1
@@ -275,17 +282,7 @@ def _kl_nf_slots(field: FieldDescriptor, alphas, beta, c) -> np.ndarray:
     q1, q2 = _trace_form(t, n, _cmul(t, n, beta, q), den)
     forms = np.array([_trace_form(t, n, _cmul(t, n, a, p), den) for a in alphas],
                      dtype=np.int64)
-    fixed = (q1 * b1 + q2 * b2) % den
-    phase = (forms[:, :1] * x1 + forms[:, 1:] * x2 + fixed) % den
-    ang = (2.0 * math.pi / den) * phase
-    return np.cos(ang).sum(axis=1) + 1j * np.sin(ang).sum(axis=1)
-
-
-def kl_nf_raw(field: FieldDescriptor, alpha: FieldElement, beta: FieldElement,
-              c: FieldElement) -> complex:
-    """The full complex Kloosterman sum of integral slots, no positivity
-    constraints: ``_kl_nf_slots`` at one slot."""
-    return complex(_kl_nf_slots(field, [_coords(alpha)], _coords(beta), _coords(c))[0])
+    return _box_sums(box[0], box[2], x1, x2, (q1 * b1 + q2 * b2) % den, den, forms)
 
 
 def kl_nf_exact_phase(field: FieldDescriptor, alpha: FieldElement, beta: FieldElement,
@@ -297,12 +294,14 @@ def kl_nf_exact_phase(field: FieldDescriptor, alpha: FieldElement, beta: FieldEl
     if nc == 1:
         return complex(1.0, 0.0)
     delta = field.different_gen
-    x1, x2, b1, b2 = _residue_data(field, _coords(c))
+    cc = _coords(c)
+    x1, x2, b1, b2 = _residue_data(field, cc, _residue_box(field, cc))
+    a, b = alpha / (delta * c), beta * delta / c
     total = 0.0 + 0.0j
     for i in range(len(x1)):
         xi = field.element(int(x1[i]), int(x2[i]))
         xb = field.element(int(b1[i]), int(b2[i]))
-        frac = (trace(alpha * xi / (delta * c)) + trace(beta * delta * xb / c)) % 1
+        frac = (trace(a * xi) + trace(b * xb)) % 1
         ang = 2.0 * math.pi * float(frac)
         total += complex(math.cos(ang), math.sin(ang))
     return total
@@ -310,10 +309,10 @@ def kl_nf_exact_phase(field: FieldDescriptor, alpha: FieldElement, beta: FieldEl
 
 def kloosterman_nf(q: KloostermanQuery) -> float:
     """Kl for totally positive slot data; conjugation symmetry makes it real."""
-    val = kl_nf_raw(q.alpha.field, q.alpha, q.beta, q.c)
+    val = _kl_nf_slots(q.alpha.field, [_coords(q.alpha)], _coords(q.beta), _coords(q.c))[0]
     if abs(val.imag) > 1e-7 * (1.0 + abs(val.real)):
         raise AssertionError(f"Kloosterman sum has nonvanishing imaginary part {val.imag}")
-    return val.real
+    return float(val.real)
 
 
 # -- Petersson trace formula, degree 1 ----------------------------------------

@@ -236,26 +236,25 @@ def _kq_complex_oracle(m, n, c):
 
 
 def _kl_nf_oracle(field, alpha, beta, c):
-    """Independent enumeration: rectangle residue system, inverses by
-    single-pass product scan (no Euclid)."""
+    """Independent enumeration: rectangle residue system, inverses by a
+    product scan (no Euclid) in plain integer coordinates, one vectorized
+    row of candidates y per residue x, and exact rational phases."""
+    t, n = field.omega_trace, field.omega_norm
     h11, h12, h22 = tf._residue_box(field, tf._coords(c))
-    res = [field.element(a, b) for b in range(h22) for a in range(h11)]
-    inv = {}
-    for x in res:
-        for y in res:
-            # x*y - 1 reduced into the HNF box must be 0
-            r = x * y - field.one
-            k2 = int(r.b) // h22
-            if (int(r.a) - k2 * h12) % h11 == 0 and int(r.b) == k2 * h22:
-                inv[(x.a, x.b)] = y
-                break
+    y2, y1 = np.divmod(np.arange(h11 * h22), h11)
     delta = field.different_gen
+    a, b = alpha / (delta * c), beta * delta / c
     tot = 0.0 + 0.0j
-    for x in res:
-        y = inv.get((x.a, x.b))
-        if y is None:
+    for x1, x2 in zip(y1.tolist(), y2.tolist()):
+        # x*y - 1 = p1 + p2*omega reduced into the HNF box must be 0
+        p1 = x1 * y1 - n * x2 * y2 - 1
+        p2 = x1 * y2 + x2 * y1 + t * x2 * y2
+        hit = np.flatnonzero((p2 % h22 == 0) & ((p1 - p2 // h22 * h12) % h11 == 0))
+        if len(hit) == 0:
             continue
-        ph = (trace(alpha * x / (delta * c)) + trace(beta * delta * y / c)) % 1
+        x = field.element(x1, x2)
+        y = field.element(int(y1[hit[0]]), int(y2[hit[0]]))
+        ph = (trace(a * x) + trace(b * y)) % 1
         tot += cmath.exp(2j * math.pi * float(ph))
     return tot
 

@@ -274,13 +274,14 @@ def test_clear_store_resets_every_memo():
     from rsmoment import modforms, moments, rankin, tracefmla
     from rsmoment.numfield import Q_SQRT5
 
+    box = tracefmla._residue_box(Q_SQRT5, (2, 1))
     getters = {
         "V quadrature": lambda: rankin._vq(rankin.VParams((24,), (12,))),
         "omega": lambda: moments.omega_weights(16),
         "cusp space": lambda: modforms.cusp_space(16),
         "kloosterman row": lambda: tracefmla.kloosterman_row(3, 35),
         "inverse table": lambda: tracefmla._inverse_table(35),
-        "residues": lambda: tracefmla._residue_data(Q_SQRT5, (2, 1)),
+        "residues": lambda: tracefmla._residue_data(Q_SQRT5, (2, 1), box),
     }
     before = {name: get() for name, get in getters.items()}
     for name, get in getters.items():
@@ -290,4 +291,4 @@ def test_clear_store_resets_every_memo():
         assert get() is not before[name], name
     row = tracefmla.kloosterman_row(3, 35)
     assert not row.flags.writeable
-    assert not any(a.flags.writeable for a in tracefmla._residue_data(Q_SQRT5, (2, 1)))
+    assert not any(a.flags.writeable for a in tracefmla._residue_data(Q_SQRT5, (2, 1), box))

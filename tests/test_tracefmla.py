@@ -47,23 +47,50 @@ def test_kq_weil_bound_sample():
             assert s <= bound + 1e-8
 
 
+def row_by_phase_sum(n, c):
+    """(S(r, n; c))_{r mod c} summed directly: phi(c) cosines of integer
+    phases mod c for every r."""
+    xs = np.array([x for x in range(c) if math.gcd(x, c) == 1], dtype=np.int64)
+    inv = np.array([pow(int(x), -1, c) for x in xs], dtype=np.int64)
+    ang = (np.outer(np.arange(c), xs) + inv * (n % c)) % c
+    return np.cos(2.0 * math.pi / c * ang).sum(axis=1)
+
+
 def test_kloosterman_row_matches_pointwise():
     row = tf.kloosterman_row(3, 35)
     for r in (0, 1, 8, 34):
         assert abs(row[r] - tf.kloosterman_q(r, 3, 35)) < 1e-10
 
 
-def test_kloosterman_q_stores_no_row():
-    series.clear_store()
-    v = tf.kloosterman_q(3, 5, 10007)
-    assert not any(key[0] == "kloosterman row" for key in series._STORE)
-    assert abs(v - tf.kloosterman_row(5, 10007)[3]) < 1e-10
+def test_kloosterman_row_matches_phase_sum():
+    """Every row S(., n; c) for c <= 500 against the direct phase sum, and
+    entries of the c = 10,007 row against the complex enumeration."""
+    for n in (1, 3):
+        for c in range(1, 501):
+            ref = row_by_phase_sum(n, c)
+            assert np.max(np.abs(tf.kloosterman_row(n, c) - ref)) < 1e-9, (n, c)
+    row = tf.kloosterman_row(5, 10007)
+    for r in (0, 1, 3, 10006):
+        o = kq_oracle(r, 5, 10007)
+        assert abs(row[r] - o.real) < 1e-9 and abs(o.imag) < 1e-9, r
+    assert tf.kloosterman_q(3, 5, 10007) == row[3]
+
+
+def test_box_sums_refuses_a_non_character():
+    """x -> e(x/12) is no character of Z/6, so no FFT frequency reads it."""
+    one = np.array([[1, 0]])
+    with pytest.raises(AssertionError, match="not a character"):
+        tf._box_sums(6, 1, np.array([1, 5]), np.zeros(2, dtype=np.int64), np.zeros(2), 12, one)
 
 
 # -- number field -------------------------------------------------------------
 
 def box_of(c):
     return tf._residue_box(c.field, tf._coords(c))
+
+
+def kl_nf_one(field, alpha, beta, c):
+    return complex(tf._kl_nf_slots(field, [tf._coords(alpha)], tf._coords(beta), tf._coords(c))[0])
 
 
 def reduce_mod(x, box):
@@ -107,7 +134,7 @@ def test_kl_nf_unit_modulus():
 
 def test_kl_nf_inert_two_sqrt5():
     c2 = Q_SQRT5.element(2)
-    x1, x2, b1, b2 = tf._residue_data(Q_SQRT5, (2, 0))
+    x1, x2, b1, b2 = tf._residue_data(Q_SQRT5, (2, 0), box_of(c2))
     assert len(x1) == 3  # (O/2)^x has 3 units: 2 is inert, N(c) = 4
     v = tf.kloosterman_nf(tf.KloostermanQuery(alpha=Q_SQRT5.one, beta=Q_SQRT5.one, c=c2))
     o = nf_oracle(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, c2)
@@ -128,20 +155,31 @@ def test_kl_nf_against_bruteforce_sample(field):
 
 
 def test_kl_nf_exact_phase_agreement():
-    """The per-modulus kernel at every unit slot u*nu of height <= 50, against
-    exact rational phases, over every modulus of norm <= 60 of both fields.
-    Only the implementation is checked here, not the slot symmetry."""
+    """The per-modulus kernel against exact rational phases: at every unit
+    slot u*nu of height <= 50 and beta in {xi, 1} over every modulus of norm
+    <= 60, and at the slots eta*nu, eta in {1, eps0^2, eps0^-2}, with
+    beta = xi over every modulus of norm <= 200 of both fields.  Only the
+    implementation is checked here, not the slot symmetry."""
+    carry = 0
     for field, nu, xi in ((Q_SQRT5, Q_SQRT5.element(1, 1), Q_SQRT5.element(2, 1)),
                           (Q_SQRT2, Q_SQRT2.element(2, -1), Q_SQRT2.element(3, 1))):
         alphas = [u * nu for u in totally_positive_units(field, 50.0)]
         assert len(alphas) >= 5
-        slots = [tf._coords(a) for a in alphas]
-        for beta in (xi, field.one):
-            for c, nc in tf._ideal_generators_canonical(field, 60):
-                fast = tf._kl_nf_slots(field, slots, tf._coords(beta), tf._coords(c))
-                for a, v in zip(alphas, fast):
+        e2 = field.eps0 * field.eps0
+        near = [nu, e2 * nu, nu / e2]
+        assert all(a in alphas for a in near)
+        for c, nc in tf._ideal_generators_canonical(field, 200):
+            _, h12, h22 = box_of(c)
+            carry += h22 > 1 and h12 != 0
+            slots, betas = (alphas, (xi, field.one)) if nc <= 60 else (near, (xi,))
+            coords = [tf._coords(a) for a in slots]
+            for beta in betas:
+                fast = tf._kl_nf_slots(field, coords, tf._coords(beta), tf._coords(c))
+                for a, v in zip(slots, fast):
                     slow = tf.kl_nf_exact_phase(field, a, beta, c)
                     assert abs(v - slow) < 1e-9, (field.key, a, beta, c, v, slow)
+    # moduli whose box has a carry (h12 != 0 with h22 > 1) are covered
+    assert carry > 0
 
 
 def test_kl_nf_rejects_non_integral_data():
@@ -153,11 +191,11 @@ def test_kl_nf_rejects_non_integral_data():
     with pytest.raises(ValueError, match="must be integral"):
         tf.KloostermanQuery(alpha=half, beta=Q_SQRT5.one, c=three)
     with pytest.raises(ValueError, match="not integral"):
-        tf.kl_nf_raw(Q_SQRT5, half, Q_SQRT5.one, three)
+        kl_nf_one(Q_SQRT5, half, Q_SQRT5.one, three)
     with pytest.raises(ValueError, match="must be integral"):
         tf.KloostermanQuery(alpha=Q_SQRT5.one, beta=Q_SQRT5.one, c=three / 2)
     with pytest.raises(ValueError, match="not integral"):
-        tf.kl_nf_raw(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, three / 2)
+        kl_nf_one(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, three / 2)
 
 
 def inverse_by_product_scan(field, x, c):
@@ -182,13 +220,13 @@ def test_kl_nf_crt_factorization():
     c = c1 * c2
     alpha = field.element(1, 1)
     beta = field.one
-    direct = tf.kl_nf_raw(field, alpha, beta, c)
+    direct = kl_nf_one(field, alpha, beta, c)
     # CRT: x = x1 c2 c2* + x2 c1 c1*; the factor sums are the same
     # Kloosterman sums with both slots twisted by the complementary inverse
     inv_c2_mod_c1 = inverse_by_product_scan(field, c2, c1)
     inv_c1_mod_c2 = inverse_by_product_scan(field, c1, c2)
-    kl1 = tf.kl_nf_raw(field, alpha * inv_c2_mod_c1, beta * inv_c2_mod_c1, c1)
-    kl2 = tf.kl_nf_raw(field, alpha * inv_c1_mod_c2, beta * inv_c1_mod_c2, c2)
+    kl1 = kl_nf_one(field, alpha * inv_c2_mod_c1, beta * inv_c2_mod_c1, c1)
+    kl2 = kl_nf_one(field, alpha * inv_c1_mod_c2, beta * inv_c1_mod_c2, c2)
     assert abs(direct - kl1 * kl2) < 1e-8
 
 
@@ -232,7 +270,7 @@ def test_residue_tables_built_once_per_ideal(monkeypatch):
 def test_residue_enumeration_cap():
     big = Q_SQRT5.element(200, 0)  # norm 40,000, above the 10,000 limit
     with pytest.raises(ValueError, match="overflow"):
-        tf.kl_nf_raw(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, big)
+        kl_nf_one(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, big)
     with pytest.raises(ValueError, match="overflow"):
         tf.kl_nf_exact_phase(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, big)
 
@@ -261,7 +299,7 @@ def test_residue_tables_invert_every_unit(field):
     shifted = 0
     for c, nc in tf._ideal_generators_canonical(field, 200)[1:]:
         box = box_of(c)
-        x1, x2, b1, b2 = tf._residue_data(field, tf._coords(c))
+        x1, x2, b1, b2 = tf._residue_data(field, tf._coords(c), box)
         for i in range(len(x1)):
             x = field.element(int(x1[i]), int(x2[i]))
             b = field.element(int(b1[i]), int(b2[i]))
