@@ -154,7 +154,7 @@ def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
     cert = 4.0 * env / d + vq.quad_tail * (1.0 + math.log(d))
     W = np.zeros(len(nus))
     # whole d-rows per V call, at most V_DIRECT_MAX points (one row, on the
-    # spline path, when the nus alone are more)
+    # interpolant path, when the nus alone are more)
     rows = max(1, V_DIRECT_MAX // len(nus))
     for i in range(0, len(ds), rows):
         block = np.array(ds[i: i + rows], dtype=float)

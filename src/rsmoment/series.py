@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 __all__ = [
     "mul_exact",
@@ -200,15 +199,31 @@ def _byte_floats(A: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
 
 
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n (n >= 1): a length ``numpy.fft`` transforms
+    by radix-2, 3 and 5 passes only."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to at least n
+            cand = p35 << (-(-n // p35) - 1).bit_length()
+            if cand < best:
+                best = cand
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fft_conv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The full linear convolution of two float64 vectors by one real FFT.
 
-    The transform length is the next 5-smooth size; ``numpy.fft`` keeps no
-    plan cache per length, which ``scipy.fft`` would grow with every size.
+    The transform length is the next 5-smooth size (``_fast_len``).
     ``y is x`` squares: one forward transform, squared.
     """
     n = len(x) + len(y) - 1
-    size = next_fast_len(n, True)
+    size = _fast_len(n)
     X = np.fft.rfft(x, size)
     X *= X if y is x else np.fft.rfft(y, size)  # in place: no third spectrum
     return np.fft.irfft(X, size)[:n]

@@ -6,11 +6,12 @@ Everything the moment machinery needs from classical analysis lives here:
   on the right half-plane, which is the only region the contour integrals
   visit), elementwise over an array, a scalar being a one-point call,
 * real digamma,
-* J-Bessel of integer order: one array kernel with no library J of general
-  order (forward recurrence at or above the order, the ascending series up
-  to 2 sqrt(order + 1), Miller's backward recurrence between), scalar J as
-  a one-point call of it, and two slow oracles, an mpmath ascending series
-  and a Mellin-Barnes contour form,
+* J-Bessel of integer order: one array kernel with no library J (forward
+  recurrence from Hankel's J_0 and J_1 at or above max(order, 25), the
+  ascending series up to 2 sqrt(order + 1), Miller's backward recurrence
+  normalized by the Neumann sum between), scalar J as a one-point call of
+  it, and two slow oracles, an mpmath ascending series and a Mellin-Barnes
+  contour form,
 * Riemann/Dedekind zeta values for Re(s) > 1 and the Laurent data of
   zeta_F(2u+1) at u = 0 that drives the diagonal-term residue,
 * the gamma-quotient ratio the contour-shift argument relies on, which is
@@ -20,10 +21,10 @@ Everything the moment machinery needs from classical analysis lives here:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from scipy.special import j0, j1
 
 from .numfield import FieldDescriptor
 
@@ -180,25 +181,30 @@ def bessel_j_mellin_barnes(order: int, x: float, sigma: float | None = None,
 def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized J_order for integer order >= 0 over a nonnegative float array.
 
-    Three paths, split by x; none calls a library J of general order.
+    Three paths, split by x; none calls a library J.
 
-    * x >= order: the forward recurrence J_{m+1}(x) = (2m/x) J_m(x) - J_{m-1}(x)
-      up from scipy's j0 and j1.  It is stable while m <= x (Gautschi,
-      SIAM Review 9 (1967)).
+    * x >= max(order, 25): the forward recurrence J_{m+1}(x) = (2m/x) J_m(x)
+      - J_{m-1}(x) up from Hankel's J_0 and J_1 (``_hankel_j01``).  It is
+      stable while m <= x (Gautschi, SIAM Review 9 (1967)).
     * x <= 2 sqrt(order + 1): the ascending series (``_bessel_series``).
-    * in between: Miller's backward recurrence (``_bessel_miller``).
+    * every other x: Miller's backward recurrence, normalized by the Neumann
+      sum (``_bessel_miller``).
     """
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.shape)
-    up = xs >= order
+    up = xs >= max(order, _HANKEL_X0)
     low = xs <= 2.0 * math.sqrt(order + 1.0)
     mid = ~up & ~low
     low &= ~up
     if np.any(up):
         x = xs[up]
-        prev, cur = j0(x), j1(x)
+        prev, cur = _hankel_j01(x)
+        two_over_x, new = 2.0 / x, np.empty_like(x)
         for m in range(1, order):
-            prev, cur = cur, (2.0 * m / x) * cur - prev
+            np.multiply(two_over_x, cur, out=new)
+            new *= m
+            new -= prev
+            prev, cur, new = cur, new, prev
         out[up] = cur if order >= 1 else prev
     if np.any(low):
         out[low] = _bessel_series(order, xs[low])
@@ -209,6 +215,54 @@ def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
 
 _SERIES_TERMS = 20
 _MILLER_LOG_EPS = -60.0 * math.log(2.0)
+_HANKEL_X0 = 25.0
+_HANKEL_TERMS = 12
+
+
+def _hankel_coeffs(nu: int) -> np.ndarray:
+    """Rows (P, Q) of (-1)^k a_{2k}(nu) and (-1)^k a_{2k+1}(nu), k < _HANKEL_TERMS,
+    a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k) (DLMF 10.17.1)."""
+    a = [Fraction(1)]
+    for k in range(1, 2 * _HANKEL_TERMS):
+        a.append(a[-1] * Fraction(4 * nu * nu - (2 * k - 1) ** 2, 8 * k))
+    return np.array([[float((-1) ** k * a[2 * k + r]) for k in range(_HANKEL_TERMS)]
+                     for r in (0, 1)])
+
+
+_HANKEL_PQ = np.concatenate([_hankel_coeffs(0), _hankel_coeffs(1)])  # P0, Q0, P1, Q1
+
+
+def _hankel_j01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_0(x), J_1(x)) for x >= 25 by Hankel's expansion (DLMF 10.17.3),
+
+        J_nu(x) = sqrt(2/(pi x)) (P_nu(x) cos w - Q_nu(x) sin w),  w = x - nu pi/2 - pi/4,
+
+    with P_nu = sum_{k<12} (-1)^k a_{2k}(nu) x^-2k and Q_nu = sum_{k<12}
+    (-1)^k a_{2k+1}(nu) x^-2k-1, each by Horner's rule in 1/x^2.  The phase
+    is never rounded: cos w and sin w are (cos x +- sin x)/sqrt 2, so
+    J_0 = (P_0 (c + s) + Q_0 (c - s))/sqrt(pi x) and J_1 = (P_1 (s - c)
+    + Q_1 (s + c))/sqrt(pi x) with c = cos x, s = sin x.
+
+    Truncation (DLMF 10.17(iii)): for real nu >= 0 and x > 0 the remainder
+    of either sum after l terms is at most its first neglected term, and of
+    the same sign, once l >= max(nu/2 - 1/4, 1); here nu <= 1 and l = 12.
+    So |J_nu - computed| <= sqrt(2/(pi x)) (|a_24(nu)| x^-24
+    + |a_25(nu)| x^-25), which decreases in x and at x = 25 is below
+    2.2e-19 < 2^-60 times sqrt(2/(pi x)), the envelope of J_0 and J_1.
+    """
+    w = 1.0 / (x * x)
+    acc = np.repeat(_HANKEL_PQ[:, -1:], len(x), axis=1)
+    for k in range(_HANKEL_TERMS - 2, -1, -1):
+        acc *= w
+        acc += _HANKEL_PQ[:, k:k + 1]
+    p0, q0, p1, q1 = acc
+    c, s = np.cos(x), np.sin(x)
+    plus, minus = c + s, c - s
+    inv_x = 1.0 / x
+    amp = 1.0 / np.sqrt(math.pi * x)
+    j0 = amp * (p0 * plus + (q0 * inv_x) * minus)
+    j1 = amp * ((q1 * inv_x) * plus - p1 * minus)
+    return j0, j1
 
 
 def _bessel_series(order: int, x: np.ndarray) -> np.ndarray:
@@ -233,75 +287,104 @@ def _bessel_series(order: int, x: np.ndarray) -> np.ndarray:
 
 
 def _miller_start(order: int, x: float) -> int:
-    """The least N >= order with 8 order s_{N+1} prod_{m=order+1}^{N} s_m^2 <= 2^-60,
-    s_m = exp(-arccosh(m/x)); see ``_bessel_miller``."""
-    need = math.log(8.0 * order) - _MILLER_LOG_EPS
-    n, acc = order, 0.0
+    """The least N >= max(order, q), q = floor(x) + 1, with
+
+        A = P (2/(1 - s_{N+1}) + sqrt2 (N + 2)) <= 2^-60,   P = prod_{m=q}^{N+1} s_m,
+        B = (1 + sqrt n) s_{N+1} prod_{m=n+1}^{N} s_m^2 <= 2^-60   (n = order),
+
+    s_m = exp(-arccosh(m/x)); B is taken at min(x, order) and only for
+    order >= 1.  Both fall as N grows and rise with x, so the start for the
+    largest x serves every point; see ``_bessel_miller``."""
+    q = math.floor(x) + 1
+    first = max(order, q)
+    span = 64
     while True:
-        a = math.acosh((n + 1) / x)
-        if acc + a >= need:
-            return n
-        acc += 2.0 * a
-        n += 1
+        ns = np.arange(first, first + span)  # candidate N
+        a = np.arccosh(np.arange(q, first + span + 1) / x)  # -log s_m, m = q..N+1
+        a_next = a[ns + 1 - q]
+        ok = (np.log(2.0 / -np.expm1(-a_next) + math.sqrt(2.0) * (ns + 2))
+              - np.cumsum(a)[ns + 1 - q] <= _MILLER_LOG_EPS)
+        if order >= 1:
+            xb = min(x, float(order))
+            b = np.arccosh(np.arange(order + 1, first + span + 2) / xb)  # m = order+1..
+            b_sum = np.concatenate([[0.0], np.cumsum(b)])  # b_sum[j]: m = order+1..order+j
+            ok &= (math.log1p(math.sqrt(order)) - b[ns - order] - 2.0 * b_sum[ns - order]
+                   <= _MILLER_LOG_EPS)
+        hits = np.flatnonzero(ok)
+        if len(hits):
+            return int(ns[hits[0]])
+        span *= 2
 
 
 def _bessel_miller(order: int, x: np.ndarray) -> np.ndarray:
-    """J_order(x) for 2 sqrt(order+1) < x < order by Miller's backward recurrence.
+    """J_order(x) for 2 sqrt(order+1) < x < max(order, 25) by Miller's backward
+    recurrence, normalized by the Neumann sum.
 
     f_{N+1} = 0, f_N = 1 and f_{m-1} = (2m/x) f_m - f_{m+1} down to f_0, with
-    N = ``_miller_start(order, max x)``; then J_order = lam f_order with lam
-    = (J_0 f_0 + J_1 f_1)/(f_0^2 + f_1^2), the least-squares fit of (f_0, f_1)
-    to scipy's (j0, j1), which no common zero of J_0 and J_1 can spoil.
+    N = ``_miller_start(order, max x)`` > x; the same loop sums
+    S = f_0 + 2 sum_{m>=1} f_{2m}, and J_order = f_order / S, since
+    1 = J_0 + 2 sum_{m>=1} J_{2m} (DLMF 10.12, the Neumann sum).
 
-    Truncation error of the start index, in exact arithmetic (n = order):
+    Truncation error of the start index, in exact arithmetic (n = order;
+    q = floor(x) + 1, the least index above x):
 
-    1. Ratios above the order.  For m > x put a_m = 2m/x > 2,
-       r_m = J_m/J_{m-1} and r~_m = f_m/f_{m-1}; both satisfy
-       r_m = 1/(a_m - r_{m+1}) (J_m > 0 there: j_{m,1} > m).  The fixed
-       point of r -> 1/(a_m - r) is s_m = exp(-arccosh(m/x)), decreasing in
-       m, so from r~_{N+1} = 0 induction gives 0 <= r~_m <= s_m; r_m is the
-       limit of r~_m as N grows (J is the minimal solution; Pincherle, as in
-       Gautschi 1967), so 0 < r_m <= s_m too.  The difference
-       d_m = r_m - r~_m obeys d_m = d_{m+1} r_m r~_m, hence
-       |d_{n+1}| <= s_{N+1} prod_{m=n+1}^{N} s_m^2.
-    2. Down to 0.  (1, r~_{n+1}) = (1, r_{n+1}) - d_{n+1} (0, 1), so below the
-       order f_m = (f_n/J_n)(J_m - d_{n+1} J_n G_m), with G the solution with
-       G_n = 0, G_{n+1} = 1.  By the Casoratian J_{m+1}Y_m - J_m Y_{m+1}
-       = 2/(pi x) (DLMF 10.5.5), G_m = (pi x/2)(J_m Y_n - Y_m J_n).
-    3. The fit.  With u = (J_0, J_1), v = (Y_0, Y_1), w = (G_0, G_1) and
-       beta = |d_{n+1}| J_n |w|/|u|, the computed value is
-       J_n <u, u - e w>/|u - e w|^2 (e = d_{n+1} J_n), whose relative error
-       is at most beta (1 + beta)/(1 - beta)^2 <= 2 beta for beta <= 0.01.
-    4. Sizes.  J_n |w| <= (pi x/2)(J_n |Y_n| |u| + J_n^2 |v|).  Nicholson's
-       integral (DLMF 10.9.30) makes J_m^2 + Y_m^2 increase in m, and J_m
-       decreases for m > x, so |Y_n| <= |Y_{n+1}|; the Casoratian then gives
-       J_n |Y_n| <= 2/(pi x (1 - r_{n+1})) <= 2(1 + sqrt n)/(pi x), as
-       r_{n+1} <= s_{n+1} <= exp(-arccosh(1 + 1/n)) <= exp(-1/sqrt n).
-       Also J_n^2 <= 1/2 (DLMF 10.14.1), |u| |v| >= 2/(pi x) (Casoratian at
-       m = 0, Cauchy-Schwarz), |v|^2 <= 2 (J_1^2 + Y_1^2) (Nicholson again),
-       and x (J_1^2 + Y_1^2) decreases in x (Watson 13.74) from 0.689 at
-       x = 2.  So beta <= |d_{n+1}| (1 + sqrt n + 1.7 x) <= 4 n |d_{n+1}|.
+    1. The computed solution.  It vanishes at N + 1, so
+       f_m = C (J_m - e Y_m) with e = J_{N+1}/Y_{N+1}, and the computed
+       value is (J_n - e Y_n)/(1 - T - e sum_{even m<=N} w_m Y_m), with
+       w_0 = 1, w_m = 2 and T = 2 sum_{even m>N} J_m.
+    2. Ratios above x.  For m > x put a_m = 2m/x > 2 and r_m = J_m/J_{m-1};
+       r_m = 1/(a_m - r_{m+1}).  The fixed point of r -> 1/(a_m - r) is
+       s_m = exp(-arccosh(m/x)), decreasing in m, so the ratios of the
+       solution that vanishes at K + 1 lie in [0, s_m] by induction down
+       from K; r_m is their limit as K grows (J is the minimal solution;
+       Pincherle, as in Gautschi 1967), so 0 < r_m <= s_m, and J_m > 0 for
+       m >= q - 1.  With |J_{q-1}| <= 1, J_{N+1} <= P = prod_{m=q}^{N+1} s_m,
+       and T <= 2 J_{N+1}/(1 - s_{N+1}) <= 2P/(1 - s_{N+1}).
+    3. The Y terms.  Nicholson's integral (DLMF 10.9.30) makes
+       M_m^2 = J_m^2 + Y_m^2 increase in m, so |Y_m| <= M_N for m <= N, and
+       Y_{N+1}^2 >= M_N^2 - J_{N+1}^2 >= M_N^2/2, since J_{N+1} <= P < 2^-60
+       and M_N^2 >= M_1^2 >= 2/(pi x) (x M_1^2 decreases to 2/pi, Watson 13.74).
+       So |e| M_N <= sqrt2 J_{N+1} <= sqrt2 P, the denominator is 1 - D with
+       |D| <= P (2/(1 - s_{N+1}) + sqrt2 (N + 1)), and |e Y_n| <= sqrt2 P.
+    4. Order below x.  The error is at most (|e Y_n| + |D|)/(1 - |D|)
+       absolute (|J_n| <= 1), below 2^-59 by condition A of
+       ``_miller_start``; here x < 25 and |J| is of size sqrt(2/(pi x)) > 0.15.
+    5. Order above x.  Relative to J_n the numerator is off by
+       |e Y_n|/J_n = J_{N+1} |Y_n| / (|Y_{N+1}| J_n).  For m >= x, J_m > 0
+       > Y_m (y_{m,1} > m, DLMF 10.21.3), so the Casoratian
+       J_{m+1} Y_m - J_m Y_{m+1} = 2/(pi x) (DLMF 10.5.5) gives
+       |Y_{N+1}| >= 2/(pi x J_N); with |Y_n| <= |Y_{n+1}| (M_m rises while
+       J_m falls) it also gives J_n |Y_n| <= 2/(pi x (1 - r_{n+1}))
+       <= 2 (1 + sqrt n)/(pi x), as r_{n+1} <= s_{n+1} <= exp(-1/sqrt n).
+       So |e Y_n|/J_n <= (1 + sqrt n) J_N J_{N+1}/J_n^2, at most condition
+       B, and the relative error is below 2^-58.
 
     Since s_m grows with x, the start index for the largest x serves every
-    point, and the truncation error is below 8 n s_{N+1} prod s_m^2 <= 2^-60
-    relative; N - n is 15 at n = 5 and 34 at n = 59.  Rounding is the
-    recurrence's own: backward it is stable above x and neutral below.  The
-    values are rescaled whenever they pass 1e150, so nothing overflows.
+    point; N is 70 at n = 59 and x = 16, 112 at n = 59 and x = 58.9, and 65
+    at n = 0 and x = 25.  Rounding is the recurrence's own: backward it is
+    stable above x and neutral below, and every term of S is at most about S
+    itself (|J_m| <= 1), so the sum adds an ulp or so per term.  The values
+    are rescaled whenever they pass 1e150, so nothing overflows.
     """
     start = _miller_start(order, float(np.max(x)))
     two_over_x = 2.0 / x
-    hi, lo = np.zeros_like(x), np.ones_like(x)  # f_{m+1}, f_m
-    f_order = lo
+    hi, lo, new = np.zeros_like(x), np.ones_like(x), np.empty_like(x)  # f_{m+1}, f_m
+    f_order = lo.copy()
+    evens = np.zeros_like(x) if start % 2 else lo.copy()  # sum of f_{2m}, 2m >= 2
     for m in range(start, 0, -1):
-        hi, lo = lo, (m * two_over_x) * lo - hi
+        np.multiply(two_over_x, lo, out=new)
+        new *= m
+        new -= hi
+        hi, lo, new = lo, new, hi
         if m - 1 == order:
-            f_order = lo
+            f_order = lo.copy()
+        if m % 2 and m > 1:
+            evens += lo
         if m % 16 == 0:
             scale = np.where(np.abs(lo) > 1e150, 1e-150, 1.0)
-            hi, lo, f_order = hi * scale, lo * scale, f_order * scale
-    norm = np.maximum(np.abs(lo), np.abs(hi))
-    f0, f1, f_order = lo / norm, hi / norm, f_order / norm
-    return f_order * (j0(x) * f0 + j1(x) * f1) / (f0 * f0 + f1 * f1)
+            for v in (hi, lo, f_order, evens):
+                v *= scale
+    return f_order / (lo + 2.0 * evens)
 
 
 # -- zeta --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -17,17 +18,35 @@ def delta_file(tmp_path_factory):
     return str(path)
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats():
-    # scipy.signal pulls in scipy.stats, about a second of start-up per process
+def test_cli_import_loads_no_scipy():
+    # scipy's special, fft and interpolate packages once took about half a
+    # second of every cold start; the checker needs none of scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import rsmoment.cli, sys; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy_anywhere():
+    # a lazy import inside a function would pass the cold-start test above
+    # and move its cost into the first call
+    pkg = Path(__file__).resolve().parents[1] / "src" / "rsmoment"
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_kloosterman_command(capsys, tmp_path):

@@ -134,9 +134,9 @@ def test_e_term_stability_under_doubled_truncations(delta_record):
 
 def test_e_term_certificate_ignores_earlier_spline_calls(delta_record):
     # the shared, cached V quadrature of (24, 12) must not carry the
-    # interpolation error of a spline-path central value into e_term
+    # interpolation error of an interpolated central value into e_term
     before = mo.e_term(delta_record, 1, 24)
-    n = 250_001  # past the spline threshold of VQuadrature.values
+    n = 250_001  # past the interpolation threshold of VQuadrature.values
     g = mf.newform_from_eigenform(mf.eigenforms(12, n)[0])
     mo.central_value(mf.eigenforms(24, n)[0], g, cutoff=n, rigorous_tail=False)
     after = mo.e_term(delta_record, 1, 24)
@@ -144,7 +144,7 @@ def test_e_term_certificate_ignores_earlier_spline_calls(delta_record):
     assert after.value == before.value
     vp = mo.VParams((24,), (12,))
     _, interp_err = mo._vq(vp).values(vp.afe_argument(np.arange(1.0, n + 1)))
-    assert interp_err > 0.0  # the central value above took the spline path
+    assert interp_err > 0.0  # the central value above was interpolated
 
 
 def _e_unskipped(g, p, k):

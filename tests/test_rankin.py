@@ -108,6 +108,43 @@ def test_v_horner_matches_mpmath_line_sum(k):
         assert abs(v - ref) <= 2e-15 * max(1.0, mass), (k, y, v - ref, mass)
 
 
+@pytest.mark.parametrize("k, l, g_scale", [(24, 24, 0.25), (24, 24, 0.5), (24, 24, 1.0),
+                                            (24, 12, 0.5)])
+def test_v_interpolant_within_its_bound(k, l, g_scale):
+    # 2^18 points take the interpolant; about 200 of them, with every panel
+    # edge among them and y = 0.1 from both sides, and 50 AFE arguments,
+    # against the exact quadrature sum.  Past the proved bound only rounding
+    # is allowed: the sum's own, eps times the moduli of its terms (the
+    # residue 1 among them below 0.1), spread by the Lebesgue constant.
+    vq = rk._vq(rk.VParams((k,), (l,), g_scale=g_scale))
+    lo, hi = 1e-3, 4 * math.pi ** 2 * 2 ** 18
+    edges = np.exp(rk._LOG_SPLIT + rk._CHEB_WIDTH * np.arange(
+        math.floor((math.log(lo) - rk._LOG_SPLIT) / rk._CHEB_WIDTH) + 1,
+        math.ceil((math.log(hi) - rk._LOG_SPLIT) / rk._CHEB_WIDTH)))
+    special = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                              [0.1, np.nextafter(0.1, 0.0)]])
+    ys = np.sort(np.concatenate([np.geomspace(lo, hi, 2 ** 18 - len(special)), special]))
+    vals, bound = vq.values(ys)
+    assert 0.0 < bound < 1e-30
+    back, back_bound = vq.values(ys[::-1])  # unsorted points are sorted first
+    assert np.array_equal(back[::-1], vals) and back_bound == bound
+    rng = np.random.default_rng(11)
+    picks = np.concatenate([np.searchsorted(ys, special),
+                            rng.choice(len(ys), 200 - len(special), replace=False)])
+    # and the AFE arguments 4 pi^2 m of a central value, all above the split
+    afe = vq.p.afe_argument(np.arange(1.0, 2 ** 18 + 1))
+    afe_vals, afe_bound = vq.values(afe)
+    assert 0.0 < afe_bound < 1e-30
+    eps = np.finfo(float).eps
+    checks = [(ys[i], vals[i], bound) for i in picks]
+    checks += [(afe[i], afe_vals[i], afe_bound)
+               for i in [0, len(afe) - 1, *rng.choice(len(afe), 48, replace=False)]]
+    for y, v, b in checks:
+        ref, mass = _line_sum_mp(vq, y)
+        base = 1.0 if y < 0.1 else 0.0
+        assert abs(v - ref) <= b + 64 * eps * (mass + base), (y, v - ref)
+
+
 @pytest.mark.parametrize("k", [14, 40, 60])
 def test_log_gamma_array_on_v_lines_matches_mpmath(k):
     p = rk.VParams((k,), (12,))

@@ -231,6 +231,18 @@ def test_mul_float_accuracy_against_exact_at_2_14():
     assert rel.max() <= 3.2e-8 and np.median(rel) <= 3.2e-13
 
 
+def test_fast_len_is_the_least_5_smooth_length():
+    # brute force: every 2^a 3^b 5^c up to 2^17, the least one >= n
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(18) for b in range(11)
+                    for c in range(8) if 2 ** a * 3 ** b * 5 ** c <= 2 ** 17)
+    want = np.array(smooth)[np.searchsorted(smooth, np.arange(1, 100_001))]
+    got = np.array([series._fast_len(n) for n in range(1, 100_001)])
+    assert np.array_equal(got, want)
+    # scipy.fft.next_fast_len(n, True) at lengths the FFT paths reach
+    for n, size in ((2 ** 20 + 1, 1_049_760), (786_435, 787_320), (1_572_869, 1_574_640)):
+        assert series._fast_len(n) == size
+
+
 def test_eta6_float_is_exact():
     for n in (1, 2, 4, 1000, 40000):
         e3 = series.eta3_sparse(n)

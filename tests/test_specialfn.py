@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -157,7 +158,7 @@ def _bessel_array_grid(order):
     return xs[xs >= 0.0]
 
 
-@pytest.mark.parametrize("order", [0, 13, 39, 59])
+@pytest.mark.parametrize("order", [0, 1, 13, 39, 59])
 def test_bessel_j_array_against_highprec(order):
     xs = _bessel_array_grid(order)
     got = sf.bessel_j_array(order, xs)
@@ -183,6 +184,56 @@ def test_bessel_j_array_branch_edges_and_bessel_zeros():
             ref = float(sf.bessel_j_highprec(order, float(x)))
             scale = max(math.sqrt(2.0 / (math.pi * x)), abs(ref))
             assert abs(v - ref) <= 1e-13 * scale, (order, x, v, ref)
+
+
+def _assert_j_close(order, xs, oracle):
+    got = sf.bessel_j_array(order, np.asarray(xs, dtype=float))
+    for x, v in zip(xs, got):
+        ref = float(oracle(order, float(x)))
+        scale = max(math.sqrt(2.0 / (math.pi * x)), abs(ref))
+        assert abs(v - ref) <= 1e-13 * scale, (order, x, v, ref)
+
+
+def test_bessel_j_array_at_the_hankel_seam_and_zeros():
+    # x = X0, where the forward path from Hankel's J0, J1 takes over from
+    # Miller's recurrence, from both sides; x = max(order, X0), where it
+    # starts for each order; and the first four zeros of J0 and J1, where
+    # Miller's Neumann normalization meets a vanishing J0 or J1
+    x0 = sf._HANKEL_X0
+    zeros = [float(mp.besseljzero(nu, s)) for nu in (0, 1) for s in (1, 2, 3, 4)]
+    seam = [x0, np.nextafter(x0, 0.0), np.nextafter(x0, np.inf)]
+    for order in range(0, 61):
+        edge = max(float(order), x0)
+        xs = sorted({*seam, edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), *zeros})
+        _assert_j_close(order, xs, sf.bessel_j_highprec)
+
+
+def test_bessel_j_array_phase_at_large_x():
+    # the phase x - pi/4 is never rounded, so J keeps its 1e-13 scale bound
+    # far out; the ascending series would need 5e5 digits at x = 1e6, so the
+    # oracle here is mpmath's own J
+    def oracle(order, x):
+        with mp.workdps(40):
+            return mp.besselj(order, x)
+
+    for order in (0, 1, 13, 59):
+        _assert_j_close(order, [1e4, 1e5, 1e6], oracle)
+
+
+def test_hankel_first_neglected_term_at_x0():
+    # DLMF 10.17(iii): each truncated Hankel sum is off by at most its first
+    # neglected term, so |J_nu - computed| / sqrt(2/(pi x)) is at most
+    # |a_2L(nu)| x^-2L + |a_2L+1(nu)| x^-2L-1, which falls with x
+    def a(k, nu):
+        out = Fraction(1)
+        for j in range(1, k + 1):
+            out *= Fraction(4 * nu * nu - (2 * j - 1) ** 2, 8 * j)
+        return abs(out)
+
+    terms, x0 = sf._HANKEL_TERMS, Fraction(sf._HANKEL_X0)
+    for nu in (0, 1):
+        first = a(2 * terms, nu) / x0 ** (2 * terms) + a(2 * terms + 1, nu) / x0 ** (2 * terms + 1)
+        assert first < Fraction(1, 2 ** 60), (nu, float(first))
 
 
 def test_bessel_mellin_barnes_cross_check():
