@@ -1,22 +1,27 @@
-"""Level-1 elliptic modular forms: q-expansions, Hecke eigenforms, evaluation.
+"""Level-1 elliptic modular forms: q-expansions, Hecke eigenforms.
 
 The degree-1 specialization of the Hilbert machinery: cusp forms for
-SL_2(Z), built from Delta, E4, E6.  Exact big-integer arithmetic is used for
-every structural step (echelon basis, Hecke matrices, characteristic
-polynomials), and an eigenform's coefficients are the echelon Miller basis
-times its exact eigenvector, at working precision.  When the most-cuspidal
-monomial Delta^d E4^a E6^b of the space carries E4 or E6 (k not 0 mod 12)
-that build serves every length, so those forms are exact at every length.
-For pure Delta^d weights (k = 12d) it serves a fixed prefix; beyond it,
-normalized coefficients C_f(n) = a_f(n) / n^{(k-1)/2} are extended in
-float64 from Delta^d and its translates by Hecke words in T_2 and T_3,
-cusp-by-cusp products free of the Eisenstein-versus-cusp cancellation that
-floats cannot survive.  The Miller basis is echelon, so a cusp form is fixed
-by a(1..d): a form's coordinates in the Hecke-word span are one exact
-rational inverse of the d x d matrix of the words' first d coefficients,
-applied to a_f(1..d), and that inverse exists exactly when the words span
-S_k.  The overlap with the exact prefix is verified on every float build,
-and each form carries that build's error.
+SL_2(Z), built from Delta and the Eisenstein series.  Exact big-integer
+arithmetic is used for every structural step (echelon basis, Hecke
+matrices, characteristic polynomials, Sturm bisection in integers), and an
+eigenform's coefficients are the echelon Miller basis times its exact
+eigenvector, at working precision.  The basis is read off the monomials
+Delta^i D E_{k-12i}, i = 1..d, one exact product each (D E_w, the least
+integral multiple of E_w, from ``series.eisenstein_exact``).  When the
+most-cuspidal monomial Delta^d E_w carries an Eisenstein factor (k not 0
+mod 12) that build serves every length, so those forms are exact at every
+length.  For pure Delta^d weights (k = 12d) it serves a fixed prefix;
+beyond it, normalized
+coefficients C_f(n) = a_f(n) / n^{(k-1)/2} are extended in float64 from
+Delta^d and its translates by Hecke words in T_2 and T_3, cusp-by-cusp
+products free of the Eisenstein-versus-cusp cancellation that floats cannot
+survive.  The Miller basis is echelon, so a cusp form is fixed by a(1..d):
+a form's coordinates in the Hecke-word span are one exact rational inverse
+of the d x d matrix of the words' first d coefficients, applied to
+a_f(1..d), and that inverse exists exactly when the words span S_k.  The
+same matrix times the basis gives each word's exact head.  The overlap with
+the exact prefix is verified on every float build, and each form carries
+that build's error.
 
 Every series behind the forms lives in ``series``' one grow-only store (3/2
 growth; a float entry is the prefix of the longest build so far), and so
@@ -49,7 +54,6 @@ __all__ = [
     "hecke_apply",
     "eigenforms",
     "cusp_space",
-    "evaluate",
     "load_newform",
     "write_newform",
     "newform_from_eigenform",
@@ -152,51 +156,37 @@ def _delta_power_exact(i: int, n_out: int) -> list[int]:
         _delta_power_exact(i - 1, n), series.delta_exact(n), n))
 
 
-def _eisenstein_power_exact(alpha: int, beta: int, n_out: int) -> list[int]:
-    """E4^alpha * E6^beta (alpha + beta >= 1), exact, one product per chain step."""
-    if alpha + beta == 1:
-        return series.eisenstein_exact(4 if alpha else 6, n_out)
-    prev, weight = ((alpha, beta - 1), 6) if beta else ((alpha - 1, 0), 4)
-    return series.stored(("E4^a E6^b", alpha, beta), n_out, lambda n: series.mul_exact(
-        _eisenstein_power_exact(*prev, n), series.eisenstein_exact(weight, n), n))
-
-
-def _monomial_exact(i: int, alpha: int, beta: int, length: int) -> list[int]:
-    """Delta^i * E4^alpha * E6^beta, exact, with n_out = length+1 coefficients."""
-    if not (alpha or beta):
+def _monomial_exact(i: int, w: int, length: int) -> list[int]:
+    """Delta^i * D E_w (Delta^i alone for w = 0), exact, with length+1 coefficients."""
+    if not w:
         return _delta_power_exact(i, length + 1)
-    return series.stored(("monomial", i, alpha, beta), length + 1, lambda n: series.mul_exact(
-        _delta_power_exact(i, n), _eisenstein_power_exact(alpha, beta, n), n))
-
-
-def _monomial_exponents(k: int, i: int) -> tuple[int, int]:
-    w = k - 12 * i
-    beta = 1 if w % 4 else 0
-    alpha = (w - 6 * beta) // 4
-    if alpha < 0 or 4 * alpha + 6 * beta != w:
-        raise ValueError(f"no E4^a E6^b of weight {w}")
-    return alpha, beta
+    return series.stored(("monomial", i, w), length + 1, lambda n: series.mul_exact(
+        _delta_power_exact(i, n), series.eisenstein_exact(w, n), n))
 
 
 def miller_basis(k: int, length: int) -> list[QExpansion]:
-    """Echelonized cusp basis: a(f_i, j) = delta_ij for i, j <= dim S_k.  Exact."""
+    """Echelonized cusp basis: a(f_i, j) = delta_ij for i, j <= dim S_k.  Exact.
+
+    Delta^i D E_{k-12i} = D q^i + O(q^(i+1)), i = 1..d, is one product each;
+    reduced upwards, row i is D times the integral echelon form f_i.
+    """
     d = dim_cusp(k)
     if k % 2 or d < 1:
         raise ValueError("empty space")
     length = max(length, d)
-    gs = []
-    for i in range(1, d + 1):
-        alpha, beta = _monomial_exponents(k, i)
-        gs.append(_monomial_exact(i, alpha, beta, length))
-    # gs[i-1] = q^i + O(q^{i+1}); reduce upwards
     fs = [None] * d
     for i in range(d, 0, -1):
-        cur = list(gs[i - 1])
+        cur = _monomial_exact(i, k - 12 * i, length)
         for j in range(i + 1, d + 1):
             coeff = cur[j]
             if coeff:
                 fj = fs[j - 1]
                 cur = [c - coeff * x for c, x in zip(cur, fj)]
+        lead = cur[i]
+        if lead != 1:
+            if any(c % lead for c in cur):
+                raise ArithmeticError(f"row {i} of the Miller basis of S_{k} is not integral")
+            cur = [c // lead for c in cur]
         fs[i - 1] = cur
     return [QExpansion(k, f) for f in fs]
 
@@ -271,20 +261,39 @@ def _poly_divmod(num, den):
     return out, num if num else [Fraction(0)]
 
 
+def _cleared(p: list[Fraction]) -> list[int]:
+    """p times the positive lcm of its denominators: integer, with p's signs."""
+    m = math.lcm(*(c.denominator for c in p))
+    return [int(c * m) for c in p]
+
+
+def _sign_at(p: list[int], x: Fraction) -> int:
+    """The sign of an integer polynomial at x = a/b, b > 0: that of
+    sum_i c_i a^(deg - i) b^i, so no rational is formed."""
+    a, b = x.numerator, x.denominator
+    v, bp = p[0], 1
+    for c in p[1:]:
+        bp *= b
+        v = v * a + c * bp
+    return (v > 0) - (v < 0)
+
+
 def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _real_roots_exact(coeffs: list[Fraction]) -> list[mp.mpf]:
-    """All real roots of a squarefree integer-coefficient polynomial, refined in mpmath."""
+    """All real roots of a squarefree integer-coefficient polynomial, refined in mpmath.
+
+    Each Sturm polynomial is scaled by the positive lcm of its denominators,
+    so every sign is read off integers (``_sign_at``); p(lo) keeps its sign
+    through a root's bisection.
+    """
     d = len(coeffs) - 1
     bound = Fraction(1) + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
-    chain = _sturm_chain(coeffs)
+    chain = [_cleared(q) for q in _sturm_chain(coeffs)]
+    p = chain[0]
 
     def count(a, b):
         return _sign_changes(chain, a) - _sign_changes(chain, b)
@@ -300,7 +309,7 @@ def _real_roots_exact(coeffs: list[Fraction]) -> list[mp.mpf]:
             isolated.append((a, b))
             continue
         mid = (a + b) / 2
-        if _poly_eval(coeffs, mid) == 0:
+        if not _sign_at(p, mid):
             isolated.append((mid, mid))
             mid_eps = (b - a) / (4 * (d + 1))
             intervals.append((a, mid - mid_eps))
@@ -316,13 +325,14 @@ def _real_roots_exact(coeffs: list[Fraction]) -> list[mp.mpf]:
                 roots.append(mp.mpf(a.numerator) / a.denominator)
                 continue
             lo, hi = a, b
+            lo_pos = _sign_at(p, lo) > 0
             for _ in range(80):  # exact bisection to shrink safely
                 mid = (lo + hi) / 2
-                v = _poly_eval(coeffs, mid)
-                if v == 0:
+                s = _sign_at(p, mid)
+                if s == 0:
                     lo = hi = mid
                     break
-                if (_poly_eval(coeffs, lo) > 0) == (v > 0):
+                if lo_pos == (s > 0):
                     lo = mid
                 else:
                     hi = mid
@@ -401,7 +411,7 @@ class CuspSpace:
     def eigenforms(self, length: int) -> list[Eigenform]:
         """Fresh eigenforms with exactly ``length`` read-only coefficients.
 
-        When the most-cuspidal monomial carries E4 or E6 (k not 0 mod 12)
+        When the most-cuspidal monomial carries an E_w (k not 0 mod 12)
         every request is built exactly; pure Delta^d weights are built
         exactly to ``_EXACT_PREFIX`` and extended in float past it.  The
         space keeps its longest-built forms to itself; callers get views cut
@@ -548,6 +558,17 @@ def _span_raw_exact(k: int, d: int, length: int) -> list[list[int]]:
     return out
 
 
+def _word_heads(k: int, d: int, head: int) -> list[list[int]]:
+    """The Hecke-word translates R_j of Delta^d in S_k, k = 12d, exact to ``head``.
+
+    R_j = sum_i R_j(i) f_i over the echelon Miller basis, so only the leads
+    R_j(1..d) need Delta^d, and only to d prod(word).
+    """
+    cols = list(zip(*(f.an for f in miller_basis(k, head))))
+    return [[sum(map(operator.mul, lead[1:], col)) for col in cols]
+            for lead in _span_raw_exact(k, d, d)]
+
+
 def _tp_raw_float(arr: np.ndarray, weight: int, p: int, out_len: int) -> np.ndarray:
     out = np.zeros(out_len + 1)
     out[1:] = arr[p: p * out_len + 1: p]
@@ -555,17 +576,17 @@ def _tp_raw_float(arr: np.ndarray, weight: int, p: int, out_len: int) -> np.ndar
     return out
 
 
-def _normalize_raw(raw: np.ndarray, k: int, exact_head: list[int]) -> np.ndarray:
-    """raw a(n) -> C(n) = a(n) n^{-(k-1)/2}, exact head spliced in."""
+def _normalize_raw(raw: np.ndarray, k: int, exact_head: list[int], scale: list) -> np.ndarray:
+    """raw a(n) -> C(n) = a(n) n^{-(k-1)/2}, exact head spliced in by
+    scale[m] = m^((k-1)/2) at 60 digits."""
     n = np.arange(len(raw), dtype=float)
     n[0] = 1.0
     out = raw * np.exp(-0.5 * (k - 1) * np.log(n))
     out[0] = 0.0
     head = min(len(exact_head) - 1, len(raw) - 1)
     with mp.workdps(60):
-        half = mp.mpf(k - 1) / 2
         for m in range(1, head + 1):
-            out[m] = float(mp.mpf(exact_head[m]) / mp.mpf(m) ** half)
+            out[m] = float(mp.mpf(exact_head[m]) / scale[m])
     return out
 
 
@@ -579,8 +600,11 @@ def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
     otherwise be noise and every downstream read (the T-words read indices
     p*n) would amplify it.
     """
-    head = _EXACT_PREFIX * 2
-    heads = _span_raw_exact(k, d, min(head, length))
+    head = min(_EXACT_PREFIX * 2, length)
+    heads = _word_heads(k, d, head)
+    with mp.workdps(60):
+        half = mp.mpf(k - 1) / 2
+        scale = [mp.mpf(m) ** half for m in range(head + 1)]
     need = (length + 1) * _span_length_factor(d)
     base = _delta_power_float(d, need)
     out = []
@@ -590,7 +614,7 @@ def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
         for p in reversed(word):
             run //= p
             cur = _tp_raw_float(cur, k, p, run)
-        out.append(_normalize_raw(np.array(cur[: length + 1]), k, hd))
+        out.append(_normalize_raw(np.array(cur[: length + 1]), k, hd, scale))
     return out
 
 
@@ -640,47 +664,6 @@ def eigenforms(k: int, length: int) -> list[Eigenform]:
     ``length + 1`` entries, whatever was requested before.
     """
     return cusp_space(k).eigenforms(length)
-
-
-# -- evaluation ------------------------------------------------------------------
-
-def evaluate(f, z: complex, tol: float = 1e-10):
-    """(value, certified truncation bound) of f at z in the upper half-plane.
-
-    The tail bound uses |a(n)| <= C0 * n^{(k+1)/2}, which is Deligne's bound
-    (with d(n) <= n) for normalized eigenforms and for Delta; for other
-    integer expansions C0 is calibrated on the computed coefficients and the
-    bound is heuristic to that extent.
-    """
-    y = z.imag
-    if y <= 0:
-        raise ValueError("need Im z > 0")
-    k = f.weight
-    alpha = (k + 1) / 2.0
-    if isinstance(f, Eigenform):
-        M = f.length
-        coeff = lambda n: f.cn[n] * n ** ((k - 1) / 2.0)
-        c0 = 1.0
-    elif isinstance(f, QExpansion):
-        M = f.length
-        coeff = lambda n: float(f.an[n])
-        c0 = max(1.0, max(abs(float(f.an[n])) / n ** alpha for n in range(1, M + 1)))
-    else:
-        raise TypeError("evaluate expects QExpansion or Eigenform")
-    q = np.exp(2j * math.pi * z)
-    r = abs(q)
-    ratio = r * (1.0 + 1.0 / M) ** alpha
-    if ratio >= 1.0:
-        raise ValueError("truncation not certified")
-    tail = c0 * (M + 1) ** alpha * r ** (M + 1) / (1.0 - ratio)
-    if tail > tol:
-        raise ValueError(f"truncation not certified (bound {tail:.3e} > tol {tol:.1e})")
-    val = 0.0 + 0.0j
-    qn = q
-    for n in range(1, M + 1):
-        val += coeff(n) * qn
-        qn *= q
-    return val, tail
 
 
 # -- newform records ---------------------------------------------------------------

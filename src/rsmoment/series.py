@@ -27,10 +27,12 @@ transforms at a 5-smooth length).
 
 Also hosts the arithmetic sieves (sigma_k, divisor counts), prime divisors,
 and the standard level-1 generators: eta powers via the pentagonal/Jacobi
-sparse expansions, E4, E6, and Delta.
+sparse expansions, Delta, and every Eisenstein series E_w as one integral
+multiple D E_w, read off one exact sigma_{w-1} sieve.
 
 All program state lives in one store, ``_STORE``.  Every length-indexed
-series here and in ``modforms`` is a grow-only entry (``stored``): a request
+series here and in ``modforms`` but the exact sigma sieve, which only
+``eisenstein_exact`` reads, is a grow-only entry (``stored``): a request
 is a slice of the longest build so far, and a request past it rebuilds at
 3/2 of the held length or more.  Exact series and the sieves are the same
 whatever the build length; a float series entry is the prefix of the
@@ -43,7 +45,9 @@ is the one reset of the whole checker.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 __all__ = [
@@ -393,15 +397,16 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 
 
 def sigma_sieve_exact(power: int, length: int) -> tuple[int, ...]:
-    """sigma_power(n) for n < length as exact integers (index 0 is 0)."""
-    def build(n):
-        s = [0] * n
-        for d in range(1, n):
-            dp = d ** power
-            for m in range(d, n, d):
-                s[m] += dp
-        return tuple(s)
-    return stored(("sigma exact", power), length, build)
+    """sigma_power(n) for n < length as exact integers (index 0 is 0).
+
+    Not stored: its one caller, ``eisenstein_exact``, stores its multiple.
+    """
+    s = [0] * length
+    for d in range(1, length):
+        dp = d ** power
+        for m in range(d, length, d):
+            s[m] += dp
+    return tuple(s)
 
 
 def eta3_sparse(length: int) -> list[int]:
@@ -442,11 +447,17 @@ def delta_exact(length: int) -> list[int]:
 
 
 def eisenstein_exact(weight: int, length: int) -> list[int]:
-    """E4 or E6 with exact integer coefficients."""
-    if weight not in (4, 6):
-        raise ValueError("only E4 and E6 are generators here")
-    scale, power = (240, 3) if weight == 4 else (-504, 5)
+    """D E_w, E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n, for even w >= 4.
+
+    D, the constant term, is the least positive integer that makes every
+    coefficient integral: 1 for w in {4, 6, 8, 10, 14}, 691 for w = 12.
+    """
+    if weight % 2 or weight < 4:
+        raise ValueError("Eisenstein series need even weight >= 4")
+    p, q = mpmath.bernfrac(weight)
+    scale = Fraction(-2 * weight * q, p)  # -2w/B_w; sigma(1) = 1 fixes D
 
     def build(n):
-        return [1] + [scale * x for x in sigma_sieve_exact(power, n)[1:]]
+        return [scale.denominator] + [scale.numerator * x
+                                      for x in sigma_sieve_exact(weight - 1, n)[1:]]
     return stored(("eisenstein", weight), length, build)

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oracles
 from rsmoment import modforms as mf
 from rsmoment import series
 
@@ -53,6 +54,59 @@ def test_miller_basis_empty_space():
         mf.miller_basis(14, 10)
     with pytest.raises(ValueError, match="empty space"):
         mf.miller_basis(13, 10)
+
+
+def test_miller_basis_matches_e4_e6_chain_oracle():
+    # the leading constant D of E_w exceeds 1 at every w >= 12 but 14 (691,
+    # 3617, 43867, 174611, 77683 at w = 12..22), so most rows are divided
+    weights = [k for k in range(16, 121, 2) if mf.dim_cusp(k)]
+    for k, want in oracles.miller_bases_chain(weights, 600).items():
+        assert [f.an for f in mf.miller_basis(k, 600)] == want, k
+
+
+def test_miller_basis_raises_on_a_non_integral_row(monkeypatch):
+    # a monomial that is not D times an integral echelon row must not be rounded
+    eis = series.eisenstein_exact
+    monkeypatch.setattr(series, "eisenstein_exact",
+                        lambda w, n: [7 * eis(w, n)[0]] + eis(w, n)[1:])
+    series.clear_store()
+    with pytest.raises(ArithmeticError, match="not integral"):
+        mf.miller_basis(16, 20)
+    series.clear_store()
+
+
+def test_real_roots_match_fraction_bisection_oracle():
+    for k in range(16, 61, 2):
+        if mf.dim_cusp(k):
+            space = mf.CuspSpace(k)
+            for m in (2, 3):
+                coeffs = mf._char_poly_exact(space.hecke_matrix(m))
+                got, want = mf._real_roots_exact(coeffs), oracles.real_roots_fraction(coeffs)
+                assert len(got) == mf.dim_cusp(k)
+                assert [mp.nstr(x, 80) for x in got] == [mp.nstr(x, 80) for x in want], (k, m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_word_heads_are_hecke_words_of_an_exact_delta_power(d):
+    # the oracle applies each word to Delta^d built out to 1025 prod(word)
+    k = 12 * d
+    assert mf._word_heads(k, d, 1024) == mf._span_raw_exact(k, d, 1024)
+
+
+def test_exact_products_stay_at_the_requested_length(monkeypatch):
+    # (n_out, an operand with a nonzero constant term, i.e. an Eisenstein
+    # series or an eta power) for every exact product from an empty store
+    calls = []
+    mul = series.mul_exact
+    monkeypatch.setattr(series, "mul_exact",
+                        lambda a, b, n: calls.append((n, bool(a[0] or b[0]))) or mul(a, b, n))
+    series.clear_store()
+    mf.eigenforms(48, 2520)  # exact to 512, word heads to 1024, floats past them
+    assert max(n for n, _ in calls) <= 1025
+    calls.clear()
+    series.clear_store()
+    mf.miller_basis(46, 2322)  # d = 3: Delta E34, Delta^2 E22, Delta^3 E10
+    assert sorted(calls) == [(2322, True)] * 3 + [(2323, False)] * 2 + [(2323, True)] * 3
 
 
 def test_hecke_t1_identity():
@@ -182,8 +236,8 @@ def test_eigen_head_independent_of_build_length():
 _EXACT_STORED = {
     "Delta": series.delta_exact,
     "Delta^3": lambda n: mf._delta_power_exact(3, n),
-    "E4^2 E6": lambda n: mf._eisenstein_power_exact(2, 1, n),
-    "Delta^2 E4 E6": lambda n: mf._monomial_exact(2, 1, 1, n - 1),
+    "E10": lambda n: series.eisenstein_exact(10, n),
+    "Delta^2 E22": lambda n: mf._monomial_exact(2, 22, n - 1),
     "sigma_5": lambda n: series.sigma_sieve_exact(5, n),
 }
 
@@ -192,7 +246,7 @@ _EXACT_STORED = {
 def test_exact_store_bit_identical_in_any_request_order(name):
     get = _EXACT_STORED[name]
     series.clear_store()
-    mf._monomial_exact(3, 2, 1, 900)  # longer builds of Delta, E4, E6 first
+    mf.miller_basis(58, 900)  # longer builds of Delta^1..4, E10, E22 first
     short, long, again = get(40), get(700), get(40)
     series.clear_store()
     fresh = get(700)
@@ -226,7 +280,7 @@ def test_ascending_requests_build_delta_log_times(monkeypatch):
 
 def test_evaluate_delta_at_i():
     d = mf.delta_qexp(120)
-    val, cert = mf.evaluate(d, 1j)
+    val, cert = oracles.evaluate(d, 1j)
     # oracle: direct mpmath summation
     with mp.workdps(40):
         ref = sum(mp.mpf(d.an[n]) * mp.e ** (-2 * mp.pi * n) for n in range(1, 121))
@@ -238,8 +292,8 @@ def test_evaluate_delta_at_i():
 def test_evaluate_periodicity():
     d = mf.delta_qexp(150)
     z = 0.3 + 1.0j
-    v1, c1 = mf.evaluate(d, z)
-    v2, c2 = mf.evaluate(d, z + 1)
+    v1, c1 = oracles.evaluate(d, z)
+    v2, c2 = oracles.evaluate(d, z + 1)
     assert abs(v1 - v2) <= 2 * (c1 + c2) + 1e-15
 
 
@@ -247,8 +301,8 @@ def test_evaluate_modular_transformation():
     # Delta(-1/z) = z^12 Delta(z): level-1 transformation law
     d = mf.delta_qexp(400)
     for z in (0.2 + 1.1j, -0.4 + 0.9j, 0.05 + 1.7j):
-        v1, c1 = mf.evaluate(d, -1 / z)
-        v2, c2 = mf.evaluate(d, z)
+        v1, c1 = oracles.evaluate(d, -1 / z)
+        v2, c2 = oracles.evaluate(d, z)
         bound = c1 + abs(z) ** 12 * c2
         assert abs(v1 - z ** 12 * v2) <= bound + 1e-12
 
@@ -256,7 +310,7 @@ def test_evaluate_modular_transformation():
 def test_evaluate_truncation_not_certified():
     d = mf.delta_qexp(30)
     with pytest.raises(ValueError, match="truncation not certified"):
-        mf.evaluate(d, 0.0 + 0.05j)
+        oracles.evaluate(d, 0.0 + 0.05j)
 
 
 def test_newform_roundtrip(tmp_path):

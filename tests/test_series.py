@@ -126,8 +126,19 @@ def test_eisenstein_exact():
     assert e4 == [1, 240, 2160, 6720, 17520]
     e6 = series.eisenstein_exact(6, 4)
     assert e6 == [1, -504, -16632, -122976]
-    with pytest.raises(ValueError):
-        series.eisenstein_exact(8, 4)
+    e12 = series.eisenstein_exact(12, 3)  # 691 E12 = 691 + 65520 q + ...
+    assert e12 == [691, 65520, 65520 * 2049]
+    for w in (7, 2, 0, -4):
+        with pytest.raises(ValueError):
+            series.eisenstein_exact(w, 4)
+    # E8 = E4^2, E10 = E4 E6 and 691 E12 = 441 E4^3 + 250 E6^2 (dim M_w <= 2)
+    n = 60
+    e4, e6 = series.eisenstein_exact(4, n), series.eisenstein_exact(6, n)
+    e4e4 = series.mul_exact(e4, e4, n)
+    assert series.eisenstein_exact(8, n) == e4e4
+    assert series.eisenstein_exact(10, n) == series.mul_exact(e4, e6, n)
+    assert series.eisenstein_exact(12, n) == [
+        441 * a + 250 * b for a, b in zip(series.mul_exact(e4e4, e4, n), series.mul_exact(e6, e6, n))]
 
 
 def test_mul_float_accuracy_on_modform_shapes():
