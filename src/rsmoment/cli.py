@@ -66,6 +66,14 @@ def load_config(path: str | None) -> RunConfig:
     return cfg
 
 
+# config keys a command's computation depends on but runs at their default
+_FIXED_AT_DEFAULT = {
+    **dict.fromkeys(("trace-check", "afe", "make-newform"), ("field",)),
+    **dict.fromkeys(("moment", "scan"), ("field", "contour")),
+    "recover": ("field", "contour", "afe_tol", "e_tol"),
+}
+
+
 def _apply_overrides(cfg: RunConfig, args):
     for name in ("field", "g_scale", "contour", "outdir", "afe_tol", "e_tol"):
         v = getattr(args, name.replace("-", "_"), None)
@@ -73,6 +81,11 @@ def _apply_overrides(cfg: RunConfig, args):
             setattr(cfg, name, v)
     if getattr(args, "g", None):
         cfg.newform = args.g
+    default = RunConfig()
+    for name in _FIXED_AT_DEFAULT.get(args.command, ()):
+        if getattr(cfg, name) != getattr(default, name):
+            raise ValueError(f"{args.command} does not read {name}; it runs at "
+                             f"{name} = {getattr(default, name)!r}")
     cfg.validate()
     return cfg
 

@@ -3,9 +3,11 @@
 The degree-1 specialization of the Hilbert machinery: cusp forms for
 SL_2(Z), built from Delta and the Eisenstein series.  Exact big-integer
 arithmetic is used for every structural step (echelon basis, Hecke
-matrices, characteristic polynomials, Sturm bisection in integers), and an
-eigenform's coefficients are the echelon Miller basis times its exact
-eigenvector, at working precision.  The basis is read off the monomials
+matrices, characteristic polynomials, Sturm bisection in integers).  mpmath
+only refines the eigenvalues and solves each eigenvector v; an eigenform's
+coefficients are then integer sums sum_i nint(v_i 2^P) b_i(n) over the
+echelon Miller basis, scaled to C_f(n) by one correctly rounded int/int
+division (``_normalized``).  The basis is read off the monomials
 Delta^i D E_{k-12i}, i = 1..d, one exact product each (D E_w, the least
 integral multiple of E_w, from ``series.eisenstein_exact``).  When the
 most-cuspidal monomial Delta^d E_w carries an Eisenstein factor (k not 0
@@ -93,17 +95,15 @@ class Eigenform:
     """Normalized Hecke eigenform of level 1.
 
     ``cn`` holds C_f(n) = a_f(n)/n^{(k-1)/2} as read-only float64,
-    index-aligned with cn[0] = 0.  ``an_exact`` is the high-precision prefix
-    (mpmath values), never longer than ``cn``.  ``float_rel`` is the
-    float-vs-exact overlap error of the build that made ``cn`` (0 when
-    ``cn`` was built exactly: within the exact prefix, or at any length
-    for a weight not 0 mod 12).
+    index-aligned with cn[0] = 0.  ``lam2`` = a_f(2), the T_2 eigenvalue.
+    ``float_rel`` is the float-vs-exact overlap error of the build that made
+    ``cn`` (0 when ``cn`` was built exactly: within the exact prefix, or at
+    any length for a weight not 0 mod 12).
     """
 
     weight: int
     index: int
     cn: np.ndarray
-    an_exact: tuple
     lam2: float
     float_rel: float = 0.0
 
@@ -114,9 +114,7 @@ class Eigenform:
     def c(self, n: int) -> float:
         return float(self.cn[n])
 
-    def a(self, n: int):
-        if n < len(self.an_exact):
-            return self.an_exact[n]
+    def a(self, n: int) -> float:
         return self.cn[n] * n ** ((self.weight - 1) / 2.0)
 
 
@@ -360,12 +358,6 @@ def _eigenvector(A: list[list[int]], lam: mp.mpf) -> list[mp.mpf]:
     return [mp.mpf(1)] + list(mp.lu_solve(B, rhs))
 
 
-def _eigen_dps_bits(basis: list[QExpansion], n: int) -> tuple[int, int]:
-    """(working decimal digits, bit length + 1) of the basis coefficients 0..n."""
-    bits = max(x.bit_length() for f in basis for x in map(abs, f.an[: n + 1])) + 1
-    return max(60, int(bits * 0.302) + 40), bits
-
-
 class CuspSpace:
     """All derived data for S_k: exact basis prefix, eigen data, float extensions."""
 
@@ -378,6 +370,7 @@ class CuspSpace:
             raise ValueError("empty space")
         self._eigen: list[Eigenform] | None = None
         self._separating = None  # (A, roots, m) of _eigen_data, once found
+        self._scaled = None  # (P, [V per form]) of the build behind _eigen
 
     # -- exact layer --
     def basis(self, length: int) -> list[QExpansion]:
@@ -425,82 +418,63 @@ class CuspSpace:
             self._build_eigen(max(length, _EXACT_PREFIX) if exact else _EXACT_PREFIX)
         if self._eigen[0].length < length:
             self._extend_floats(length)
-        return [replace(f, cn=f.cn[: length + 1], an_exact=f.an_exact[: length + 1],
-                        float_rel=f.float_rel if length >= len(f.an_exact) else 0.0)
+        return [replace(f, cn=f.cn[: length + 1],
+                        float_rel=f.float_rel if length > _EXACT_PREFIX else 0.0)
                 for f in self._eigen]
 
     def _build_eigen(self, length: int):
         """The echelon Miller basis to ``length`` times each exact eigenvector.
 
-        For n <= ``_EXACT_PREFIX`` a_f(n) = sum_i v_i b_i(n) is evaluated in
-        mpmath at a working precision set by the basis on that prefix alone,
-        so ``an_exact``, ``lam2`` and those C_f(n) are the same whatever the
-        build length.  Past the prefix the evaluation is in integers:
-        V_i = nint(v_i 2^P) with P = (bit length of the basis) + 60, v solved
-        again at the precision of that bit length,
-        s = sum_i V_i b_i(n) exactly, and
-        C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n), the int/int division
-        correctly rounded.  Rounding V_i moves C_f(n) by at most
-        d max_i |b_i(n)| 2^-P / n^((k-1)/2), below d 2^-60 / n^((k-1)/2),
-        and the two float divisions add at most 3 ulp.
+        Every coefficient is evaluated in integers: V_i = nint(v_i 2^P) with
+        P = (bit length of the basis) + 60, s = sum_i V_i b_i(n) exactly, and
+        C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n) (``_normalized``).
+        Rounding V_i moves C_f(n) by at most d max_i |b_i(n)| 2^-P /
+        n^((k-1)/2), below d 2^-60 / n^((k-1)/2), and the two float divisions
+        add at most 3 ulp.  ``lam2`` is s at n = 2 over 2^P, correctly rounded.
         """
-        d = self.dim
         k = self.k
         basis = self.basis(length)
         A, roots, _ = self._eigen_data()
-        head = min(length, _EXACT_PREFIX)
-        head_dps, _ = _eigen_dps_bits(basis, head)
-        tail_dps, bits = _eigen_dps_bits(basis, length)
+        bits = max(abs(x).bit_length() for f in basis for x in f.an) + 1
         P = bits + 60
-        tail_ns = np.arange(head + 1, length + 1)
-        dens = [(n ** ((k - 2) // 2)) << P for n in range(head + 1, length + 1)]
-        cols = list(zip(*(f.an[head + 1: length + 1] for f in basis)))
+        with mp.workdps(max(60, int(bits * 0.302) + 40)):
+            vectors = [[int(mp.nint(mp.ldexp(x, P))) for x in _eigenvector(A, lam)]
+                       for lam in sorted(roots, reverse=True)]
+        cols = list(zip(*(f.an for f in basis)))
         forms = []
-        with mp.workdps(head_dps):
-            half = mp.mpf(k - 1) / 2
-            scale = [mp.mpf(n) ** half for n in range(head + 1)]
-            for idx, lam in enumerate(sorted(roots, reverse=True)):
-                v = _eigenvector(A, lam)
-                an = [mp.mpf(0)] * (head + 1)
-                cn = np.zeros(length + 1)
-                for n in range(1, head + 1):
-                    an[n] = sum(v[i] * basis[i].an[n] for i in range(d))
-                    cn[n] = float(an[n] / scale[n])
-                if length > head:
-                    with mp.workdps(tail_dps):
-                        V = [int(mp.nint(mp.ldexp(x, P))) for x in _eigenvector(A, lam)]
-                    cn[head + 1:] = np.array(
-                        [sum(map(operator.mul, V, col)) / den for col, den in zip(cols, dens)]
-                    ) / np.sqrt(tail_ns)
-                cn.flags.writeable = False
-                forms.append(Eigenform(weight=k, index=idx, cn=cn, an_exact=tuple(an),
-                                       lam2=float(an[2])))
-        self._eigen = forms
+        for idx, V in enumerate(vectors):
+            sums = [sum(map(operator.mul, V, col)) for col in cols]
+            cn = _normalized(sums, k, P)
+            cn.flags.writeable = False
+            forms.append(Eigenform(weight=k, index=idx, cn=cn, lam2=sums[2] / (1 << P)))
+        self._eigen, self._scaled = forms, (P, vectors)
 
     # -- float layer --
     def _extend_floats(self, length: int):
+        """Float forms to ``length`` from the Hecke-word span, the exact prefix
+        spliced in.  a_f(1..d) are the eigenvector (echelon basis), so each
+        coordinate gamma = M^-1 a_f(1..d) is one exact rational sum."""
         d, k = self.dim, self.k
         inv = _span_inverse(k, d)
         orbit = _hecke_orbit_normalized(k, d, length)
-        pref = len(self._eigen[0].an_exact) - 1
-        with mp.workdps(90):
-            extended = []
-            for f in self._eigen:
-                cn = np.zeros(length + 1)
-                for j in range(d):
-                    gam = sum(mp.mpf(c.numerator) / c.denominator * f.an_exact[i + 1]
-                              for i, c in enumerate(inv[j]))
-                    cn += float(gam) * orbit[j]
-                # splice the exact prefix and validate the overlap
-                ov = slice(max(2, pref // 2), pref + 1)
-                denom = np.abs(f.cn[ov]) + 1e-6
-                rel = np.max(np.abs(cn[ov] - f.cn[ov]) / denom)
-                if rel > 5e-6:
-                    raise ArithmeticError(
-                        f"float extension disagrees with exact prefix (rel {rel:.2e})")
-                cn[: pref + 1] = f.cn[: pref + 1]
-                cn.flags.writeable = False
-                extended.append(replace(f, cn=cn, float_rel=float(rel)))
+        pref = _EXACT_PREFIX
+        P, vectors = self._scaled
+        extended = []
+        for f, V in zip(self._eigen, vectors):
+            cn = np.zeros(length + 1)
+            for j in range(d):
+                gam = sum(c * v for c, v in zip(inv[j], V)) / (1 << P)
+                cn += float(gam) * orbit[j]
+            # splice the exact prefix and validate the overlap
+            ov = slice(max(2, pref // 2), pref + 1)
+            denom = np.abs(f.cn[ov]) + 1e-6
+            rel = np.max(np.abs(cn[ov] - f.cn[ov]) / denom)
+            if rel > 5e-6:
+                raise ArithmeticError(
+                    f"float extension disagrees with exact prefix (rel {rel:.2e})")
+            cn[: pref + 1] = f.cn[: pref + 1]
+            cn.flags.writeable = False
+            extended.append(replace(f, cn=cn, float_rel=float(rel)))
         self._eigen = extended
 
 
@@ -576,17 +550,15 @@ def _tp_raw_float(arr: np.ndarray, weight: int, p: int, out_len: int) -> np.ndar
     return out
 
 
-def _normalize_raw(raw: np.ndarray, k: int, exact_head: list[int], scale: list) -> np.ndarray:
-    """raw a(n) -> C(n) = a(n) n^{-(k-1)/2}, exact head spliced in by
-    scale[m] = m^((k-1)/2) at 60 digits."""
-    n = np.arange(len(raw), dtype=float)
-    n[0] = 1.0
-    out = raw * np.exp(-0.5 * (k - 1) * np.log(n))
-    out[0] = 0.0
-    head = min(len(exact_head) - 1, len(raw) - 1)
-    with mp.workdps(60):
-        for m in range(1, head + 1):
-            out[m] = float(mp.mpf(exact_head[m]) / scale[m])
+def _normalized(sums: list[int], k: int, P: int) -> np.ndarray:
+    """C(n) = (s_n / (n^((k-2)/2) 2^P)) / sqrt(n) for exact integers
+    s_n ~ a(n) 2^P, n >= 1, and C(0) = 0.  The int/int division is correctly
+    rounded, so with the float division C(n) is within 3 ulp of
+    s_n / (2^P n^((k-1)/2))."""
+    h = (k - 2) // 2
+    out = np.zeros(len(sums))
+    out[1:] = [s / ((n ** h) << P) for n, s in enumerate(sums[1:], 1)]
+    out[1:] /= np.sqrt(np.arange(1, len(sums)))
     return out
 
 
@@ -598,15 +570,16 @@ def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
     itself.  Exact heads are spliced in throughout: the float convolution
     noise is absolute, so the structurally tiny early coefficients would
     otherwise be noise and every downstream read (the T-words read indices
-    p*n) would amplify it.
+    p*n) would amplify it.  Each head is normalized in integers
+    (``_normalized`` with P = 0), the float rest by n^{-(k-1)/2}.
     """
     head = min(_EXACT_PREFIX * 2, length)
     heads = _word_heads(k, d, head)
-    with mp.workdps(60):
-        half = mp.mpf(k - 1) / 2
-        scale = [mp.mpf(m) ** half for m in range(head + 1)]
     need = (length + 1) * _span_length_factor(d)
     base = _delta_power_float(d, need)
+    n = np.arange(length + 1, dtype=float)
+    n[0] = 1.0
+    scale = np.exp(-0.5 * (k - 1) * np.log(n))
     out = []
     for word, hd in zip(_SPAN_WORDS[d], heads):
         cur = base
@@ -614,7 +587,9 @@ def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
         for p in reversed(word):
             run //= p
             cur = _tp_raw_float(cur, k, p, run)
-        out.append(_normalize_raw(np.array(cur[: length + 1]), k, hd, scale))
+        arr = np.array(cur[: length + 1]) * scale
+        arr[: head + 1] = _normalized(hd, k, 0)
+        out.append(arr)
     return out
 
 
@@ -678,11 +653,24 @@ def load_newform(path) -> NewformRecord:
         count = int(lines[2].split()[1])
     except (IndexError, ValueError) as exc:
         raise ValueError(f"newform parse failure: {exc}") from exc
+    if count < 1:
+        raise ValueError(f"newform parse failure: count {count} < 1")
     cn = np.zeros(count + 1)
+    seen = set()
     for ln in lines[3: 3 + count]:
-        parts = ln.split()
-        m = int(parts[0])
-        cn[m] = float(parts[1])
+        try:
+            m, val = ln.split()[:2]
+            m, val = int(m), float(val)
+        except ValueError as exc:
+            raise ValueError(f"newform parse failure: line {ln!r}: {exc}") from exc
+        if not 1 <= m <= count:
+            raise ValueError(f"newform parse failure: index {m} outside 1..{count}")
+        if m in seen:
+            raise ValueError(f"newform parse failure: index {m} repeated")
+        seen.add(m)
+        cn[m] = val
+    if len(seen) < count:
+        raise ValueError(f"newform parse failure: {len(seen)} coefficient lines, count {count}")
     if abs(cn[1] - 1.0) > 1e-12:
         raise ValueError("not normalized")
     rec = NewformRecord(weight=weight, level=level, cn=cn)

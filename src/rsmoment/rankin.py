@@ -38,7 +38,6 @@ __all__ = [
     "VParams",
     "VQuadrature",
     "RankinSeries",
-    "v_function",
     "b_coefficients",
     "effective_cutoff",
     "central_value",
@@ -332,11 +331,6 @@ def _cheb_log_bound(weights: np.ndarray, sigma: float, h: float, r: float) -> fl
 
 def _vq(p: VParams, contour: float = DEFAULT_CONTOUR) -> VQuadrature:
     return _series.memo(("V quadrature", p, contour), lambda: VQuadrature(p, contour))
-
-
-def v_function(y: float, p: VParams, contour: float = DEFAULT_CONTOUR) -> float:
-    """V_{1/2}(y) by contour quadrature."""
-    return _vq(p, contour).value(y)
 
 
 @dataclass

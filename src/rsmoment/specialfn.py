@@ -9,13 +9,14 @@ Everything the moment machinery needs from classical analysis lives here:
 * J-Bessel of integer order: one array kernel with no library J (forward
   recurrence from Hankel's J_0 and J_1 at or above max(order, 25), the
   ascending series up to 2 sqrt(order + 1), Miller's backward recurrence
-  normalized by the Neumann sum between), scalar J as a one-point call of
-  it, and two slow oracles, an mpmath ascending series and a Mellin-Barnes
-  contour form,
+  normalized by the Neumann sum between), and scalar J as a one-point call
+  of it,
 * Riemann/Dedekind zeta values for Re(s) > 1 and the Laurent data of
-  zeta_F(2u+1) at u = 0 that drives the diagonal-term residue,
-* the gamma-quotient ratio the contour-shift argument relies on, which is
-  bounded only for bounded shifts.
+  zeta_F(2u+1) at u = 0 that drives the diagonal-term residue.
+
+The slow references the tests check these against (an mpmath J series,
+the Mellin-Barnes J, the ideal-norm zeta sum and the gamma-quotient ratio
+of the contour-shift argument) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .numfield import FieldDescriptor
@@ -33,12 +33,10 @@ __all__ = [
     "digamma",
     "bessel_j",
     "bessel_j_array",
-    "bessel_j_mellin_barnes",
     "bessel_j_series_bound",
     "bessel_j_c_tail_bound",
     "zeta_partial",
     "zeta_laurent_at_center",
-    "gamma_quotient_check",
     "EULER_GAMMA",
 ]
 
@@ -131,51 +129,6 @@ def bessel_j(order: int, x: float) -> float:
     if order < 1:
         raise ValueError("order must be >= 1")
     return float(bessel_j_array(order, np.array([float(x)]))[0])
-
-
-def bessel_j_highprec(order: int, x, dps: int = 40):
-    """Ascending series in mpmath; slow, used as an oracle."""
-    extra = int(0.5 * x) + 30
-    with mp.workdps(dps + extra):
-        xm = mp.mpf(x)
-        half = xm / 2
-        term = half ** order / mp.factorial(order)
-        total = term
-        j = 0
-        x2 = half * half
-        while True:
-            j += 1
-            term *= -x2 / (j * (order + j))
-            total += term
-            if abs(term) < mp.mpf(10) ** (-(dps + 10)) * (abs(total) + 1):
-                break
-            if j > 10 * int(x) + 200:
-                break
-        return +total
-
-
-def bessel_j_mellin_barnes(order: int, x: float, sigma: float | None = None,
-                           h: float = 0.05, t_max: float | None = None) -> float:
-    """J_order(x) by the contour integral of the gamma quotient against (x/2)^s.
-
-    Slow trapezoidal evaluation on Re(s) = sigma (default order/2); only a
-    cross-check for the series/library paths.
-    """
-    if sigma is None:
-        sigma = order / 2.0
-    if not 0 < sigma < order - 1:
-        raise ValueError("contour must satisfy 0 < sigma < order - 1")
-    if t_max is None:
-        # integrand decays like |t|^{-sigma-1}
-        t_max = max(80.0, (1.0 / 1e-12) ** (1.0 / sigma))
-    n = int(t_max / h)
-    ts = np.arange(-n, n + 1) * h
-    s = sigma + 1j * ts
-    lg_num = log_gamma((order - s) / 2.0)
-    lg_den = log_gamma((order + s) / 2.0 + 1.0)
-    vals = np.exp(lg_num - lg_den + s * math.log(x / 2.0))
-    # inverse Mellin of the transform pair carries ds/(4*pi*i)
-    return float(np.real(np.sum(vals)) * h / (4.0 * math.pi))
 
 
 def bessel_j_array(order: int, xs: np.ndarray) -> np.ndarray:
@@ -434,17 +387,6 @@ def dirichlet_l_at_one(disc: int) -> float:
                 for r in range(1, disc) if _chi_quadratic(disc, r)) / disc
 
 
-def _ideal_norm_counts(disc: int, length: int) -> np.ndarray:
-    """Number of integral ideals of norm m for m < length (r = 1 * chi_disc)."""
-    r = np.zeros(length)
-    for d in range(1, length):
-        c = _chi_quadratic(disc, d)
-        if c:
-            r[d::d] += c
-    r[0] = 0.0
-    return r
-
-
 def zeta_partial(field: FieldDescriptor, s: complex, removed_primes=()) -> complex:
     """zeta_F(s) * prod_{l | removed}(1 - N(l)^{-s}) for Re(s) > 1.
 
@@ -472,26 +414,6 @@ def zeta_partial(field: FieldDescriptor, s: complex, removed_primes=()) -> compl
             val *= 1 - p ** (-2 * s)
         else:             # ramified: one ideal of norm p
             val *= 1 - p ** (-s)
-    return val
-
-
-def zeta_norm_sum_oracle(field: FieldDescriptor, s: complex, length: int = 200000) -> complex:
-    """Brute-force sum over ideal norms with a partial-summation tail correction."""
-    if field.degree == 1:
-        raise ValueError("oracle is for the quadratic fields")
-    r = _ideal_norm_counts(field.discriminant, length)
-    m = np.arange(length, dtype=float)
-    m[0] = 1.0
-    val = complex(np.sum(r[1:] * m[1:] ** (-s)))
-    rho = field.zeta_residue
-    # E(x) = sum_{m<=x} r(m) - rho*x; tail = rho*N^{1-s}/(s-1) - E(N) N^{-s} + s*int E x^{-s-1}
-    N = length - 1
-    E = np.cumsum(r) - rho * np.arange(length)
-    val += rho * N ** (1 - s) / (s - 1) - E[N] * N ** (-s)
-    # integral term estimated numerically over computed range tail half
-    xs = np.arange(length // 2, length, dtype=float)
-    val += complex(s * np.sum(E[length // 2:] * xs ** (-s - 1)))
-    # the remaining integral beyond N is O(N^{1/2 - Re s}); ignored (oracle tolerance)
     return val
 
 
@@ -540,17 +462,3 @@ def _prime_ideal_norms(field: FieldDescriptor, p: int):
     return [(p, 1)]
 
 
-def gamma_quotient_check(A: float, c: float, t: float) -> float:
-    """|Gamma(A+c+it)/Gamma(A+it)| / |A+it|^c, the ratio of the shift lemma.
-
-    The ratio is O(1) only for bounded |c|.  Over the accepted domain
-    |c| < A/2 it is not bounded: at t = 0, Stirling gives growth like
-    exp(A phi(c/A)) / sqrt(1 + c/A) with phi(x) = (1+x) log(1+x) - x, which
-    is about exp(c^2/2A) while |c| << A and reaches 1.5e13 at A = 200,
-    c = -99.
-    """
-    if not (A > 0 and abs(c) < A / 2):
-        raise ValueError("require A > 0 and |c| < A/2")
-    num = log_gamma(complex(A + c, t))
-    den = log_gamma(complex(A, t))
-    return math.exp((num - den).real - c * 0.5 * math.log(A * A + t * t))

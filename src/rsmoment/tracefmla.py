@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numfield import (FieldDescriptor, FieldElement, embed_float,
-                       is_totally_positive, norm, totally_positive_units, trace)
+                       is_totally_positive, norm, totally_positive_units)
 from .series import memo, prime_divisors
-from .specialfn import bessel_j, bessel_j_array, bessel_j_c_tail_bound, bessel_j_series_bound
+from .specialfn import bessel_j_array, bessel_j_c_tail_bound, bessel_j_series_bound
 from .rankin import UncertifiedError
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "KloostermanQuery",
     "kloosterman_nf",
     "petersson_rhs_q",
-    "petersson_rhs_q_paper_literal",
     "TraceRHSParams",
     "petersson_rhs_nf",
     "unit_sum_tail",
@@ -285,28 +284,6 @@ def _kl_nf_slots(field: FieldDescriptor, alphas, beta, c) -> np.ndarray:
     return _box_sums(box[0], box[2], x1, x2, (q1 * b1 + q2 * b2) % den, den, forms)
 
 
-def kl_nf_exact_phase(field: FieldDescriptor, alpha: FieldElement, beta: FieldElement,
-                      c: FieldElement) -> complex:
-    """Same sum with exact rational phases (slow; the independent cross-check)."""
-    nc = abs(int(norm(c)))
-    if nc > _KL_NF_CAP:
-        raise ValueError(f"residue enumeration overflow: N(c) = {nc} > cap {_KL_NF_CAP}")
-    if nc == 1:
-        return complex(1.0, 0.0)
-    delta = field.different_gen
-    cc = _coords(c)
-    x1, x2, b1, b2 = _residue_data(field, cc, _residue_box(field, cc))
-    a, b = alpha / (delta * c), beta * delta / c
-    total = 0.0 + 0.0j
-    for i in range(len(x1)):
-        xi = field.element(int(x1[i]), int(x2[i]))
-        xb = field.element(int(b1[i]), int(b2[i]))
-        frac = (trace(a * xi) + trace(b * xb)) % 1
-        ang = 2.0 * math.pi * float(frac)
-        total += complex(math.cos(ang), math.sin(ang))
-    return total
-
-
 def kloosterman_nf(q: KloostermanQuery) -> float:
     """Kl for totally positive slot data; conjugation symmetry makes it real."""
     val = _kl_nf_slots(q.alpha.field, [_coords(q.alpha)], _coords(q.beta), _coords(q.c))[0]
@@ -352,28 +329,6 @@ def petersson_rhs_q(m: int, n: int, k: int, c_max: int | None = None,
             acc += float(kloosterman_row(n, c)[m % c]) / c * j
     val = (1.0 if m == n else 0.0) + 2.0 * math.pi * sign * acc
     return CertValue(value=val, certificate=tail)
-
-
-def petersson_rhs_q_paper_literal(m: int, n: int, k: int, c_max: int) -> float:
-    """The unfolded form: C * sum over signed c of S(m,n;c)/|c| J(4 pi sqrt(mn)/|c|),
-    with C = (-1)^{k/2} (2 pi)/2.  Test anchor for the folding constant."""
-    sign = -1.0 if (k // 2) % 2 else 1.0
-    C = sign * 2.0 * math.pi / 2.0
-    x = 4.0 * math.pi * math.sqrt(m * n)
-    acc = 0.0
-    for c in range(-c_max, c_max + 1):
-        if c == 0:
-            continue
-        # S(m, n; c) for c < 0: residues mod |c|, phases with signed denominator
-        ac = abs(c)
-        if ac == 1:
-            s = 1.0
-        else:
-            inv = _inverse_table(ac)
-            s = sum(math.cos(2.0 * math.pi * ((m * xx + n * inv[xx]) % ac) / c)
-                    for xx in range(1, ac) if inv[xx] >= 0)
-        acc += s / ac * bessel_j(k - 1, x / ac)
-    return (1.0 if m == n else 0.0) + C * acc
 
 
 # -- Petersson trace formula, degree 2 -----------------------------------------

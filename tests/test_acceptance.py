@@ -19,7 +19,6 @@ from rsmoment import rankin as rk
 from rsmoment import series
 from rsmoment import tracefmla as tf
 from rsmoment.numfield import Q_SQRT2, Q_SQRT5, embed_float, is_totally_positive, norm, trace
-from rsmoment.specialfn import gamma_quotient_check
 from rsmoment.tracefmla import petersson_rhs_q
 
 
@@ -327,7 +326,7 @@ def test_criterion_11_gamma_quotient_envelope():
         for frac in np.linspace(-1.0, 1.0, 9):
             c = frac * cmax
             for t in np.linspace(-50.0, 50.0, 11):
-                v = gamma_quotient_check(A, c, t)
+                v = oracles.gamma_quotient_check(A, c, t)
                 if v > worst:
                     worst, worst_at = v, (A, c, t)
                 if abs(c) <= min(cmax, 7.0):

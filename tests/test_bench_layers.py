@@ -5,7 +5,8 @@ perfbench/spans.py names its layer functions by module and attribute; a
 name that disappears only prints a warning there and its per-layer metric
 reads zero.  perfbench/worker.py imports its rsmoment names inside the
 workload functions, so a renamed one fails every operation of a workload
-while nothing else notices.  A rename fails here instead.  The worker's
+while nothing else notices.  A rename fails here instead, and so does a
+renamed parameter that the worker passes by keyword.  The worker's
 ``from rsmoment import cli`` names a module, covered by the layer
 ``rsmoment.cli.main``.
 """
@@ -13,6 +14,7 @@ while nothing else notices.  A rename fails here instead.  The worker's
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,25 @@ def test_layer_function_resolves(module, attr):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def _worker_keyword_calls():
+    """(module, name, keyword) of every keyword the worker passes to an rsmoment name."""
+    tree = ast.parse((_BENCH / "worker.py").read_text())
+    origin = {name: module for module, name in _worker_imports()}
+    return [(origin[node.func.id], node.func.id, kw.arg) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in origin
+            for kw in node.keywords if kw.arg is not None]
+
+
+def test_worker_keyword_calls_are_found():
+    # the parametrization below must not be empty by a parsing slip
+    assert {name for _, name, _ in _worker_keyword_calls()} >= {
+        "central_value", "TraceRHSParams", "KloostermanQuery"}
+
+
+@pytest.mark.parametrize("module,name,keyword", list(dict.fromkeys(_worker_keyword_calls())))
+def test_worker_keyword_is_a_parameter(module, name, keyword):
+    params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+    assert keyword in params

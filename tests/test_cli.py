@@ -175,6 +175,42 @@ def test_bad_config_value_exit(capsys, tmp_path, flags, config):
     assert not (tmp_path / "kloosterman.csv").exists()
 
 
+@pytest.mark.parametrize("command,key,value,via_config", [
+    ("moment", "contour", "2.0", False),
+    ("scan", "contour", "1.0", True),
+    ("recover", "contour", "2.0", False),
+    ("recover", "afe_tol", "1e-6", False),
+    ("recover", "e_tol", "1e-4", True),
+    ("moment", "field", "Q_sqrt5", False),
+    ("scan", "field", "Q_sqrt2", True),
+    ("make-newform", "field", "Q_sqrt5", False),
+    ("trace-check", "field", "Q_sqrt5", False),
+])
+def test_unread_config_value_exit(capsys, tmp_path, command, key, value, via_config):
+    # a value the command's computation would silently replace by its default
+    if via_config:
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flag = ["--config", str(cfg)]
+    else:
+        flag = ["--" + key.replace("_", "-"), value]
+    args = {"moment": ["--g", "x.nf", "--k", "16"], "scan": ["--g", "x.nf"],
+            "recover": ["--g", "x.nf"], "trace-check": [],
+            "make-newform": ["--k", "12", "--out", str(tmp_path / "x.nf")]}[command]
+    assert main([command] + args + flag + ["--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {command} does not read {key};")
+    assert list(tmp_path.glob("*.csv")) == [] and not (tmp_path / "x.nf").exists()
+
+
+def test_read_config_values_pass_the_check(tmp_path):
+    # the values each command does read, and defaults of the ones it does not
+    from rsmoment.cli import build_parser, load_config, _apply_overrides
+    args = build_parser().parse_args(["scan", "--g", "x.nf", "--afe-tol", "1e-7",
+                                      "--e-tol", "1e-5", "--contour", "1.5", "--field", "Q"])
+    cfg = _apply_overrides(load_config(None), args)
+    assert (cfg.afe_tol, cfg.e_tol, cfg.contour) == (1e-7, 1e-5, 1.5)
+
+
 @pytest.mark.parametrize("args", [
     ["--config", "/nonexistent/x.cfg", "units", "--field", "Q_sqrt5"],
     ["moment", "--g", "/nonexistent.nf", "--k", "16"],

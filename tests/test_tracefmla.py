@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from rsmoment import series, tracefmla as tf
 from rsmoment.numfield import (Q_SQRT2, Q_SQRT5, FieldElement, embed_float,
                                is_totally_positive, norm, totally_positive_units, trace)
@@ -176,7 +177,7 @@ def test_kl_nf_exact_phase_agreement():
             for beta in betas:
                 fast = tf._kl_nf_slots(field, coords, tf._coords(beta), tf._coords(c))
                 for a, v in zip(slots, fast):
-                    slow = tf.kl_nf_exact_phase(field, a, beta, c)
+                    slow = oracles.kl_nf_exact_phase(field, a, beta, c)
                     assert abs(v - slow) < 1e-9, (field.key, a, beta, c, v, slow)
     # moduli whose box has a carry (h12 != 0 with h22 > 1) are covered
     assert carry > 0
@@ -186,7 +187,7 @@ def test_kl_nf_rejects_non_integral_data():
     half = Q_SQRT5.element(1) / 2
     three = Q_SQRT5.element(3)
     # int() would truncate 1/2 to 0 and give -1.0; the exact sum is 2 - 3.46i
-    exact = tf.kl_nf_exact_phase(Q_SQRT5, half, Q_SQRT5.one, three)
+    exact = oracles.kl_nf_exact_phase(Q_SQRT5, half, Q_SQRT5.one, three)
     assert abs(exact - (2 - 2j * math.sqrt(3))) < 1e-9
     with pytest.raises(ValueError, match="must be integral"):
         tf.KloostermanQuery(alpha=half, beta=Q_SQRT5.one, c=three)
@@ -272,7 +273,7 @@ def test_residue_enumeration_cap():
     with pytest.raises(ValueError, match="overflow"):
         kl_nf_one(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, big)
     with pytest.raises(ValueError, match="overflow"):
-        tf.kl_nf_exact_phase(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, big)
+        oracles.kl_nf_exact_phase(Q_SQRT5, Q_SQRT5.one, Q_SQRT5.one, big)
 
 
 def units_by_product_scan(field, box):
@@ -337,7 +338,7 @@ def test_rhs_q_tail_certificate_honored_under_doubling():
 
 def test_rhs_q_paper_literal_fold():
     for (m, n, k) in ((2, 3, 16), (1, 1, 12), (4, 9, 20)):
-        lit = tf.petersson_rhs_q_paper_literal(m, n, k, 60)
+        lit = oracles.petersson_rhs_q_paper_literal(m, n, k, 60)
         fold = tf.petersson_rhs_q(m, n, k, c_max=60, tol=1.0)
         assert abs(lit - fold.value) < 1e-12
 
