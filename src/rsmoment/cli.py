@@ -66,9 +66,12 @@ def load_config(path: str | None) -> RunConfig:
     return cfg
 
 
-# config keys a command's computation depends on but runs at their default
+# config keys a command does not read, or whose computation runs at their default
+_MOMENT_KEYS = ("g_scale", "contour", "afe_tol", "e_tol")
 _FIXED_AT_DEFAULT = {
-    **dict.fromkeys(("trace-check", "afe", "make-newform"), ("field",)),
+    **dict.fromkeys(("kloosterman", "rhs-nf", "rhs", "units"), _MOMENT_KEYS),
+    **dict.fromkeys(("trace-check", "make-newform"), ("field",) + _MOMENT_KEYS),
+    "afe": ("field", "e_tol"),
     **dict.fromkeys(("moment", "scan"), ("field", "contour")),
     "recover": ("field", "contour", "afe_tol", "e_tol"),
 }
@@ -81,12 +84,12 @@ def _apply_overrides(cfg: RunConfig, args):
             setattr(cfg, name, v)
     if getattr(args, "g", None):
         cfg.newform = args.g
+    cfg.validate()
     default = RunConfig()
     for name in _FIXED_AT_DEFAULT.get(args.command, ()):
         if getattr(cfg, name) != getattr(default, name):
             raise ValueError(f"{args.command} does not read {name}; it runs at "
                              f"{name} = {getattr(default, name)!r}")
-    cfg.validate()
     return cfg
 
 

@@ -655,9 +655,12 @@ def load_newform(path) -> NewformRecord:
         raise ValueError(f"newform parse failure: {exc}") from exc
     if count < 1:
         raise ValueError(f"newform parse failure: count {count} < 1")
+    if len(lines) - 3 != count:
+        raise ValueError(f"newform parse failure: {len(lines) - 3} coefficient lines, "
+                         f"count {count}")
     cn = np.zeros(count + 1)
     seen = set()
-    for ln in lines[3: 3 + count]:
+    for ln in lines[3:]:
         try:
             m, val = ln.split()[:2]
             m, val = int(m), float(val)
@@ -669,8 +672,6 @@ def load_newform(path) -> NewformRecord:
             raise ValueError(f"newform parse failure: index {m} repeated")
         seen.add(m)
         cn[m] = val
-    if len(seen) < count:
-        raise ValueError(f"newform parse failure: {len(seen)} coefficient lines, count {count}")
     if abs(cn[1] - 1.0) > 1e-12:
         raise ValueError("not normalized")
     rec = NewformRecord(weight=weight, level=level, cn=cn)

@@ -28,7 +28,7 @@ import numpy as np
 from . import series as _series
 from .modforms import NewformRecord, dim_cusp, eigenforms
 from .rankin import (DEFAULT_CONTOUR, DEFAULT_G_SCALE, V_DIRECT_MAX, UncertifiedError,
-                     VParams, _afe_grid, _afe_sum, _vq, central_value, effective_cutoff)
+                     VParams, _afe_grid, _afe_sum, _vq, effective_cutoff)
 from .specialfn import bessel_j_array, bessel_j_c_tail_bound, digamma, zeta_laurent_at_center
 from .tracefmla import CertValue, kloosterman_row, petersson_rhs_q
 from .numfield import Q as FIELD_Q
@@ -216,7 +216,7 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
         raise ValueError(f"need C_g up to {M}")
     nu_idx = np.arange(1, M + 1)
     nus = nu_idx.astype(float)
-    W, w_cert, _ = _w_sum(vp, g.level, nus, tol * 1e-4)
+    W, w_cert, _ = _w_row(vp, g.level, M, tol)
     cg = np.asarray(g.cn[: M + 1])
     wt = cg[1:] * W / np.sqrt(nus)
     x_all = 4.0 * math.pi * np.sqrt(nus * p)
@@ -252,6 +252,13 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
     return CertValue(value=value, certificate=cert)
 
 
+def _w_row(vp: VParams, level: int, M: int, tol: float):
+    """``_w_sum`` at nu = 1..M and tol 1e-4 of e_term's: one build per weight,
+    shared by every twist p."""
+    return _series.memo(("W row", vp, level, M, tol), lambda: _w_sum(
+        vp, level, np.arange(1, M + 1, dtype=float), tol * 1e-4))
+
+
 def _e_cmax(k: int, x_max: float, wt_abs: np.ndarray, tol: float) -> int:
     c = max(8, int(x_max / (k - 1)) + 1)
     total_wt = float(np.sum(wt_abs)) + 1e-300
@@ -264,21 +271,31 @@ def _e_cmax(k: int, x_max: float, wt_abs: np.ndarray, tol: float) -> int:
 
 def _e_nu_tail(vp: VParams, p: int, k: int, M: int) -> float:
     """sum_{nu > M} d(nu) W_env(nu)/sqrt(nu) * bound(sum_c |S|/c J(4 pi sqrt(nu p)/c))."""
-    vq = _vq(vp)
     far = 8 * M
+    mass, slope = _nu_tail_row(vp, M)
+    if slope < 3.0:
+        return math.inf
     nus = np.arange(M + 1, far + 1, dtype=float)
-    env = vq.envelope(vp.afe_argument(nus)) * 2.0  # d-sum mass <= 2 * leading term
-    dcnt = _series.divisor_count_sieve(far + 1)[M + 1:]
     x = 4.0 * math.pi * np.sqrt(nus * p)
     # c with x/c >= (k-1)/2 contribute at most 0.7 each; the rest are series-bounded
     c_split = np.maximum(1.0, 2.0 * x / (k - 1))
     csum_bound = 0.7 * (np.log(c_split) + 1.0) + 1.0 / (k - 2)
-    terms = dcnt * env / np.sqrt(nus) * csum_bound
-    slope = vq.envelope_slope(vp.afe_argument(float(far)))
-    if slope < 3.0:
-        return math.inf
+    terms = mass * csum_bound
     remainder = float(terms[-1]) * far / (slope - 2.0)
     return float(np.sum(terms)) + remainder
+
+
+def _nu_tail_row(vp: VParams, M: int):
+    """The part of ``_e_nu_tail`` no twist enters: d(nu) W_env(nu)/sqrt(nu) over
+    M < nu <= 8M, and the envelope slope at 8M: one build per weight."""
+    def build():
+        vq = _vq(vp)
+        far = 8 * M
+        nus = np.arange(M + 1, far + 1, dtype=float)
+        env = vq.envelope(vp.afe_argument(nus)) * 2.0  # d-sum mass <= 2 * leading term
+        dcnt = _series.divisor_count_sieve(far + 1)[M + 1:]
+        return dcnt * env / np.sqrt(nus), vq.envelope_slope(vp.afe_argument(float(far)))
+    return _series.memo(("nu-tail row", vp, M), build)
 
 
 def lhs_moment(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
@@ -294,7 +311,9 @@ def lhs_moment(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCAL
     # the long build first: omega's short request is then a slice of it
     forms = eigenforms(k, cutoff)
     ow = omega_weights(k)
-    grid = _afe_grid(vp, DEFAULT_CONTOUR, cutoff)
+    # the grid depends on the weight alone, so every twist p reads one build
+    grid = _series.memo(("AFE grid", vp, DEFAULT_CONTOUR, cutoff),
+                        lambda: _afe_grid(vp, DEFAULT_CONTOUR, cutoff))
     total, cert = 0.0, 0.0
     lsum = 0.0
     for w, f in zip(ow.omega, forms):
@@ -359,11 +378,18 @@ def asymptotic_scan(g: NewformRecord, p: int, k_list,
                     g_scale: float = DEFAULT_G_SCALE,
                     afe_tol: float = 1e-7,
                     e_tol: float = 1e-5) -> ScanResult:
-    """Per-weight MomentReports plus the least-squares log-slope of the LHS."""
-    reports = []
-    for k in k_list:
-        reports.append(moment_report(g, p, k, g_scale=g_scale, afe_tol=afe_tol,
-                                     e_trunc=ETruncation(tol=e_tol)))
+    """Per-weight MomentReports, in the order of ``k_list``, plus the
+    least-squares log-slope of the LHS.
+
+    The reports are computed longest weight first, so every grow-only series
+    is built once, at its longest request, and the lower weights read
+    prefixes of it.
+    """
+    k_list = list(k_list)
+    by_k = {k: moment_report(g, p, k, g_scale=g_scale, afe_tol=afe_tol,
+                             e_trunc=ETruncation(tol=e_tol))
+            for k in sorted(set(k_list), reverse=True)}
+    reports = [by_k[k] for k in k_list]
     lk = np.array([math.log(r.weight) for r in reports])
     lhs = np.array([r.lhs for r in reports])
     A = np.vstack([lk, np.ones_like(lk)]).T

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable
 
 import mpmath as mp
 

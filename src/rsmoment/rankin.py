@@ -384,6 +384,10 @@ def effective_cutoff(p: VParams, tol: float) -> int:
         raise ValueError("tol must be positive")
     if math.isinf(tol):
         return 1
+    return _series.memo(("AFE cutoff", p, tol), lambda: _cutoff_search(p, tol))
+
+
+def _cutoff_search(p: VParams, tol: float) -> int:
     vq = _vq(p)
     m_far = 1024
     while True:

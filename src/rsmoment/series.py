@@ -37,9 +37,10 @@ is a slice of the longest build so far, and a request past it rebuilds at
 3/2 of the held length or more.  Exact series and the sieves are the same
 whatever the build length; a float series entry is the prefix of the
 longest build so far.  Everything else the checker reuses (cusp spaces,
-omega solves, V quadratures, Kloosterman rows, inverse and residue tables)
-is built once per key (``memo``).  ``clear_store`` drops everything, so it
-is the one reset of the whole checker.
+omega solves, V quadratures, AFE cutoffs and grids, the E-term's W rows and
+nu-tail rows, Kloosterman rows, inverse and residue tables) is built once
+per key (``memo``).  ``clear_store`` drops everything, so it is the one
+reset of the whole checker.
 """
 
 from __future__ import annotations

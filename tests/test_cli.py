@@ -185,6 +185,14 @@ def test_bad_config_value_exit(capsys, tmp_path, flags, config):
     ("scan", "field", "Q_sqrt2", True),
     ("make-newform", "field", "Q_sqrt5", False),
     ("trace-check", "field", "Q_sqrt5", False),
+    ("kloosterman", "g_scale", "3", False),
+    ("kloosterman", "afe_tol", "1e-3", True),
+    ("units", "contour", "2.0", False),
+    ("rhs-nf", "e_tol", "1e-4", True),
+    ("rhs", "g_scale", "0.5", False),
+    ("trace-check", "afe_tol", "1e-3", False),
+    ("make-newform", "e_tol", "1e-3", True),
+    ("afe", "e_tol", "1e-4", False),
 ])
 def test_unread_config_value_exit(capsys, tmp_path, command, key, value, via_config):
     # a value the command's computation would silently replace by its default
@@ -195,7 +203,9 @@ def test_unread_config_value_exit(capsys, tmp_path, command, key, value, via_con
     else:
         flag = ["--" + key.replace("_", "-"), value]
     args = {"moment": ["--g", "x.nf", "--k", "16"], "scan": ["--g", "x.nf"],
-            "recover": ["--g", "x.nf"], "trace-check": [],
+            "recover": ["--g", "x.nf"], "trace-check": [], "afe": ["--g", "x.nf"],
+            "kloosterman": ["--m", "1", "--n", "1", "--c", "3"], "units": [],
+            "rhs-nf": ["--k", "20,20"], "rhs": ["--k", "20,20"],
             "make-newform": ["--k", "12", "--out", str(tmp_path / "x.nf")]}[command]
     assert main([command] + args + flag + ["--outdir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {command} does not read {key};")

@@ -383,6 +383,8 @@ def test_newform_parse_failure(tmp_path):
     ("1 1.0\n2\n3 0.1\n4 0.2\n5 0.3\n", "line '2'"),
     ("1 1.0\n2 0.5\n2 0.1\n4 0.2\n5 0.3\n", "index 2 repeated"),
     ("1 1.0\n2 0.5\n", "2 coefficient lines, count 5"),
+    ("1 1.0\n2 0.5\n3 0.1\n4 0.2\n5 0.3\n3 0.4\n", "6 coefficient lines, count 5"),
+    ("1 1.0\n2 0.5\n3 0.1\n4 0.2\n5 0.3\n6 0.4\n", "6 coefficient lines, count 5"),
 ])
 def test_newform_bad_coefficient_lines(tmp_path, body, why):
     path = tmp_path / "bad.nf"

@@ -5,6 +5,8 @@ import pytest
 
 from rsmoment import modforms as mf
 from rsmoment import moments as mo
+from rsmoment import series
+from rsmoment.rankin import central_value
 from rsmoment.specialfn import (EULER_GAMMA, bessel_j_array, bessel_j_c_tail_bound,
                                 digamma)
 from rsmoment.tracefmla import petersson_rhs_q
@@ -133,18 +135,42 @@ def test_e_term_stability_under_doubled_truncations(delta_record):
 
 
 def test_e_term_certificate_ignores_earlier_spline_calls(delta_record):
-    # the shared, cached V quadrature of (24, 12) must not carry the
-    # interpolation error of an interpolated central value into e_term
+    # the shared, stored V quadrature of (24, 12) must not carry the
+    # interpolation error of an interpolated central value into e_term; the
+    # store is cleared before each e_term, so the second builds its own W row
+    series.clear_store()
     before = mo.e_term(delta_record, 1, 24)
+    series.clear_store()
     n = 250_001  # past the interpolation threshold of VQuadrature.values
     g = mf.newform_from_eigenform(mf.eigenforms(12, n)[0])
-    mo.central_value(mf.eigenforms(24, n)[0], g, cutoff=n, rigorous_tail=False)
+    central_value(mf.eigenforms(24, n)[0], g, cutoff=n, rigorous_tail=False)
     after = mo.e_term(delta_record, 1, 24)
     assert after.certificate == before.certificate
     assert after.value == before.value
     vp = mo.VParams((24,), (12,))
     _, interp_err = mo._vq(vp).values(vp.afe_argument(np.arange(1.0, n + 1)))
     assert interp_err > 0.0  # the central value above was interpolated
+
+
+def test_moment_report_ignores_earlier_twists(delta_record, monkeypatch):
+    # the twist-independent half of a report is stored once per weight: a
+    # report after three other twists equals one from a cleared store
+    rows = []
+    w_sum = mo._w_sum
+
+    def counting(vp, level, nus, tol):
+        if len(nus) > 1:  # the E-term's row; M and the recovery ask one nu
+            rows.append(len(nus))
+        return w_sum(vp, level, nus, tol)
+    monkeypatch.setattr(mo, "_w_sum", counting)
+    series.clear_store()
+    for p in (1, 2, 3):
+        mo.moment_report(delta_record, p, 24)
+    after = mo.moment_report(delta_record, 5, 24)
+    assert len(rows) == 1
+    series.clear_store()
+    fresh = mo.moment_report(delta_record, 5, 24)
+    assert vars(after) == vars(fresh)
 
 
 def _e_unskipped(g, p, k):
@@ -238,6 +264,7 @@ def test_scan_csv_schema(delta_record):
     lines = csv.strip().split("\n")
     assert lines[0] == mo.CSV_HEADER
     assert len(lines) == 4
+    assert [r.weight for r in res.reports] == [16, 18, 20]  # computed from 20 down
     first = lines[1].split(",")
     assert first[0] == "16" and first[1] == "2"
     assert len(first) == 9
