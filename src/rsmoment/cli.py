@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .numfield import get_field
 from .modforms import eigenforms, load_newform, newform_from_eigenform, write_newform
-from .rankin import DEFAULT_G_SCALE, DEFAULT_CONTOUR, UncertifiedError, central_value
+from .rankin import (DEFAULT_G_SCALE, DEFAULT_CONTOUR, UncertifiedError, VParams,
+                     central_value, effective_cutoff)
 from .tracefmla import (TraceRHSParams, kloosterman_nf, kloosterman_q,
                         KloostermanQuery, petersson_rhs_nf, petersson_rhs_q,
                         unit_sum_tail)
@@ -129,15 +130,16 @@ def _parse_krange(spec: str) -> list[int]:
 def cmd_kloosterman(cfg: RunConfig, args) -> int:
     field = get_field(cfg.field)
     if field.degree == 1:
+        if args.c2:
+            raise ValueError(f"--c2 is the omega-coordinate of c over a quadratic field; "
+                             f"{cfg.field} has degree 1")
         val = kloosterman_q(args.m, args.n, args.c)
-        cert = 0.0
     else:
-        q = KloostermanQuery(alpha=field.element(args.m), beta=field.element(args.n),
-                             c=field.element(args.c, args.c2))
-        val = kloosterman_nf(q)
-        cert = 0.0
+        val = kloosterman_nf(KloostermanQuery(alpha=field.element(args.m),
+                                              beta=field.element(args.n),
+                                              c=field.element(args.c, args.c2)))
     csv = "field,m,n,c,value\n" + f"{cfg.field},{args.m},{args.n},{args.c},{val:.15g}\n"
-    _write_outputs(cfg, "kloosterman", csv, {"certificate": cert}, "kloosterman")
+    _write_outputs(cfg, "kloosterman", csv, {"certificate": 0.0}, "kloosterman")
     print(f"{val:.15g}")
     return 0
 
@@ -202,8 +204,11 @@ def cmd_afe(cfg: RunConfig, args) -> int:
         for f in forms:
             vals = []
             for cg in (0.5 * cfg.g_scale, cfg.g_scale, 2.0 * cfg.g_scale):
-                cv = central_value(eigenforms(k, _afe_len(k, g, cg))[f.index], g,
-                                   g_scale=cg, contour=cfg.contour, tol=cfg.afe_tol)
+                # the cutoff central_value takes at tol = afe_tol, tail below afe_tol/2
+                cut = effective_cutoff(VParams((k,), (g.weight,), conductor=float(g.level),
+                                               g_scale=cg), cfg.afe_tol / 2.0)
+                cv = central_value(eigenforms(k, cut)[f.index], g, g_scale=cg,
+                                   contour=cfg.contour, cutoff=cut)
                 vals.append(cv.value)
                 rows.append(f"{k},{f.index},{cg},{cfg.contour},{cv.value:.15g},"
                             f"{cv.certificate:.3g}")
@@ -213,12 +218,6 @@ def cmd_afe(cfg: RunConfig, args) -> int:
     _write_outputs(cfg, "afe", "\n".join(rows) + "\n", certs, "afe")
     print("\n".join(rows))
     return 0
-
-
-def _afe_len(k: int, g, cg: float) -> int:
-    from .rankin import VParams, effective_cutoff
-    return effective_cutoff(VParams((k,), (g.weight,), conductor=float(g.level),
-                                    g_scale=cg), 1e-9)
 
 
 def cmd_moment(cfg: RunConfig, args) -> int:

@@ -25,10 +25,13 @@ same matrix times the basis gives each word's exact head.  The overlap with
 the exact prefix is verified on every float build, and each form carries
 that build's error.
 
-Every series behind the forms lives in ``series``' one grow-only store (3/2
-growth; a float entry is the prefix of the longest build so far), and so
-does the shared ``CuspSpace`` of each weight (``cusp_space``);
-``series.clear_store`` resets both.
+``eigenforms(k, length)`` is one ``series.memo`` entry per (k, length),
+built from k and length alone: the exact series behind it come from
+``series``' grow-only store, which is the same whatever the build length,
+and the float Delta^d is a local product chain that nothing stores.  The
+separating Hecke data and the exact prefix build of a float weight are one
+entry per weight.
+``series.clear_store`` resets all of them.
 
 Also hosts the plain-text newform coefficient file format used to feed the
 fixed form g.
@@ -54,12 +57,11 @@ __all__ = [
     "dim_cusp",
     "miller_basis",
     "hecke_apply",
+    "hecke_matrix",
     "eigenforms",
-    "cusp_space",
     "load_newform",
     "write_newform",
     "newform_from_eigenform",
-    "delta_qexp",
 ]
 
 
@@ -141,10 +143,6 @@ class NewformRecord:
 
 
 # -- generators ----------------------------------------------------------------
-
-def delta_qexp(length: int) -> QExpansion:
-    return QExpansion(12, series.delta_exact(length + 1))
-
 
 def _delta_power_exact(i: int, n_out: int) -> list[int]:
     """Delta^i, exact, with n_out coefficients."""
@@ -358,124 +356,92 @@ def _eigenvector(A: list[list[int]], lam: mp.mpf) -> list[mp.mpf]:
     return [mp.mpf(1)] + list(mp.lu_solve(B, rhs))
 
 
-class CuspSpace:
-    """All derived data for S_k: exact basis prefix, eigen data, float extensions."""
+def hecke_matrix(k: int, m: int) -> list[list[int]]:
+    """The matrix of T_m on the echelon Miller basis of S_k, exact: column i
+    holds a(T_m f_i)(1..d), the coordinates of T_m f_i."""
+    d = dim_cusp(k)
+    basis = miller_basis(k, m * d)
+    return [[hecke_apply(m, basis[i], d).an[j + 1] for i in range(d)]
+            for j in range(d)]
 
-    def __init__(self, k: int):
-        if k % 2:
-            raise ValueError("empty space")
-        self.k = k
-        self.dim = dim_cusp(k)
-        if self.dim < 1:
-            raise ValueError("empty space")
-        self._eigen: list[Eigenform] | None = None
-        self._separating = None  # (A, roots, m) of _eigen_data, once found
-        self._scaled = None  # (P, [V per form]) of the build behind _eigen
 
-    # -- exact layer --
-    def basis(self, length: int) -> list[QExpansion]:
-        return miller_basis(self.k, max(length, 2 * self.dim + 8))
-
-    def hecke_matrix(self, m: int) -> list[list[int]]:
-        d = self.dim
-        basis = self.basis(m * d + 1)
-        return [[hecke_apply(m, basis[i], d).an[j + 1] for i in range(d)]
-                for j in range(d)]
-
-    def _eigen_data(self):
-        """(matrix, eigenvalues, m) of the first separating Hecke operator T_m,
-        solved once per space: every build of the eigenforms reuses it."""
-        if self._separating is not None:
-            return self._separating
-        d = self.dim
+def _eigen_data(k: int):
+    """(matrix, eigenvalues, m) of the first Hecke operator T_m that separates
+    the eigenforms of S_k, solved once per weight: every build reuses it."""
+    def build():
+        d = dim_cusp(k)
         for m in (2, 3, 5):
-            A = self.hecke_matrix(m)
-            coeffs = _char_poly_exact(A)
-            roots = _real_roots_exact(coeffs)
+            A = hecke_matrix(k, m)
+            roots = _real_roots_exact(_char_poly_exact(A))
             scale = max(abs(r) for r in roots) + 1
             if len(roots) == d and all(
                 abs(roots[i] - roots[j]) > 1e-6 * scale
                 for i in range(d) for j in range(i + 1, d)
             ):
-                self._separating = A, roots, m
-                return self._separating
+                return A, roots, m
         raise ValueError("cannot separate eigenforms")
+    return series.memo(("Hecke data", k), build)
 
-    def eigenforms(self, length: int) -> list[Eigenform]:
-        """Fresh eigenforms with exactly ``length`` read-only coefficients.
 
-        When the most-cuspidal monomial carries an E_w (k not 0 mod 12)
-        every request is built exactly; pure Delta^d weights are built
-        exactly to ``_EXACT_PREFIX`` and extended in float past it.  The
-        space keeps its longest-built forms to itself; callers get views cut
-        to ``length``, so a later, longer request (which builds new arrays)
-        never changes a form already handed out.
-        """
-        if length < 1:
-            raise ValueError("length must be positive")
-        exact = self.k % 12 != 0
-        if self._eigen is None or (exact and self._eigen[0].length < length):
-            self._build_eigen(max(length, _EXACT_PREFIX) if exact else _EXACT_PREFIX)
-        if self._eigen[0].length < length:
-            self._extend_floats(length)
-        return [replace(f, cn=f.cn[: length + 1],
-                        float_rel=f.float_rel if length > _EXACT_PREFIX else 0.0)
-                for f in self._eigen]
+def _exact_eigen(k: int, length: int):
+    """(forms, P, vectors): the echelon Miller basis to ``length`` times each
+    exact eigenvector.
 
-    def _build_eigen(self, length: int):
-        """The echelon Miller basis to ``length`` times each exact eigenvector.
+    Every coefficient is evaluated in integers: V_i = nint(v_i 2^P) with
+    P = (bit length of the basis) + 60, s = sum_i V_i b_i(n) exactly, and
+    C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n) (``_normalized``).
+    Rounding V_i moves C_f(n) by at most d max_i |b_i(n)| 2^-P /
+    n^((k-1)/2), below d 2^-60 / n^((k-1)/2), and the two float divisions
+    add at most 3 ulp.  ``lam2`` is s at n = 2 over 2^P, correctly rounded.
+    The V_i rounding is far below an ulp, so builds of different lengths
+    have agreed bit for bit on their common prefix wherever the tests look.
+    """
+    basis = miller_basis(k, max(length, 2))  # a(2) gives lam2
+    A, roots, _ = _eigen_data(k)
+    bits = max(abs(x).bit_length() for f in basis for x in f.an) + 1
+    P = bits + 60
+    with mp.workdps(max(60, int(bits * 0.302) + 40)):
+        vectors = [[int(mp.nint(mp.ldexp(x, P))) for x in _eigenvector(A, lam)]
+                   for lam in sorted(roots, reverse=True)]
+    cols = list(zip(*(f.an for f in basis)))
+    forms = []
+    for idx, V in enumerate(vectors):
+        sums = [sum(map(operator.mul, V, col)) for col in cols]
+        cn = _normalized(sums[: length + 1], k, P)
+        cn.flags.writeable = False
+        forms.append(Eigenform(weight=k, index=idx, cn=cn, lam2=sums[2] / (1 << P)))
+    return tuple(forms), P, vectors
 
-        Every coefficient is evaluated in integers: V_i = nint(v_i 2^P) with
-        P = (bit length of the basis) + 60, s = sum_i V_i b_i(n) exactly, and
-        C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n) (``_normalized``).
-        Rounding V_i moves C_f(n) by at most d max_i |b_i(n)| 2^-P /
-        n^((k-1)/2), below d 2^-60 / n^((k-1)/2), and the two float divisions
-        add at most 3 ulp.  ``lam2`` is s at n = 2 over 2^P, correctly rounded.
-        """
-        k = self.k
-        basis = self.basis(length)
-        A, roots, _ = self._eigen_data()
-        bits = max(abs(x).bit_length() for f in basis for x in f.an) + 1
-        P = bits + 60
-        with mp.workdps(max(60, int(bits * 0.302) + 40)):
-            vectors = [[int(mp.nint(mp.ldexp(x, P))) for x in _eigenvector(A, lam)]
-                       for lam in sorted(roots, reverse=True)]
-        cols = list(zip(*(f.an for f in basis)))
-        forms = []
-        for idx, V in enumerate(vectors):
-            sums = [sum(map(operator.mul, V, col)) for col in cols]
-            cn = _normalized(sums, k, P)
-            cn.flags.writeable = False
-            forms.append(Eigenform(weight=k, index=idx, cn=cn, lam2=sums[2] / (1 << P)))
-        self._eigen, self._scaled = forms, (P, vectors)
 
-    # -- float layer --
-    def _extend_floats(self, length: int):
-        """Float forms to ``length`` from the Hecke-word span, the exact prefix
-        spliced in.  a_f(1..d) are the eigenvector (echelon basis), so each
-        coordinate gamma = M^-1 a_f(1..d) is one exact rational sum."""
-        d, k = self.dim, self.k
-        inv = _span_inverse(k, d)
-        orbit = _hecke_orbit_normalized(k, d, length)
-        pref = _EXACT_PREFIX
-        P, vectors = self._scaled
-        extended = []
-        for f, V in zip(self._eigen, vectors):
-            cn = np.zeros(length + 1)
-            for j in range(d):
-                gam = sum(c * v for c, v in zip(inv[j], V)) / (1 << P)
-                cn += float(gam) * orbit[j]
-            # splice the exact prefix and validate the overlap
-            ov = slice(max(2, pref // 2), pref + 1)
-            denom = np.abs(f.cn[ov]) + 1e-6
-            rel = np.max(np.abs(cn[ov] - f.cn[ov]) / denom)
-            if rel > 5e-6:
-                raise ArithmeticError(
-                    f"float extension disagrees with exact prefix (rel {rel:.2e})")
-            cn[: pref + 1] = f.cn[: pref + 1]
-            cn.flags.writeable = False
-            extended.append(replace(f, cn=cn, float_rel=float(rel)))
-        self._eigen = extended
+def _float_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
+    """Float forms of S_k, k = 12d, to ``length`` from the Hecke-word span,
+    the exact prefix spliced in.  a_f(1..d) are the eigenvector (echelon
+    basis), so each coordinate gamma = M^-1 a_f(1..d) is one exact rational
+    sum.  The exact prefix build is one store entry per weight, so every
+    float build of S_k shares its 2^P scale."""
+    prefix, P, vectors = series.memo(("exact eigenforms", k),
+                                     lambda: _exact_eigen(k, _EXACT_PREFIX))
+    d = len(prefix)
+    inv = _span_inverse(k, d)
+    orbit = _hecke_orbit_normalized(k, d, length)
+    pref = _EXACT_PREFIX
+    out = []
+    for f, V in zip(prefix, vectors):
+        cn = np.zeros(length + 1)
+        for j in range(d):
+            gam = sum(c * v for c, v in zip(inv[j], V)) / (1 << P)
+            cn += float(gam) * orbit[j]
+        # splice the exact prefix and validate the overlap
+        ov = slice(max(2, pref // 2), pref + 1)
+        denom = np.abs(f.cn[ov]) + 1e-6
+        rel = np.max(np.abs(cn[ov] - f.cn[ov]) / denom)
+        if rel > 5e-6:
+            raise ArithmeticError(
+                f"float extension disagrees with exact prefix (rel {rel:.2e})")
+        cn[: pref + 1] = f.cn
+        cn.flags.writeable = False
+        out.append(replace(f, cn=cn, float_rel=float(rel)))
+    return tuple(out)
 
 
 # Hecke words whose translates of Delta^d span S_{12d}; the
@@ -602,43 +568,48 @@ def _splice_head(arr: np.ndarray, exact: list[int]):
     return arr
 
 
-def _tau_float(length: int) -> np.ndarray:
-    def build(n):
-        e6 = series.eta6_float(n)
-        e12 = series.mul_float(e6, e6, n)
-        e24 = series.mul_float(e12, e12, n)
-        tau = np.zeros(n)
-        tau[1:] = e24[: n - 1]
-        return _splice_head(tau, series.delta_exact(min(_HEAD, n)))
-    return series.stored(("tau float",), length, build)
+def _tau_float(n: int) -> np.ndarray:
+    """tau(0..n-1) as float64: eta^6 squared twice, shifted by one."""
+    e6 = series.eta6_float(n)
+    e12 = series.mul_float(e6, e6, n)
+    e24 = series.mul_float(e12, e12, n)
+    tau = np.zeros(n)
+    tau[1:] = e24[: n - 1]
+    return _splice_head(tau, series.delta_exact(min(_HEAD, n)))
 
 
-def _delta_power_float(i: int, length: int) -> np.ndarray:
-    """Delta^i as raw float coefficients, one product onto the stored Delta^(i-1)."""
-    if i == 1:
-        return _tau_float(length)
-
-    def build(n):
-        cur = series.mul_float(_delta_power_float(i - 1, n), _tau_float(n), n)
-        return _splice_head(cur, _delta_power_exact(i, min(_HEAD, n)))
-    return series.stored(("delta^i float", i), length, build)
+def _delta_power_float(d: int, n: int) -> np.ndarray:
+    """Delta^d as n raw float coefficients: tau, then one product by tau per
+    power.  Nothing is stored; only tau and the current power stay alive."""
+    tau = cur = _tau_float(n)
+    for i in range(2, d + 1):
+        cur = _splice_head(series.mul_float(cur, tau, n),
+                           _delta_power_exact(i, min(_HEAD, n)))
+    return cur
 
 
 _EXACT_PREFIX = 512
 
 
-def cusp_space(k: int) -> CuspSpace:
-    """The shared S_k, one per store."""
-    return series.memo(("cusp space", k), lambda: CuspSpace(k))
+def _build_eigenforms(k: int, length: int) -> tuple[Eigenform, ...]:
+    if k % 12 or length <= _EXACT_PREFIX:
+        return _exact_eigen(k, length)[0]
+    return _float_eigen(k, length)
 
 
 def eigenforms(k: int, length: int) -> list[Eigenform]:
     """The normalized Hecke eigenforms of S_k with coefficients to ``length``.
 
-    Each call returns fresh forms whose read-only ``cn`` has exactly
-    ``length + 1`` entries, whatever was requested before.
+    One store entry per (k, length), built from k and length alone, so no
+    coefficient depends on what was asked before.  A weight not 0 mod 12,
+    and any request within ``_EXACT_PREFIX``, is built exactly at
+    ``length``; past it, k = 12d is extended in float from the exact
+    prefix.  Each call returns a fresh list of the stored frozen forms,
+    whose read-only ``cn`` has exactly ``length + 1`` entries.
     """
-    return cusp_space(k).eigenforms(length)
+    if length < 1:
+        raise ValueError("length must be positive")
+    return list(series.memo(("eigenforms", k, length), lambda: _build_eigenforms(k, length)))
 
 
 # -- newform records ---------------------------------------------------------------

@@ -165,14 +165,33 @@ def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
     return W, cert, d
 
 
+_RECOVERY_W_TOL = 1e-10 / 16  # W(p) stop rule of the recovery, and of M in a report
+
+
+def _w_at_p(g: NewformRecord, p: int, k: int, g_scale: float, tol: float):
+    """(W(p), certificate): ``_w_sum`` at the one nu = p."""
+    vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
+    W, cert, _ = _w_sum(vp, g.level, np.array([float(p)]), tol)
+    return float(W[0]), cert
+
+
+def _m_from_w(g: NewformRecord, p: int, w: float, w_cert: float) -> CertValue:
+    pref = 2.0 * g.c(p) / math.sqrt(p)
+    return CertValue(value=pref * w, certificate=abs(pref) * w_cert)
+
+
+def _recovery_denominator(p: int, w: float) -> float:
+    denom = 2.0 * w / math.sqrt(p)
+    if abs(denom) < 1e-8:
+        raise ValueError("degenerate recovery")
+    return denom
+
+
 def m_term_direct(g: NewformRecord, p: int, k: int,
                   g_scale: float = DEFAULT_G_SCALE, tol: float = 1e-9) -> CertValue:
     """M = 2 C_g(p)/sqrt(p) * sum_d a_d/d V(...), truncated by V-decay."""
     _validate_pair(g, p, k)
-    vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
-    W, cert, _ = _w_sum(vp, g.level, np.array([float(p)]), tol / 16)
-    pref = 2.0 * g.c(p) / math.sqrt(p)
-    return CertValue(value=pref * float(W[0]), certificate=abs(pref) * cert)
+    return _m_from_w(g, p, *_w_at_p(g, p, k, g_scale, tol / 16))
 
 
 def m_term_residue(g: NewformRecord, p: int, k: int) -> float:
@@ -308,7 +327,6 @@ def lhs_moment(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCAL
     cutoff = effective_cutoff(vp, afe_tol / 2.0)
     if g.length < cutoff:
         raise ValueError(f"need C_g up to {cutoff}")
-    # the long build first: omega's short request is then a slice of it
     forms = eigenforms(k, cutoff)
     ow = omega_weights(k)
     # the grid depends on the weight alone, so every twist p reads one build
@@ -336,11 +354,7 @@ def recover_coefficient(g: NewformRecord, p: int, k: int,
                         e_val: CertValue | None = None) -> float:
     """C_g(p) back out of the moment identity: sqrt(p)(LHS - E)/(2 sum_d a_d/d V)."""
     _validate_pair(g, p, k)
-    vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
-    W, _, _ = _w_sum(vp, g.level, np.array([float(p)]), 1e-10 / 16)
-    denom = 2.0 * float(W[0]) / math.sqrt(p)
-    if abs(denom) < 1e-8:
-        raise ValueError("degenerate recovery")
+    denom = _recovery_denominator(p, _w_at_p(g, p, k, g_scale, _RECOVERY_W_TOL)[0])
     if lhs is None:
         lhs = lhs_moment(g, p, k, g_scale=g_scale)
     if e_val is None:
@@ -352,13 +366,18 @@ def moment_report(g: NewformRecord, p: int, k: int,
                   g_scale: float = DEFAULT_G_SCALE,
                   afe_tol: float = 1e-8,
                   e_trunc: ETruncation = ETruncation()) -> MomentReport:
-    md = m_term_direct(g, p, k, g_scale=g_scale)
+    """M, E, the LHS and the recovered C_g(p) at one (p, k).  W(p) is evaluated
+    once, at the recovery's stop rule (tighter than ``m_term_direct``'s), and
+    serves both M and the recovery."""
+    _validate_pair(g, p, k)
+    w, w_cert = _w_at_p(g, p, k, g_scale, _RECOVERY_W_TOL)
+    md = _m_from_w(g, p, w, w_cert)
     mr = m_term_residue(g, p, k)
     ev = e_term(g, p, k, trunc=e_trunc, g_scale=g_scale)
     lh = lhs_moment(g, p, k, g_scale=g_scale, afe_tol=afe_tol)
     resid = lh.value - md.value - ev.value
     cert = lh.certificate + md.certificate + ev.certificate
-    rec = recover_coefficient(g, p, k, g_scale=g_scale, lhs=lh, e_val=ev)
+    rec = (lh.value - ev.value) / _recovery_denominator(p, w)
     return MomentReport(weight=k, p=p, m_direct=md.value, m_residue=mr,
                         e_value=ev.value, lhs=lh.value,
                         identity_residual=resid, recovered_c=rec,
@@ -381,8 +400,8 @@ def asymptotic_scan(g: NewformRecord, p: int, k_list,
     """Per-weight MomentReports, in the order of ``k_list``, plus the
     least-squares log-slope of the LHS.
 
-    The reports are computed longest weight first, so every grow-only series
-    is built once, at its longest request, and the lower weights read
+    The reports are computed longest weight first, so every grow-only exact
+    series is built once, at its longest request, and the lower weights read
     prefixes of it.
     """
     k_list = list(k_list)

@@ -30,17 +30,18 @@ and the standard level-1 generators: eta powers via the pentagonal/Jacobi
 sparse expansions, Delta, and every Eisenstein series E_w as one integral
 multiple D E_w, read off one exact sigma_{w-1} sieve.
 
-All program state lives in one store, ``_STORE``.  Every length-indexed
-series here and in ``modforms`` but the exact sigma sieve, which only
-``eisenstein_exact`` reads, is a grow-only entry (``stored``): a request
-is a slice of the longest build so far, and a request past it rebuilds at
-3/2 of the held length or more.  Exact series and the sieves are the same
-whatever the build length; a float series entry is the prefix of the
-longest build so far.  Everything else the checker reuses (cusp spaces,
-omega solves, V quadratures, AFE cutoffs and grids, the E-term's W rows and
-nu-tail rows, Kloosterman rows, inverse and residue tables) is built once
-per key (``memo``).  ``clear_store`` drops everything, so it is the one
-reset of the whole checker.
+All program state lives in one store, ``_STORE``.  Every exact series here
+and in ``modforms`` but the exact sigma sieve, which only
+``eisenstein_exact`` reads, and the float sieves are grow-only entries
+(``stored``): a request is a slice of the longest build so far, and a
+request past it rebuilds at 3/2 of the held length or more.  Each of them
+is the same whatever the build length, so a slice equals a fresh build; no
+other float series is stored.  Everything else the checker reuses
+(eigenforms per weight and length, Hecke data, omega solves, V quadratures,
+AFE cutoffs and grids, the E-term's W rows and nu-tail rows, Kloosterman
+rows, inverse and residue tables) is built once per key (``memo``).
+``clear_store`` drops everything, so it is the one reset of the whole
+checker.
 """
 
 from __future__ import annotations

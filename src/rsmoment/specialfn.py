@@ -11,12 +11,13 @@ Everything the moment machinery needs from classical analysis lives here:
   ascending series up to 2 sqrt(order + 1), Miller's backward recurrence
   normalized by the Neumann sum between), and scalar J as a one-point call
   of it,
-* Riemann/Dedekind zeta values for Re(s) > 1 and the Laurent data of
-  zeta_F(2u+1) at u = 0 that drives the diagonal-term residue.
+* the Laurent data of zeta_F(2u+1) at u = 0 that drives the
+  diagonal-term residue.
 
 The slow references the tests check these against (an mpmath J series,
-the Mellin-Barnes J, the ideal-norm zeta sum and the gamma-quotient ratio
-of the contour-shift argument) live in ``tests/oracles.py``.
+the Mellin-Barnes J, zeta_F(s) for Re(s) > 1, the ideal-norm zeta sum and
+the gamma-quotient ratio of the contour-shift argument) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "bessel_j_array",
     "bessel_j_series_bound",
     "bessel_j_c_tail_bound",
-    "zeta_partial",
     "zeta_laurent_at_center",
     "EULER_GAMMA",
 ]
@@ -385,36 +385,6 @@ def dirichlet_l_at_one(disc: int) -> float:
     """L(1, chi) = -(1/d) * sum chi(r) psi(r/d)."""
     return -sum(_chi_quadratic(disc, r) * digamma(r / disc)
                 for r in range(1, disc) if _chi_quadratic(disc, r)) / disc
-
-
-def zeta_partial(field: FieldDescriptor, s: complex, removed_primes=()) -> complex:
-    """zeta_F(s) * prod_{l | removed}(1 - N(l)^{-s}) for Re(s) > 1.
-
-    Over Q this is Riemann zeta, Hurwitz zeta(s, 1) by Euler-Maclaurin.  For
-    the quadratic fields the Dedekind factorization zeta_F = zeta * L(chi_disc)
-    is used (an exact identity; the test suite cross-checks it against
-    brute-force norm counting).  removed_primes are rational primes; every prime ideal above
-    each is removed.
-    """
-    s = complex(s)
-    if s.real <= 1:
-        raise ValueError("outside convergence region")
-    if field.degree == 1:
-        val = _hurwitz_em(s, 1.0)
-        for p in removed_primes:
-            val *= 1 - p ** (-s)
-        return val
-    disc = field.discriminant
-    val = _hurwitz_em(s, 1.0) * _dirichlet_l_em(disc, s)
-    for p in removed_primes:
-        chi = _chi_quadratic(disc, p)
-        if chi == 1:      # split: two ideals of norm p
-            val *= (1 - p ** (-s)) ** 2
-        elif chi == -1:   # inert: one ideal of norm p^2
-            val *= 1 - p ** (-2 * s)
-        else:             # ramified: one ideal of norm p
-            val *= 1 - p ** (-s)
-    return val
 
 
 def zeta_laurent_at_center(field: FieldDescriptor, removed_primes=()) -> tuple[float, float]:

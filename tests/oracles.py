@@ -252,6 +252,36 @@ def zeta_norm_sum_oracle(field, s: complex, length: int = 200000) -> complex:
     return val
 
 
+def zeta_partial(field, s: complex, removed_primes=()) -> complex:
+    """zeta_F(s) * prod_{l | removed}(1 - N(l)^{-s}) for Re(s) > 1.
+
+    Over Q this is Riemann zeta, Hurwitz zeta(s, 1) by Euler-Maclaurin.  For
+    the quadratic fields the Dedekind factorization zeta_F = zeta * L(chi_disc)
+    is used (an exact identity, checked against ``zeta_norm_sum_oracle``).
+    removed_primes are rational primes; every prime ideal above each is
+    removed.
+    """
+    s = complex(s)
+    if s.real <= 1:
+        raise ValueError("outside convergence region")
+    if field.degree == 1:
+        val = sf._hurwitz_em(s, 1.0)
+        for p in removed_primes:
+            val *= 1 - p ** (-s)
+        return val
+    disc = field.discriminant
+    val = sf._hurwitz_em(s, 1.0) * sf._dirichlet_l_em(disc, s)
+    for p in removed_primes:
+        chi = sf._chi_quadratic(disc, p)
+        if chi == 1:      # split: two ideals of norm p
+            val *= (1 - p ** (-s)) ** 2
+        elif chi == -1:   # inert: one ideal of norm p^2
+            val *= 1 - p ** (-2 * s)
+        else:             # ramified: one ideal of norm p
+            val *= 1 - p ** (-s)
+    return val
+
+
 def petersson_rhs_q_paper_literal(m: int, n: int, k: int, c_max: int) -> float:
     """The unfolded form: C * sum over signed c of S(m,n;c)/|c| J(4 pi sqrt(mn)/|c|),
     with C = (-1)^{k/2} (2 pi)/2.  Test anchor for the folding constant."""

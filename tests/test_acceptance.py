@@ -295,7 +295,7 @@ def test_criterion_9_coefficient_recovery(delta_record):
 
 
 def test_criterion_10_transformation_law():
-    d = mf.delta_qexp(600)
+    d = mf.QExpansion(12, series.delta_exact(601))
     rng = np.random.default_rng(3)
     worst_margin = -1.0
     for _ in range(20):

@@ -62,6 +62,16 @@ def test_kloosterman_command(capsys, tmp_path):
     assert "rsmoment" in manifest["versions"]
 
 
+def test_kloosterman_c2_over_q_exit(capsys, tmp_path):
+    # Q has no omega-coordinate: a nonzero --c2 must not be dropped silently
+    rc = main(["kloosterman", "--field", "Q", "--m", "2", "--n", "3", "--c", "7",
+               "--c2", "5", "--outdir", str(tmp_path)])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: --c2" in out.err
+    assert not (tmp_path / "kloosterman.csv").exists()
+
+
 def test_moment_weight_constraint_exit(capsys, tmp_path, delta_file):
     rc = main(["moment", "--g", delta_file, "--k", "12", "--outdir", str(tmp_path)])
     assert rc != 0
@@ -236,3 +246,14 @@ def test_afe_command(capsys, tmp_path, delta_file):
     assert rc == 0
     text = (tmp_path / "afe.csv").read_text()
     assert "max spread" in text
+
+
+def test_afe_command_at_tight_tolerance(capsys, tmp_path, delta_file):
+    # the forms are sized by the same afe_tol / 2 tail as the central values
+    rc = main(["afe", "--g", delta_file, "--k", "16", "--afe-tol", "1e-10",
+               "--outdir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    rows = [r.split(",") for r in (tmp_path / "afe.csv").read_text().splitlines()[1:]
+            if not r.startswith("#")]
+    assert len(rows) == 3
+    assert all(float(r[5]) < 1e-10 for r in rows)

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import mpmath as mp
@@ -8,6 +7,10 @@ import pytest
 import oracles
 from rsmoment import modforms as mf
 from rsmoment import series
+
+
+def _delta(length):
+    return mf.QExpansion(12, series.delta_exact(length + 1))
 
 
 def test_dims():
@@ -31,7 +34,7 @@ def test_delta_against_naive_eta_product():
                             out[i + j] += a * b
             poly = out
     oracle = [0] + poly[: n - 1]
-    assert mf.delta_qexp(n - 1).an == oracle
+    assert _delta(n - 1).an == oracle
 
 
 def test_miller_basis_delta():
@@ -78,9 +81,8 @@ def test_miller_basis_raises_on_a_non_integral_row(monkeypatch):
 def test_real_roots_match_fraction_bisection_oracle():
     for k in range(16, 61, 2):
         if mf.dim_cusp(k):
-            space = mf.CuspSpace(k)
             for m in (2, 3):
-                coeffs = mf._char_poly_exact(space.hecke_matrix(m))
+                coeffs = mf._char_poly_exact(mf.hecke_matrix(k, m))
                 got, want = mf._real_roots_exact(coeffs), oracles.real_roots_fraction(coeffs)
                 assert len(got) == mf.dim_cusp(k)
                 assert [mp.nstr(x, 80) for x in got] == [mp.nstr(x, 80) for x in want], (k, m)
@@ -110,25 +112,24 @@ def test_exact_products_stay_at_the_requested_length(monkeypatch):
 
 
 def test_hecke_t1_identity():
-    d = mf.delta_qexp(30)
+    d = _delta(30)
     assert mf.hecke_apply(1, d, 30).an == d.an
 
 
 def test_hecke_t2_delta_eigen():
-    d = mf.delta_qexp(40)
+    d = _delta(40)
     t2 = mf.hecke_apply(2, d, 20)
-    assert t2.an[1:] == [-24 * a for a in mf.delta_qexp(20).an[1:]]
+    assert t2.an[1:] == [-24 * a for a in _delta(20).an[1:]]
 
 
 def test_hecke_length_underflow():
-    d = mf.delta_qexp(10)
+    d = _delta(10)
     with pytest.raises(ValueError, match="length underflow"):
         mf.hecke_apply(3, d, 9)
 
 
 def test_t2_matrix_s24_trace_and_charpoly():
-    sp = mf.cusp_space(24)
-    A = sp.hecke_matrix(2)
+    A = mf.hecke_matrix(24, 2)
     assert A[0][0] + A[1][1] == 1080
     det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
     assert det == 540 ** 2 - 144 * 144169  # roots 540 +- 12 sqrt(144169)
@@ -153,7 +154,7 @@ def test_eigenforms_k24_pair():
 def test_eigen_sum_matches_trace():
     for k in (24, 36, 48):
         forms = mf.eigenforms(k, 20)
-        A = mf.cusp_space(k).hecke_matrix(2)
+        A = mf.hecke_matrix(k, 2)
         tr = sum(A[i][i] for i in range(len(A)))
         got = sum(f.lam2 for f in forms)
         assert abs(got - tr) <= 1e-8 * abs(tr)
@@ -196,7 +197,7 @@ def test_integer_eigen_evaluation_matches_mpmath(k):
     forms = mf.eigenforms(k, length)
     basis = mf.miller_basis(k, length)
     d = len(basis)
-    A, roots, _ = mf.cusp_space(k)._eigen_data()
+    A, roots, _ = mf._eigen_data(k)
     ns = list(range(1, 513))
     if length > 512:
         ns += [int(n) for n in np.random.default_rng(k).choice(
@@ -263,14 +264,38 @@ def test_exact_store_bit_identical_in_any_request_order(name):
     assert list(long) == list(fresh)
 
 
-def test_float_store_is_read_only_prefix():
+def test_store_holds_no_float_series():
+    # a float Delta^d is a local product chain of each float build; the store
+    # keeps exact series, the sieves and read-only memo entries only
     series.clear_store()
-    long, short = mf._delta_power_float(3, 3000), mf._delta_power_float(3, 500)
-    assert short.tobytes() == long[:500].tobytes()
-    for arr in (long, short, mf._tau_float(2000), series.sigma_sieve(3, 100)):
+    forms = mf.eigenforms(36, 3000)
+    sieve = series.sigma_sieve(3, 100)
+    arrays = [key for key, held in series._STORE.items() if isinstance(held, np.ndarray)]
+    assert arrays == [("sigma", 3)]
+    for arr in [f.cn for f in forms] + [sieve]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[1] = 0.0
+
+
+@pytest.mark.parametrize("k,n,earlier", [
+    (24, 3000, [(24, 9000)]),
+    (36, 1860, [(48, 12000)]),
+    (36, 2 ** 16, [(36, 2 ** 17)]),
+])
+def test_eigenforms_independent_of_earlier_requests(k, n, earlier):
+    # the same request from an empty store and after longer ones, bit for bit
+    series.clear_store()
+    fresh = mf.eigenforms(k, n)
+    series.clear_store()
+    for k0, n0 in earlier:
+        mf.eigenforms(k0, n0)
+    after = mf.eigenforms(k, n)
+    series.clear_store()
+    assert len(fresh) == len(after) == mf.dim_cusp(k)
+    for f, g in zip(fresh, after):
+        assert f.cn.tobytes() == g.cn.tobytes()
+        assert (f.lam2, f.float_rel) == (g.lam2, g.float_rel)
 
 
 def test_ascending_requests_build_delta_log_times(monkeypatch):
@@ -287,7 +312,7 @@ def test_ascending_requests_build_delta_log_times(monkeypatch):
 
 
 def test_evaluate_delta_at_i():
-    d = mf.delta_qexp(120)
+    d = _delta(120)
     val, cert = oracles.evaluate(d, 1j)
     # oracle: direct mpmath summation
     with mp.workdps(40):
@@ -298,7 +323,7 @@ def test_evaluate_delta_at_i():
 
 
 def test_evaluate_periodicity():
-    d = mf.delta_qexp(150)
+    d = _delta(150)
     z = 0.3 + 1.0j
     v1, c1 = oracles.evaluate(d, z)
     v2, c2 = oracles.evaluate(d, z + 1)
@@ -307,7 +332,7 @@ def test_evaluate_periodicity():
 
 def test_evaluate_modular_transformation():
     # Delta(-1/z) = z^12 Delta(z): level-1 transformation law
-    d = mf.delta_qexp(400)
+    d = _delta(400)
     for z in (0.2 + 1.1j, -0.4 + 0.9j, 0.05 + 1.7j):
         v1, c1 = oracles.evaluate(d, -1 / z)
         v2, c2 = oracles.evaluate(d, z)
@@ -316,7 +341,7 @@ def test_evaluate_modular_transformation():
 
 
 def test_evaluate_truncation_not_certified():
-    d = mf.delta_qexp(30)
+    d = _delta(30)
     with pytest.raises(ValueError, match="truncation not certified"):
         oracles.evaluate(d, 0.0 + 0.05j)
 
@@ -332,16 +357,17 @@ def test_newform_roundtrip(tmp_path):
 
 
 def test_eigenforms_exact_length_read_only_and_stable():
-    # The request order is fixed here: long, then short, then longer still.
-    # The shared space may already be longer from other tests, so a fresh
-    # CuspSpace is asked too; there the last request really extends it.
+    # The request order is fixed here: long, then short, then longer still,
+    # on whatever the store holds and again from an empty store.
     # k = 40 (dim 3, monomial Delta^3 E4) is built exactly at every length.
     for k, long_n, short_n in ((12, 20000, 10000), (24, 3000, 100), (40, 3000, 100)):
-        for get in (functools.partial(mf.eigenforms, k), mf.CuspSpace(k).eigenforms):
-            long_forms = get(long_n)
+        for clear in (False, True):
+            if clear:
+                series.clear_store()
+            long_forms = mf.eigenforms(k, long_n)
             kept = [f.cn.copy() for f in long_forms]
-            short_forms = get(short_n)
-            later = get(2 * long_n)
+            short_forms = mf.eigenforms(k, short_n)
+            later = mf.eigenforms(k, 2 * long_n)
             for forms, n in ((long_forms, long_n), (short_forms, short_n),
                              (later, 2 * long_n)):
                 assert len(forms) == mf.dim_cusp(k)
@@ -351,9 +377,13 @@ def test_eigenforms_exact_length_read_only_and_stable():
                     with pytest.raises(ValueError):
                         f.cn[1] = 0.0
                     assert k % 12 == 0 or f.float_rel == 0.0
+            # a float build of another length rounds its FFTs differently,
+            # so past the exact prefix the two lengths agree to 1e-12 only
+            cut = short_n + 1 if k % 12 else min(short_n + 1, 513)
             for f, s, cn in zip(long_forms, short_forms, kept):
                 assert np.array_equal(f.cn, cn)
-                assert np.array_equal(s.cn, cn[: short_n + 1])
+                assert np.array_equal(s.cn[:cut], cn[:cut])
+                assert np.allclose(s.cn, cn[: short_n + 1], rtol=0.0, atol=1e-12)
 
 
 def test_newform_not_normalized(tmp_path):
@@ -406,12 +436,13 @@ def test_hecke_word_span_rank_checks():
 def test_rank_deficient_hecke_words_raise(monkeypatch):
     # repeated words span a line, not S_24: the coordinate step must refuse
     monkeypatch.setitem(mf._SPAN_WORDS, 2, [(), ()])
+    series.clear_store()
     with pytest.raises(ArithmeticError, match="rank-deficient"):
-        mf.CuspSpace(24).eigenforms(1000)
+        mf.eigenforms(24, 1000)
 
 
 def test_separating_operator_fallback_logic():
     # T_2 separates every space we use; the fallback path is exercised by
     # asking for the separating data and checking the chosen operator
-    _, _, m = mf.cusp_space(24)._eigen_data()
+    _, _, m = mf._eigen_data(24)
     assert m in (2, 3, 5)

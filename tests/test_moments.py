@@ -132,6 +132,14 @@ def test_e_term_stability_under_doubled_truncations(delta_record):
     doubled = mo.e_term(delta_record, 1, 20,
                         trunc=mo.ETruncation(nu_cutoff=2 * vp_cut))
     assert abs(base.value - doubled.value) <= 1e-6
+    # four times the nu range moves E by at most the certificate, plus 1e-14
+    # relative for rounding, which the certificate (truncation only) does not cover
+    for k in (20, 24, 32):
+        short = mo.e_term(delta_record, 1, k)
+        M = mo.effective_cutoff(mo.VParams((k,), (12,)), mo.ETruncation().tol / 16.0)
+        long = mo.e_term(delta_record, 1, k, trunc=mo.ETruncation(nu_cutoff=4 * M))
+        gap = abs(long.value - short.value)
+        assert gap <= short.certificate + 1e-14 * max(1.0, abs(short.value)), (k, gap)
 
 
 def test_e_term_certificate_ignores_earlier_spline_calls(delta_record):
@@ -171,6 +179,28 @@ def test_moment_report_ignores_earlier_twists(delta_record, monkeypatch):
     series.clear_store()
     fresh = mo.moment_report(delta_record, 5, 24)
     assert vars(after) == vars(fresh)
+
+
+def test_moment_report_evaluates_w_at_p_once(delta_record, monkeypatch):
+    # M and the recovery denominator share one W(p), at the recovery's stop rule
+    single = []
+    w_sum = mo._w_sum
+
+    def counting(vp, level, nus, tol):
+        if len(nus) == 1:
+            single.append(tol)
+        return w_sum(vp, level, nus, tol)
+    monkeypatch.setattr(mo, "_w_sum", counting)
+    for p, k in ((1, 16), (2, 24), (5, 30)):
+        single.clear()
+        rep = mo.moment_report(delta_record, p, k)
+        assert single == [1e-10 / 16]
+        md = mo.m_term_direct(delta_record, p, k)
+        tight = mo.m_term_direct(delta_record, p, k, tol=1e-10)
+        assert rep.m_direct == tight.value
+        assert abs(rep.m_direct - md.value) <= md.certificate
+        assert tight.certificate <= md.certificate
+        assert rep.recovered_c == mo.recover_coefficient(delta_record, p, k)
 
 
 def _e_unskipped(g, p, k):

@@ -240,6 +240,19 @@ def test_central_value_truncation_stability(f16, delta_record):
     assert abs(a.value - b.value) <= a.certificate + b.certificate
 
 
+@pytest.mark.parametrize("k", [16, 24, 36, 40])
+def test_central_value_certificate_against_4x_cutoff(delta_record, k):
+    # every form of S_k against g = Delta: summing to 4M moves L by at most
+    # the certificate at M, plus 1e-14 relative for rounding, which the
+    # certificate (truncation only) does not cover
+    cut = rk.effective_cutoff(rk.VParams((k,), (12,)), 1e-8 / 2)
+    for f, f_long in zip(mf.eigenforms(k, cut), mf.eigenforms(k, 4 * cut)):
+        short = rk.central_value(f, delta_record)
+        long = rk.central_value(f_long, delta_record, cutoff=4 * cut)
+        gap = abs(long.value - short.value)
+        assert gap <= short.certificate + 1e-14 * max(1.0, abs(short.value)), (k, f.index, gap)
+
+
 def test_central_value_rejects_polar_pair():
     f = mf.eigenforms(12, 2000)[0]
     g = mf.newform_from_eigenform(f)

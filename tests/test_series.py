@@ -303,7 +303,8 @@ def test_clear_store_resets_every_memo():
         "omega": lambda: moments.omega_weights(16),
         "W row": lambda: moments._w_row(rankin.VParams((24,), (12,)), 1, 50, 1e-6),
         "nu-tail row": lambda: moments._nu_tail_row(rankin.VParams((24,), (12,)), 50),
-        "cusp space": lambda: modforms.cusp_space(16),
+        "eigenforms": lambda: modforms.eigenforms(16, 50)[0],
+        "Hecke data": lambda: modforms._eigen_data(16),
         "kloosterman row": lambda: tracefmla.kloosterman_row(3, 35),
         "inverse table": lambda: tracefmla._inverse_table(35),
         "residues": lambda: tracefmla._residue_data(Q_SQRT5, (2, 1), box),

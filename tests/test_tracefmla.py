@@ -336,6 +336,21 @@ def test_rhs_q_tail_certificate_honored_under_doubling():
     assert abs(a.value - b.value) <= a.certificate
 
 
+def test_rhs_q_certificate_against_4x_c_range():
+    # the auto-sized c range, summed to four times its end, moves the value by
+    # at most the certificate, plus 1e-14 relative for rounding, which the
+    # certificate (truncation only) does not cover
+    x = 4.0 * math.pi
+    c_max = max(8, int(x / 2) + 1)
+    while tf._rhs_q_tail(x, 12, c_max) > 1e-10:
+        c_max *= 2
+    short = tf.petersson_rhs_q(1, 1, 12)
+    assert short.certificate == tf._rhs_q_tail(x, 12, c_max)
+    long = tf.petersson_rhs_q(1, 1, 12, c_max=4 * c_max)
+    gap = abs(long.value - short.value)
+    assert gap <= short.certificate + 1e-14 * max(1.0, abs(short.value)), gap
+
+
 def test_rhs_q_paper_literal_fold():
     for (m, n, k) in ((2, 3, 16), (1, 1, 12), (4, 9, 20)):
         lit = oracles.petersson_rhs_q_paper_literal(m, n, k, 60)
