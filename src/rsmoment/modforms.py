@@ -3,27 +3,25 @@
 The degree-1 specialization of the Hilbert machinery: cusp forms for
 SL_2(Z), built from Delta and the Eisenstein series.  Exact big-integer
 arithmetic is used for every structural step (echelon basis, Hecke
-matrices, characteristic polynomials, Sturm bisection in integers).  mpmath
-only refines the eigenvalues and solves each eigenvector v; an eigenform's
-coefficients are then integer sums sum_i nint(v_i 2^P) b_i(n) over the
-echelon Miller basis, scaled to C_f(n) by one correctly rounded int/int
-division (``_normalized``).  The basis is read off the monomials
-Delta^i D E_{k-12i}, i = 1..d, one exact product each (D E_w, the least
-integral multiple of E_w, from ``series.eisenstein_exact``).  When the
-most-cuspidal monomial Delta^d E_w carries an Eisenstein factor (k not 0
-mod 12) that build serves every length, so those forms are exact at every
-length.  For pure Delta^d weights (k = 12d) it serves a fixed prefix;
-beyond it, normalized
-coefficients C_f(n) = a_f(n) / n^{(k-1)/2} are extended in float64 from
-Delta^d and its translates by Hecke words in T_2 and T_3, cusp-by-cusp
-products free of the Eisenstein-versus-cusp cancellation that floats cannot
-survive.  The Miller basis is echelon, so a cusp form is fixed by a(1..d):
-a form's coordinates in the Hecke-word span are one exact rational inverse
-of the d x d matrix of the words' first d coefficients, applied to
-a_f(1..d), and that inverse exists exactly when the words span S_k.  The
-same matrix times the basis gives each word's exact head.  The overlap with
-the exact prefix is verified on every float build, and each form carries
-that build's error.
+matrices).  One ``mpmath.eig`` of a Hecke matrix gives the eigenvectors v
+(``_eig``); an eigenform's coefficients are then integer sums
+sum_i nint(v_i 2^P) b_i(n) over the echelon Miller basis, scaled to C_f(n) by
+one correctly rounded int/int division (``_normalized``).  The basis is read off the
+monomials Delta^i D E_{k-12i}, i = 1..d, one exact product each (D E_w, the
+least integral multiple of E_w, from ``series.eisenstein_exact``).  When the
+most-cuspidal monomial Delta^d E_w carries an Eisenstein factor (k not 0 mod
+12) that build serves every length, so those forms are exact at every
+length.  For pure Delta^d weights (k = 12d) it serves a fixed prefix; beyond
+it, normalized coefficients C_f(n) = a_f(n) / n^{(k-1)/2} are extended in
+float64 from Delta^d and its translates by Hecke words in T_2 and T_3,
+cusp-by-cusp products free of the Eisenstein-versus-cusp cancellation that
+floats cannot survive.  The Miller basis is echelon, so a cusp form is fixed
+by a(1..d): a form's coordinates in the Hecke-word span are one exact
+rational inverse of the d x d matrix of the words' first d coefficients,
+applied to a_f(1..d), and that inverse exists exactly when the words span
+S_k.  The same matrix times the basis gives each word's exact head.  The
+overlap with the exact prefix is verified on every float build, and each
+form carries that build's error.
 
 ``eigenforms(k, length)`` is one ``series.memo`` entry per (k, length),
 built from k and length alone: the exact series behind it come from
@@ -97,16 +95,15 @@ class Eigenform:
     """Normalized Hecke eigenform of level 1.
 
     ``cn`` holds C_f(n) = a_f(n)/n^{(k-1)/2} as read-only float64,
-    index-aligned with cn[0] = 0.  ``lam2`` = a_f(2), the T_2 eigenvalue.
-    ``float_rel`` is the float-vs-exact overlap error of the build that made
-    ``cn`` (0 when ``cn`` was built exactly: within the exact prefix, or at
-    any length for a weight not 0 mod 12).
+    index-aligned with cn[0] = 0.  ``float_rel`` is the float-vs-exact
+    overlap error of the build that made ``cn`` (0 when ``cn`` was built
+    exactly: within the exact prefix, or at any length for a weight not 0
+    mod 12).
     """
 
     weight: int
     index: int
     cn: np.ndarray
-    lam2: float
     float_rel: float = 0.0
 
     @property
@@ -209,151 +206,32 @@ def hecke_apply(m: int, f: QExpansion, out_len: int | None = None) -> QExpansion
 
 # -- eigenform machinery --------------------------------------------------------
 
-def _char_poly_exact(A: list[list[int]]) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A) by Faddeev-LeVerrier (exact)."""
-    d = len(A)
-    coeffs = [Fraction(1)]
-    M = [[Fraction(0)] * d for _ in range(d)]
-    I = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for m in range(1, d + 1):
-        # M_m = A*M_{m-1} + c_{m-1} I
-        AM = [[sum(Fraction(A[i][l]) * M[l][j] for l in range(d)) + coeffs[-1] * I[i][j]
-               for j in range(d)] for i in range(d)]
-        tr = sum(Fraction(A[i][l]) * AM[l][i] for i in range(d) for l in range(d))
-        coeffs.append(-tr / m)
-        M = AM
-    return coeffs  # x^d + c1 x^{d-1} + ... + cd
+def _eig(A: list[list[int]], dps: int, k: int) -> tuple[list[mp.mpf], list[list[mp.mpf]]]:
+    """(eigenvalues, eigenvectors) of a Hecke matrix A of S_k at ``dps``
+    digits, eigenvalues descending, each v scaled to v[0] = 1 (in the
+    echelon basis v[i] = a_f(i + 1), and a_f(1) is never 0).
 
-
-def _poly_eval(coeffs, x):
-    out = coeffs[0]
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
-def _sturm_chain(coeffs: list[Fraction]):
-    p0 = coeffs
-    p1 = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
-    chain = [p0, p1]
-    while len(chain[-1]) > 1:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if all(c == 0 for c in rem):
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    out = []
-    dlen = len(den)
-    while len(num) >= dlen:
-        q = num[0] / den[0]
-        out.append(q)
-        num = [a - q * b for a, b in zip(num[1:], den[1:])] + num[dlen:]
-    while num and num[0] == 0:
-        num.pop(0)
-    return out, num if num else [Fraction(0)]
-
-
-def _cleared(p: list[Fraction]) -> list[int]:
-    """p times the positive lcm of its denominators: integer, with p's signs."""
-    m = math.lcm(*(c.denominator for c in p))
-    return [int(c * m) for c in p]
-
-
-def _sign_at(p: list[int], x: Fraction) -> int:
-    """The sign of an integer polynomial at x = a/b, b > 0: that of
-    sum_i c_i a^(deg - i) b^i, so no rational is formed."""
-    a, b = x.numerator, x.denominator
-    v, bp = p[0], 1
-    for c in p[1:]:
-        bp *= b
-        v = v * a + c * bp
-    return (v > 0) - (v < 0)
-
-
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _real_roots_exact(coeffs: list[Fraction]) -> list[mp.mpf]:
-    """All real roots of a squarefree integer-coefficient polynomial, refined in mpmath.
-
-    Each Sturm polynomial is scaled by the positive lcm of its denominators,
-    so every sign is read off integers (``_sign_at``); p(lo) keeps its sign
-    through a root's bisection.
-    """
-    d = len(coeffs) - 1
-    bound = Fraction(1) + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
-    chain = [_cleared(q) for q in _sturm_chain(coeffs)]
-    p = chain[0]
-
-    def count(a, b):
-        return _sign_changes(chain, a) - _sign_changes(chain, b)
-
-    intervals = [(-bound, bound)]
-    isolated = []
-    while intervals:
-        a, b = intervals.pop()
-        n = count(a, b)
-        if n == 0:
-            continue
-        if n == 1:
-            isolated.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if not _sign_at(p, mid):
-            isolated.append((mid, mid))
-            mid_eps = (b - a) / (4 * (d + 1))
-            intervals.append((a, mid - mid_eps))
-            intervals.append((mid + mid_eps, b))
-        else:
-            intervals.append((a, mid))
-            intervals.append((mid, b))
-    roots = []
-    with mp.workdps(80):  # 60 digits plus 20 guard
-        fc = [mp.mpf(c.numerator) / c.denominator for c in coeffs]
-        for a, b in sorted(isolated):
-            if a == b:
-                roots.append(mp.mpf(a.numerator) / a.denominator)
-                continue
-            lo, hi = a, b
-            lo_pos = _sign_at(p, lo) > 0
-            for _ in range(80):  # exact bisection to shrink safely
-                mid = (lo + hi) / 2
-                s = _sign_at(p, mid)
-                if s == 0:
-                    lo = hi = mid
-                    break
-                if lo_pos == (s > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            x = mp.mpf(lo.numerator) / lo.denominator if lo == hi else \
-                (mp.mpf(lo.numerator) / lo.denominator + mp.mpf(hi.numerator) / hi.denominator) / 2
-            for _ in range(8):  # Newton polish
-                pv = _poly_eval(fc, x)
-                dv = _poly_eval([c * (d - i) for i, c in enumerate(fc[:-1])], x)
-                x = x - pv / dv
-            roots.append(x)
-    return roots
-
-
-def _eigenvector(A: list[list[int]], lam: mp.mpf) -> list[mp.mpf]:
-    """The solution of A v = lam v with v[0] = 1, at the working precision.
-
-    In the echelon basis v[i] = a_f(i + 1), and an eigenform never has
-    a(1) = 0, so (A - lam I)[:, 1:] v' = -(A - lam I)[:, 0] has one solution.
+    ``mp.eig`` runs on D^-1 A D, D = diag(2^round(((k - 1)/2) log2(i + 1))),
+    exact in binary: it turns v into about C_f(i + 1), bounded by Deligne,
+    where a_f(i + 1) spans (k - 1)/2 log10(d) decimal orders.  T_m is
+    self-adjoint for the Petersson product, so an imaginary part above
+    10^(-dps/2) of the scale means too few digits for A: that raises, as do
+    two eigenvalues closer than 1e-6 of the scale.
     """
     d = len(A)
-    if d == 1:
-        return [mp.mpf(1)]
-    B = mp.matrix([[A[i][j] - (lam if i == j else 0) for j in range(1, d)] for i in range(d)])
-    rhs = mp.matrix([-(A[i][0] - (lam if i == 0 else 0)) for i in range(d)])
-    return [mp.mpf(1)] + list(mp.lu_solve(B, rhs))
+    e = [round((k - 1) / 2 * math.log2(i + 1)) for i in range(d)]
+    with mp.workdps(dps):
+        E, ER = mp.eig(mp.matrix([[mp.ldexp(A[i][j], e[j] - e[i]) for j in range(d)]
+                                  for i in range(d)]))
+        scale = max(abs(lam) for lam in E) + 1
+        if any(abs(lam.imag) > mp.mpf(10) ** (-dps / 2) * scale for lam in E):
+            raise ValueError(f"complex eigenvalue at {dps} digits")
+        order = sorted(range(d), key=lambda i: E[i].real, reverse=True)
+        lams = [E[i].real for i in order]
+        if any(lams[i] - lams[i + 1] <= 1e-6 * scale for i in range(d - 1)):
+            raise ValueError("eigenvalues not separated")
+        vecs = [[mp.ldexp((ER[r, i] / ER[0, i]).real, e[r]) for r in range(d)] for i in order]
+    return lams, vecs
 
 
 def hecke_matrix(k: int, m: int) -> list[list[int]]:
@@ -366,19 +244,18 @@ def hecke_matrix(k: int, m: int) -> list[list[int]]:
 
 
 def _eigen_data(k: int):
-    """(matrix, eigenvalues, m) of the first Hecke operator T_m that separates
-    the eigenforms of S_k, solved once per weight: every build reuses it."""
+    """(matrix, m, dps, vectors) of the first Hecke operator T_m whose
+    eigenvalues on S_k ``_eig`` separates at dps = 40 digits plus twice
+    those of the largest entry, with its eigenvectors there; chosen once per
+    weight: every build reuses it, and no build solves at fewer digits."""
     def build():
-        d = dim_cusp(k)
         for m in (2, 3, 5):
             A = hecke_matrix(k, m)
-            roots = _real_roots_exact(_char_poly_exact(A))
-            scale = max(abs(r) for r in roots) + 1
-            if len(roots) == d and all(
-                abs(roots[i] - roots[j]) > 1e-6 * scale
-                for i in range(d) for j in range(i + 1, d)
-            ):
-                return A, roots, m
+            dps = 40 + 2 * len(str(max(abs(x) for row in A for x in row)))
+            try:
+                return A, m, dps, _eig(A, dps, k)[1]
+            except ValueError:
+                continue
         raise ValueError("cannot separate eigenforms")
     return series.memo(("Hecke data", k), build)
 
@@ -389,27 +266,31 @@ def _exact_eigen(k: int, length: int):
 
     Every coefficient is evaluated in integers: V_i = nint(v_i 2^P) with
     P = (bit length of the basis) + 60, s = sum_i V_i b_i(n) exactly, and
-    C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n) (``_normalized``).
-    Rounding V_i moves C_f(n) by at most d max_i |b_i(n)| 2^-P /
-    n^((k-1)/2), below d 2^-60 / n^((k-1)/2), and the two float divisions
-    add at most 3 ulp.  ``lam2`` is s at n = 2 over 2^P, correctly rounded.
-    The V_i rounding is far below an ulp, so builds of different lengths
-    have agreed bit for bit on their common prefix wherever the tests look.
+    C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n) (``_normalized``).  Rounding
+    V_i moves C_f(n) by at most d max_i |b_i(n)| 2^-P / n^((k-1)/2), below
+    d 2^-60 / n^((k-1)/2), and the two float divisions add at most 3 ulp.
+    v is ``_eig``'s at the separating precision of ``_eigen_data`` or at
+    0.302 bits + 40 digits, whichever is more; its error, v_f +
+    sum_g eps_g v_g, moves C_f(n) by sum_g eps_g C_g(n), and |eps_g| <=
+    10^(2 - dps) at lengths 8 and 512 for every k <= 120, against a solve
+    100 digits finer.  All of it is far below an ulp, so builds of any two
+    lengths have agreed bit for bit on their common prefix wherever tested.
     """
-    basis = miller_basis(k, max(length, 2))  # a(2) gives lam2
-    A, roots, _ = _eigen_data(k)
+    basis = miller_basis(k, length)
+    A, _, sep_dps, vecs = _eigen_data(k)
     bits = max(abs(x).bit_length() for f in basis for x in f.an) + 1
     P = bits + 60
-    with mp.workdps(max(60, int(bits * 0.302) + 40)):
-        vectors = [[int(mp.nint(mp.ldexp(x, P))) for x in _eigenvector(A, lam)]
-                   for lam in sorted(roots, reverse=True)]
-    cols = list(zip(*(f.an for f in basis)))
+    dps = max(sep_dps, int(bits * 0.302) + 40)
+    if dps > sep_dps:
+        _, vecs = _eig(A, dps, k)
+    with mp.workdps(dps):
+        vectors = [[int(mp.nint(mp.ldexp(x, P))) for x in v] for v in vecs]
+    cols = list(zip(*(f.an for f in basis)))[: length + 1]
     forms = []
     for idx, V in enumerate(vectors):
-        sums = [sum(map(operator.mul, V, col)) for col in cols]
-        cn = _normalized(sums[: length + 1], k, P)
+        cn = _normalized([sum(map(operator.mul, V, col)) for col in cols], k, P)
         cn.flags.writeable = False
-        forms.append(Eigenform(weight=k, index=idx, cn=cn, lam2=sums[2] / (1 << P)))
+        forms.append(Eigenform(weight=k, index=idx, cn=cn))
     return tuple(forms), P, vectors
 
 
@@ -457,10 +338,6 @@ _SPAN_WORDS = {
 }
 
 
-def _span_length_factor(d: int) -> int:
-    return max(math.prod(w) if w else 1 for w in _SPAN_WORDS[d])
-
-
 def _span_inverse(k: int, d: int) -> list[list[Fraction]]:
     """Exact inverse of M[i][j] = a(R_j)(i + 1), i, j < d, R_j the Hecke-word vectors.
 
@@ -488,7 +365,7 @@ def _span_raw_exact(k: int, d: int, length: int) -> list[list[int]]:
     """The Hecke-word translates of Delta^d in S_k, k = 12d, exact to ``length``."""
     out = []
     for word in _SPAN_WORDS[d]:
-        need = length * (math.prod(word) if word else 1)
+        need = length * math.prod(word)
         cur = _delta_power_exact(d, need + 1)
         run = need
         for p in reversed(word):
@@ -541,7 +418,7 @@ def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
     """
     head = min(_EXACT_PREFIX * 2, length)
     heads = _word_heads(k, d, head)
-    need = (length + 1) * _span_length_factor(d)
+    need = (length + 1) * max(map(math.prod, _SPAN_WORDS[d]))
     base = _delta_power_float(d, need)
     n = np.arange(length + 1, dtype=float)
     n[0] = 1.0

@@ -84,19 +84,23 @@ class MomentReport:
                 raise ValueError("non-finite entry in moment report")
 
 
-def omega_weights(k: int, tol: float = 1e-8, rhs_tol: float = 1e-11) -> OmegaWeights:
+_OMEGA_TOL = 1e-8  # relative tolerance of the held-out pair check
+_OMEGA_RHS_TOL = 1e-11  # truncation tolerance of every Petersson right side
+
+
+def omega_weights(k: int) -> OmegaWeights:
     """Solve sum_f omega_f C_f(m_i) = rhs(m_i, 1) and cross-validate held-out pairs."""
-    return _series.memo(("omega", k, tol, rhs_tol), lambda: _solve_omega(k, tol, rhs_tol))
+    return _series.memo(("omega", k), lambda: _solve_omega(k))
 
 
-def _solve_omega(k: int, tol: float, rhs_tol: float) -> OmegaWeights:
+def _solve_omega(k: int) -> OmegaWeights:
     d = dim_cusp(k)
     if d == 0:
         raise ValueError("empty space")
     forms = eigenforms(k, max(72, 2 * d + 8))
     probes = _PROBES[:d]
     A = np.array([[f.c(m) for f in forms] for m in probes])
-    rhs = [petersson_rhs_q(m, 1, k, tol=rhs_tol) for m in probes]
+    rhs = [petersson_rhs_q(m, 1, k, tol=_OMEGA_RHS_TOL) for m in probes]
     bvec = np.array([r.value for r in rhs])
     cond = float(np.linalg.cond(A))
     if cond > 1e8:
@@ -107,8 +111,8 @@ def _solve_omega(k: int, tol: float, rhs_tol: float) -> OmegaWeights:
         raise ValueError("trace formula inconsistency: nonpositive harmonic weight")
     for (m, n) in _HELD_OUT_PAIRS:
         lhs_val = float(sum(w * f.c(m) * f.c(n) for w, f in zip(omega, forms)))
-        rv = petersson_rhs_q(m, n, k, tol=rhs_tol)
-        if abs(lhs_val - rv.value) > tol * max(1.0, abs(rv.value)) + cert + rv.certificate:
+        rv = petersson_rhs_q(m, n, k, tol=_OMEGA_RHS_TOL)
+        if abs(lhs_val - rv.value) > _OMEGA_TOL * max(1.0, abs(rv.value)) + cert + rv.certificate:
             raise ValueError(
                 f"trace formula inconsistency at held-out pair {(m, n)}: "
                 f"|{lhs_val:.12g} - {rv.value:.12g}|")

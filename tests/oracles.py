@@ -96,63 +96,27 @@ def miller_bases_chain(weights, length: int) -> dict[int, list[list[int]]]:
     return out
 
 
-def real_roots_fraction(coeffs: list[Fraction]) -> list[mp.mpf]:
-    """The real roots of a squarefree integer polynomial by Sturm bisection
-    in ``Fraction`` arithmetic, p(lo) evaluated afresh at every step, then
-    the same Newton polish as ``modforms._real_roots_exact``."""
-    d = len(coeffs) - 1
-    bound = Fraction(1) + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
-    chain = mf._sturm_chain(coeffs)
+def char_poly_exact(A: list[list[int]]) -> list[Fraction]:
+    """Characteristic polynomial det(xI - A) = x^d + c1 x^(d-1) + ... + cd by
+    Faddeev-LeVerrier, exact: [1, c1, ..., cd]."""
+    d = len(A)
+    coeffs = [Fraction(1)]
+    M = [[Fraction(0)] * d for _ in range(d)]
+    for m in range(1, d + 1):
+        # M_m = A M_(m-1) + c_(m-1) I
+        M = [[sum(A[i][l] * M[l][j] for l in range(d)) + (coeffs[-1] if i == j else 0)
+              for j in range(d)] for i in range(d)]
+        tr = sum(A[i][l] * M[l][i] for i in range(d) for l in range(d))
+        coeffs.append(-tr / m)
+    return coeffs
 
-    def changes(x):
-        signs = [1 if v > 0 else -1 for v in (mf._poly_eval(p, x) for p in chain) if v != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    intervals = [(-bound, bound)]
-    isolated = []
-    while intervals:
-        a, b = intervals.pop()
-        n = changes(a) - changes(b)
-        if n == 0:
-            continue
-        if n == 1:
-            isolated.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if mf._poly_eval(coeffs, mid) == 0:
-            isolated.append((mid, mid))
-            mid_eps = (b - a) / (4 * (d + 1))
-            intervals.append((a, mid - mid_eps))
-            intervals.append((mid + mid_eps, b))
-        else:
-            intervals.append((a, mid))
-            intervals.append((mid, b))
-    roots = []
-    with mp.workdps(80):
-        fc = [mp.mpf(c.numerator) / c.denominator for c in coeffs]
-        for a, b in sorted(isolated):
-            if a == b:
-                roots.append(mp.mpf(a.numerator) / a.denominator)
-                continue
-            lo, hi = a, b
-            for _ in range(80):
-                mid = (lo + hi) / 2
-                v = mf._poly_eval(coeffs, mid)
-                if v == 0:
-                    lo = hi = mid
-                    break
-                if (mf._poly_eval(coeffs, lo) > 0) == (v > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            x = mp.mpf(lo.numerator) / lo.denominator if lo == hi else \
-                (mp.mpf(lo.numerator) / lo.denominator + mp.mpf(hi.numerator) / hi.denominator) / 2
-            for _ in range(8):
-                pv = mf._poly_eval(fc, x)
-                dv = mf._poly_eval([c * (d - i) for i, c in enumerate(fc[:-1])], x)
-                x = x - pv / dv
-            roots.append(x)
-    return roots
+def poly_eval(coeffs, x):
+    """coeffs[0] x^d + ... + coeffs[d] by Horner's rule, in x's arithmetic."""
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
 
 
 def v_function(y: float, p: rk.VParams, contour: float = rk.DEFAULT_CONTOUR) -> float:

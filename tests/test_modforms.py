@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -78,14 +79,50 @@ def test_miller_basis_raises_on_a_non_integral_row(monkeypatch):
     series.clear_store()
 
 
-def test_real_roots_match_fraction_bisection_oracle():
-    for k in range(16, 61, 2):
-        if mf.dim_cusp(k):
-            for m in (2, 3):
-                coeffs = mf._char_poly_exact(mf.hecke_matrix(k, m))
-                got, want = mf._real_roots_exact(coeffs), oracles.real_roots_fraction(coeffs)
-                assert len(got) == mf.dim_cusp(k)
-                assert [mp.nstr(x, 80) for x in got] == [mp.nstr(x, 80) for x in want], (k, m)
+def _fraction(x: mp.mpf) -> Fraction:
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def test_eig_values_bracket_roots_of_the_exact_characteristic_polynomial():
+    # at the separating precision of _eigen_data, 40 digits plus twice the
+    # largest entry's: chi changes sign, exactly, across each returned
+    # lambda +- 10^(10 - dps/2) scale, and the d brackets are disjoint, so
+    # each holds one root of chi and the order is the true one
+    for k in range(16, 121, 2):
+        d = mf.dim_cusp(k)
+        if not d:
+            continue
+        for m in (2, 3):
+            A = mf.hecke_matrix(k, m)
+            dps = 40 + 2 * len(str(max(abs(x) for row in A for x in row)))
+            lams, vecs = mf._eig(A, dps, k)
+            assert len(lams) == len(vecs) == d, (k, m)
+            chi = oracles.char_poly_exact(A)
+            with mp.workdps(dps):
+                delta = mp.mpf(10) ** (10 - dps / 2) * (max(abs(lam) for lam in lams) + 1)
+                brackets = [(_fraction(lam - delta), _fraction(lam + delta)) for lam in lams]
+            assert all(lo > hi for (lo, _), (_, hi) in zip(brackets, brackets[1:])), (k, m)
+            for lo, hi in brackets:
+                assert oracles.poly_eval(chi, lo) * oracles.poly_eval(chi, hi) < 0, (k, m)
+
+
+def test_eig_raises_on_complex_or_close_eigenvalues():
+    # a rotation has eigenvalues +-i; diag(5400000, 5400001) has a gap of 1,
+    # below 1e-6 of the scale
+    with pytest.raises(ValueError, match="complex eigenvalue at 60 digits"):
+        mf._eig([[0, -1], [1, 0]], 60, 24)
+    with pytest.raises(ValueError, match="not separated"):
+        mf._eig([[5400000, 0], [0, 5400001]], 60, 24)
+
+
+def test_short_builds_at_high_weight():
+    # a build of a few coefficients has a 0/1 basis, so 0.302 bits + 40 is
+    # 40 digits, far below the separating precision of _eigen_data (142 at
+    # k = 120); the forms equal the head of a 512-coefficient build bit for bit
+    for k in range(88, 121, 2):
+        for f, g in zip(mf.eigenforms(k, 8), mf.eigenforms(k, 512)):
+            assert np.array_equal(f.cn, g.cn[:9]), k
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -146,7 +183,7 @@ def test_eigenforms_normalized_values():
 def test_eigenforms_k24_pair():
     forms = mf.eigenforms(24, 50)
     r = 12 * math.sqrt(144169)
-    got = sorted(f.lam2 for f in forms)
+    got = sorted(f.a(2) for f in forms)
     assert abs(got[0] - (540 - r)) < 1e-6
     assert abs(got[1] - (540 + r)) < 1e-6
 
@@ -156,7 +193,7 @@ def test_eigen_sum_matches_trace():
         forms = mf.eigenforms(k, 20)
         A = mf.hecke_matrix(k, 2)
         tr = sum(A[i][i] for i in range(len(A)))
-        got = sum(f.lam2 for f in forms)
+        got = sum(f.a(2) for f in forms)
         assert abs(got - tr) <= 1e-8 * abs(tr)
 
 
@@ -191,27 +228,27 @@ def test_float_extension_validated_against_exact_prefix():
 def test_integer_eigen_evaluation_matches_mpmath(k):
     # every n <= 512, and 200 sampled n past it where the build is exact,
     # held to the stated bound d 2^-60 n^-(k-1)/2 + 3 ulp against the value
-    # at the working precision of the whole basis
+    # at the working precision of the whole basis, v from the same solve
     length = 512 if k % 12 == 0 else 3000
     series.clear_store()
     forms = mf.eigenforms(k, length)
     basis = mf.miller_basis(k, length)
     d = len(basis)
-    A, roots, _ = mf._eigen_data(k)
+    A, _, sep_dps, _ = mf._eigen_data(k)
     ns = list(range(1, 513))
     if length > 512:
         ns += [int(n) for n in np.random.default_rng(k).choice(
             np.arange(513, length + 1), 200, replace=False)]
     bits = max(abs(x).bit_length() for b in basis for x in b.an) + 1
-    with mp.workdps(max(60, int(bits * 0.302) + 40)):
+    dps = max(sep_dps, int(bits * 0.302) + 40)
+    _, vecs = mf._eig(A, dps, k)
+    with mp.workdps(dps):
         half = mp.mpf(k - 1) / 2
-        for f, lam in zip(forms, sorted(roots, reverse=True)):
-            v = mf._eigenvector(A, lam)
+        for f, v in zip(forms, vecs):
             for n in ns:
                 ref = float(sum(vi * b.an[n] for vi, b in zip(v, basis)) / mp.mpf(n) ** half)
                 bound = d * 2.0 ** -60 * n ** (-(k - 1) / 2) + 3 * np.spacing(abs(ref))
                 assert abs(f.cn[n] - ref) <= bound, (k, n)
-            assert f.lam2 == float(v[1] if d > 1 else basis[0].an[2])
 
 
 @pytest.mark.parametrize("k", [24, 36, 48])
@@ -238,7 +275,6 @@ def test_eigen_head_independent_of_build_length():
     mf.eigenforms(40, 20000)
     after = mf.eigenforms(40, 100)
     for f, g in zip(short, after):
-        assert f.lam2 == g.lam2
         assert f.cn.tobytes() == g.cn.tobytes()
 
 
@@ -295,7 +331,7 @@ def test_eigenforms_independent_of_earlier_requests(k, n, earlier):
     assert len(fresh) == len(after) == mf.dim_cusp(k)
     for f, g in zip(fresh, after):
         assert f.cn.tobytes() == g.cn.tobytes()
-        assert (f.lam2, f.float_rel) == (g.lam2, g.float_rel)
+        assert f.float_rel == g.float_rel
 
 
 def test_ascending_requests_build_delta_log_times(monkeypatch):
@@ -411,6 +447,7 @@ def test_newform_parse_failure(tmp_path):
     ("1 1.0\n2 0.5\n9 0.1\n4 0.2\n5 0.3\n", "outside 1..5"),
     ("1 1.0\n2 0.5\n-1 0.1\n4 0.2\n5 0.3\n", "outside 1..5"),
     ("1 1.0\n2\n3 0.1\n4 0.2\n5 0.3\n", "line '2'"),
+    ("1 1.0\n2.5 0.5\n3 0.1\n4 0.2\n5 0.3\n", "line '2.5 0.5'"),
     ("1 1.0\n2 0.5\n2 0.1\n4 0.2\n5 0.3\n", "index 2 repeated"),
     ("1 1.0\n2 0.5\n", "2 coefficient lines, count 5"),
     ("1 1.0\n2 0.5\n3 0.1\n4 0.2\n5 0.3\n3 0.4\n", "6 coefficient lines, count 5"),
@@ -441,8 +478,12 @@ def test_rank_deficient_hecke_words_raise(monkeypatch):
         mf.eigenforms(24, 1000)
 
 
-def test_separating_operator_fallback_logic():
-    # T_2 separates every space we use; the fallback path is exercised by
-    # asking for the separating data and checking the chosen operator
-    _, _, m = mf._eigen_data(24)
-    assert m in (2, 3, 5)
+def test_separating_operator_fallback_logic(monkeypatch):
+    # a T_2 with a repeated eigenvalue separates nothing: T_3 is chosen
+    hecke = mf.hecke_matrix
+    monkeypatch.setattr(mf, "hecke_matrix",
+                        lambda k, m: [[540, 0], [0, 540]] if (k, m) == (24, 2) else hecke(k, m))
+    series.clear_store()
+    A, m, _, _ = mf._eigen_data(24)
+    series.clear_store()
+    assert m == 3 and A == hecke(24, 3)

@@ -35,15 +35,6 @@ def test_omega_k24_held_out_validation():
     assert np.all(ow.omega > 0)
 
 
-def test_omega_cache_honours_rhs_tol():
-    loose = mo.omega_weights(24)
-    tight = mo.omega_weights(24, rhs_tol=1e-30)
-    # the certificate is cond * (largest rhs tail, at most rhs_tol) * sqrt(d)
-    assert tight.certificate <= tight.condition_estimate * 1e-30 * math.sqrt(len(tight.omega))
-    assert tight.certificate < loose.certificate
-    assert mo.omega_weights(24) is loose
-
-
 def test_omega_sum_is_diagonal():
     for k in (16, 24, 36):
         ow = mo.omega_weights(k)
@@ -118,6 +109,22 @@ def test_w_sum_matches_pointwise_sum(k, level, l):
             plain = sum(vq.value(vp.afe_argument(nus[i] * d * d)) / d
                         for d in range(1, 4 * d_end) if math.gcd(d, level) == 1)
             assert abs(W[i] - plain) <= cert, (nus[i], W[i] - plain, cert)
+
+
+@pytest.mark.parametrize("k", [14, 30, 48, 60])
+def test_w_sum_stop_rule_against_8x_d_range(k):
+    # falsifies the stop rule's remainder 4 env/d ("envelope slope >= 1 in d
+    # beyond here"): W over d < 8 d_end moves by at most the certificate
+    vp = mo.VParams((k,), (12,))
+    vq = mo._vq(vp)
+    for tol in (1e-10 / 16, 1e-10):
+        for nu in (1.0, 2.0, 3.0, 5.0):
+            W, cert, d_end = mo._w_sum(vp, 1, np.array([nu]), tol)
+            ds = np.arange(1.0, 8 * d_end)
+            vals, interp_err = vq.values(vp.afe_argument(nu * ds * ds))
+            assert interp_err == 0.0
+            gap = abs(float(np.sum(vals / ds)) - float(W[0]))
+            assert gap <= cert, (k, tol, nu, gap / cert)
 
 
 @pytest.mark.parametrize("p", [0, -2, 4])
