@@ -200,13 +200,17 @@ def cmd_afe(cfg: RunConfig, args) -> int:
     certs = {}
     spread_max = 0.0
     for k in _parse_krange(args.k):
-        forms = eigenforms(k, 8)
-        for f in forms:
+        # the cutoff central_value takes at tol = afe_tol, tail below afe_tol/2;
+        # g must reach every cutoff before any form is built
+        cuts = [(cg, effective_cutoff(VParams((k,), (g.weight,), conductor=float(g.level),
+                                              g_scale=cg), cfg.afe_tol / 2.0))
+                for cg in (0.5 * cfg.g_scale, cfg.g_scale, 2.0 * cfg.g_scale)]
+        need = max(cut for _, cut in cuts)
+        if g.length < need:
+            raise ValueError(f"insufficient coefficients: need {need}, g has {g.length}")
+        for f in eigenforms(k, 8):
             vals = []
-            for cg in (0.5 * cfg.g_scale, cfg.g_scale, 2.0 * cfg.g_scale):
-                # the cutoff central_value takes at tol = afe_tol, tail below afe_tol/2
-                cut = effective_cutoff(VParams((k,), (g.weight,), conductor=float(g.level),
-                                               g_scale=cg), cfg.afe_tol / 2.0)
+            for cg, cut in cuts:
                 cv = central_value(eigenforms(k, cut)[f.index], g, g_scale=cg,
                                    contour=cfg.contour, cutoff=cut)
                 vals.append(cv.value)
@@ -248,7 +252,11 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     print(csv, end="")
     print(f"fitted slope {result.slope:.6f} vs theoretical "
           f"{result.slope_theoretical:.6f}; csv at {path}")
-    return 0
+    bad = [r for r in result.reports if abs(r.identity_residual) > r.cert_total]
+    for r in bad:
+        print(f"k = {r.weight}: identity residual {r.identity_residual:.3g} exceeds "
+              f"certificate {r.cert_total:.3g}", file=sys.stderr)
+    return 3 if bad else 0
 
 
 def cmd_recover(cfg: RunConfig, args) -> int:

@@ -3,10 +3,11 @@
 The degree-1 specialization of the Hilbert machinery: cusp forms for
 SL_2(Z), built from Delta and the Eisenstein series.  Exact big-integer
 arithmetic is used for every structural step (echelon basis, Hecke
-matrices).  One ``mpmath.eig`` of a Hecke matrix gives the eigenvectors v
-(``_eig``); an eigenform's coefficients are then integer sums
-sum_i nint(v_i 2^P) b_i(n) over the echelon Miller basis, scaled to C_f(n) by
-one correctly rounded int/int division (``_normalized``).  The basis is read off the
+matrices).  One ``mpmath.eig`` of a Hecke matrix per weight gives the
+eigenvectors v (``_eig``), kept exactly as integers V = v 2^P; an
+eigenform's coefficients are then integer sums sum_i V_i b_i(n) over the
+echelon Miller basis, scaled to C_f(n) by one correctly rounded int/int
+division (``_normalized``).  The basis is read off the
 monomials Delta^i D E_{k-12i}, i = 1..d, one exact product each (D E_w, the
 least integral multiple of E_w, from ``series.eisenstein_exact``).  When the
 most-cuspidal monomial Delta^d E_w carries an Eisenstein factor (k not 0 mod
@@ -27,8 +28,8 @@ form carries that build's error.
 built from k and length alone: the exact series behind it come from
 ``series``' grow-only store, which is the same whatever the build length,
 and the float Delta^d is a local product chain that nothing stores.  The
-separating Hecke data and the exact prefix build of a float weight are one
-entry per weight.
+Hecke solve is one entry per weight, and a float build splices in the
+(k, ``_EXACT_PREFIX``) entry.
 ``series.clear_store`` resets all of them.
 
 Also hosts the plain-text newform coefficient file format used to feed the
@@ -244,65 +245,61 @@ def hecke_matrix(k: int, m: int) -> list[list[int]]:
 
 
 def _eigen_data(k: int):
-    """(matrix, m, dps, vectors) of the first Hecke operator T_m whose
-    eigenvalues on S_k ``_eig`` separates at dps = 40 digits plus twice
-    those of the largest entry, with its eigenvectors there; chosen once per
-    weight: every build reuses it, and no build solves at fewer digits."""
+    """(m, P, vectors): the first Hecke operator T_m whose eigenvalues on
+    S_k ``_eig`` separates at 40 digits plus twice those of the largest
+    entry, and the eigenvectors of that one solve as exact integers.  Each
+    mpf v_i is a dyadic rational, so V_i = v_i 2^P, P = -(least exponent),
+    is v_i exactly.  One solve per weight: every build of S_k reads it."""
     def build():
         for m in (2, 3, 5):
             A = hecke_matrix(k, m)
             dps = 40 + 2 * len(str(max(abs(x) for row in A for x in row)))
             try:
-                return A, m, dps, _eig(A, dps, k)[1]
+                vecs = _eig(A, dps, k)[1]
             except ValueError:
                 continue
+            P = max(0, -min(x.man_exp[1] for v in vecs for x in v))
+            return m, P, [[int(mp.ldexp(x, P)) for x in v] for v in vecs]
         raise ValueError("cannot separate eigenforms")
     return series.memo(("Hecke data", k), build)
 
 
-def _exact_eigen(k: int, length: int):
-    """(forms, P, vectors): the echelon Miller basis to ``length`` times each
-    exact eigenvector.
+def _exact_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
+    """The eigenforms of S_k to ``length``: the echelon Miller basis times
+    each integer eigenvector of ``_eigen_data``.
 
-    Every coefficient is evaluated in integers: V_i = nint(v_i 2^P) with
-    P = (bit length of the basis) + 60, s = sum_i V_i b_i(n) exactly, and
-    C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n) (``_normalized``).  Rounding
-    V_i moves C_f(n) by at most d max_i |b_i(n)| 2^-P / n^((k-1)/2), below
-    d 2^-60 / n^((k-1)/2), and the two float divisions add at most 3 ulp.
-    v is ``_eig``'s at the separating precision of ``_eigen_data`` or at
-    0.302 bits + 40 digits, whichever is more; its error, v_f +
-    sum_g eps_g v_g, moves C_f(n) by sum_g eps_g C_g(n), and |eps_g| <=
-    10^(2 - dps) at lengths 8 and 512 for every k <= 120, against a solve
-    100 digits finer.  All of it is far below an ulp, so builds of any two
-    lengths have agreed bit for bit on their common prefix wherever tested.
+    Every coefficient is evaluated in integers: s = sum_i V_i b_i(n) is exact,
+    and C_f(n) = (s / (n^((k-2)/2) 2^P)) / sqrt(n) (``_normalized``) is within
+    3 ulp of sum_i v_i b_i(n) / n^((k-1)/2) for the stored v.  The only
+    other error is the solve's own: v_f + sum_g eps_g v_g moves C_f(n) by
+    sum_g eps_g C_g(n), with |eps_g| <= 10^(2 - dps) against a solve 100
+    digits finer (every k <= 120), and dps >= 56 whenever d >= 2.  A
+    coefficient depends on k and n alone, so builds of any two lengths agree
+    bit for bit on their common prefix.
     """
     basis = miller_basis(k, length)
-    A, _, sep_dps, vecs = _eigen_data(k)
-    bits = max(abs(x).bit_length() for f in basis for x in f.an) + 1
-    P = bits + 60
-    dps = max(sep_dps, int(bits * 0.302) + 40)
-    if dps > sep_dps:
-        _, vecs = _eig(A, dps, k)
-    with mp.workdps(dps):
-        vectors = [[int(mp.nint(mp.ldexp(x, P))) for x in v] for v in vecs]
+    _, P, vectors = _eigen_data(k)
     cols = list(zip(*(f.an for f in basis)))[: length + 1]
     forms = []
     for idx, V in enumerate(vectors):
         cn = _normalized([sum(map(operator.mul, V, col)) for col in cols], k, P)
         cn.flags.writeable = False
         forms.append(Eigenform(weight=k, index=idx, cn=cn))
-    return tuple(forms), P, vectors
+    return tuple(forms)
 
 
 def _float_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
     """Float forms of S_k, k = 12d, to ``length`` from the Hecke-word span,
-    the exact prefix spliced in.  a_f(1..d) are the eigenvector (echelon
-    basis), so each coordinate gamma = M^-1 a_f(1..d) is one exact rational
-    sum.  The exact prefix build is one store entry per weight, so every
-    float build of S_k shares its 2^P scale."""
-    prefix, P, vectors = series.memo(("exact eigenforms", k),
-                                     lambda: _exact_eigen(k, _EXACT_PREFIX))
-    d = len(prefix)
+    the exact prefix ``eigenforms(k, _EXACT_PREFIX)`` spliced in.  a_f(1..d)
+    are the eigenvector (echelon basis), so each coordinate
+    gamma = M^-1 a_f(1..d) is one exact rational sum."""
+    d = dim_cusp(k)
+    if d not in _SPAN_WORDS:
+        raise ValueError(f"S_{k} has dimension {d}, and Hecke-word spans exist only "
+                         f"for d <= {max(_SPAN_WORDS)}: its eigenforms stop at "
+                         f"{_EXACT_PREFIX} coefficients")
+    prefix = eigenforms(k, _EXACT_PREFIX)
+    _, P, vectors = _eigen_data(k)
     inv = _span_inverse(k, d)
     orbit = _hecke_orbit_normalized(k, d, length)
     pref = _EXACT_PREFIX
@@ -416,7 +413,7 @@ def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
     p*n) would amplify it.  Each head is normalized in integers
     (``_normalized`` with P = 0), the float rest by n^{-(k-1)/2}.
     """
-    head = min(_EXACT_PREFIX * 2, length)
+    head = min(_HEAD, length)
     heads = _word_heads(k, d, head)
     need = (length + 1) * max(map(math.prod, _SPAN_WORDS[d]))
     base = _delta_power_float(d, need)
@@ -468,12 +465,6 @@ def _delta_power_float(d: int, n: int) -> np.ndarray:
 _EXACT_PREFIX = 512
 
 
-def _build_eigenforms(k: int, length: int) -> tuple[Eigenform, ...]:
-    if k % 12 or length <= _EXACT_PREFIX:
-        return _exact_eigen(k, length)[0]
-    return _float_eigen(k, length)
-
-
 def eigenforms(k: int, length: int) -> list[Eigenform]:
     """The normalized Hecke eigenforms of S_k with coefficients to ``length``.
 
@@ -481,12 +472,14 @@ def eigenforms(k: int, length: int) -> list[Eigenform]:
     coefficient depends on what was asked before.  A weight not 0 mod 12,
     and any request within ``_EXACT_PREFIX``, is built exactly at
     ``length``; past it, k = 12d is extended in float from the exact
-    prefix.  Each call returns a fresh list of the stored frozen forms,
+    prefix, for d <= 5 only (a larger d raises ``ValueError`` before any
+    build).  Each call returns a fresh list of the stored frozen forms,
     whose read-only ``cn`` has exactly ``length + 1`` entries.
     """
     if length < 1:
         raise ValueError("length must be positive")
-    return list(series.memo(("eigenforms", k, length), lambda: _build_eigenforms(k, length)))
+    build = _exact_eigen if k % 12 or length <= _EXACT_PREFIX else _float_eigen
+    return list(series.memo(("eigenforms", k, length), lambda: build(k, length)))
 
 
 # -- newform records ---------------------------------------------------------------

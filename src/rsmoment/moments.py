@@ -353,16 +353,12 @@ def lhs_moment(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCAL
 
 
 def recover_coefficient(g: NewformRecord, p: int, k: int,
-                        g_scale: float = DEFAULT_G_SCALE,
-                        lhs: CertValue | None = None,
-                        e_val: CertValue | None = None) -> float:
+                        g_scale: float = DEFAULT_G_SCALE) -> float:
     """C_g(p) back out of the moment identity: sqrt(p)(LHS - E)/(2 sum_d a_d/d V)."""
     _validate_pair(g, p, k)
     denom = _recovery_denominator(p, _w_at_p(g, p, k, g_scale, _RECOVERY_W_TOL)[0])
-    if lhs is None:
-        lhs = lhs_moment(g, p, k, g_scale=g_scale)
-    if e_val is None:
-        e_val = e_term(g, p, k, g_scale=g_scale)
+    lhs = lhs_moment(g, p, k, g_scale=g_scale)
+    e_val = e_term(g, p, k, g_scale=g_scale)
     return (lhs.value - e_val.value) / denom
 
 

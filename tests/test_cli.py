@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from rsmoment import cli
+from rsmoment import moments as mo
 from rsmoment.cli import main
 
 
@@ -246,6 +248,42 @@ def test_afe_command(capsys, tmp_path, delta_file):
     assert rc == 0
     text = (tmp_path / "afe.csv").read_text()
     assert "max spread" in text
+
+
+def test_afe_checks_g_length_before_building_forms(capsys, tmp_path, monkeypatch):
+    short = tmp_path / "short.nf"
+    assert main(["make-newform", "--k", "12", "--count", "300", "--out", str(short)]) == 0
+    requests = []
+    build = cli.eigenforms
+    monkeypatch.setattr(cli, "eigenforms",
+                        lambda k, n: requests.append(n) or build(k, n))
+    rc = main(["afe", "--g", str(short), "--k", "40", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "insufficient coefficients" in capsys.readouterr().err
+    assert max(requests, default=0) <= 8
+
+
+def test_make_newform_past_the_hecke_word_table_exit(capsys, tmp_path):
+    rc = main(["make-newform", "--k", "72", "--count", "1000",
+               "--out", str(tmp_path / "x.nf")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "S_72 has dimension 6" in err and "512 coefficients" in err
+    assert not (tmp_path / "x.nf").exists()
+
+
+def test_scan_exits_3_when_a_residual_exceeds_its_certificate(capsys, tmp_path,
+                                                             delta_file, monkeypatch):
+    def report(g, p, k, **kw):
+        return mo.MomentReport(weight=k, p=p, m_direct=0.0, m_residue=0.0, e_value=0.0,
+                               lhs=float(k), identity_residual=2e-6 if k == 18 else 1e-7,
+                               recovered_c=0.0, cert_total=1e-6)
+    monkeypatch.setattr(mo, "moment_report", report)
+    rc = main(["scan", "--g", delta_file, "--k", "16:20:2", "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "k = 18: identity residual 2e-06 exceeds certificate 1e-06" in \
+        capsys.readouterr().err
+    assert len((tmp_path / "scan_p1.csv").read_text().splitlines()) == 4
 
 
 def test_afe_command_at_tight_tolerance(capsys, tmp_path, delta_file):

@@ -84,6 +84,11 @@ def _fraction(x: mp.mpf) -> Fraction:
     return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
 
 
+def _separating_dps(A) -> int:
+    # the precision _eigen_data solves T_m at
+    return 40 + 2 * len(str(max(abs(x) for row in A for x in row)))
+
+
 def test_eig_values_bracket_roots_of_the_exact_characteristic_polynomial():
     # at the separating precision of _eigen_data, 40 digits plus twice the
     # largest entry's: chi changes sign, exactly, across each returned
@@ -95,7 +100,7 @@ def test_eig_values_bracket_roots_of_the_exact_characteristic_polynomial():
             continue
         for m in (2, 3):
             A = mf.hecke_matrix(k, m)
-            dps = 40 + 2 * len(str(max(abs(x) for row in A for x in row)))
+            dps = _separating_dps(A)
             lams, vecs = mf._eig(A, dps, k)
             assert len(lams) == len(vecs) == d, (k, m)
             chi = oracles.char_poly_exact(A)
@@ -117,12 +122,47 @@ def test_eig_raises_on_complex_or_close_eigenvalues():
 
 
 def test_short_builds_at_high_weight():
-    # a build of a few coefficients has a 0/1 basis, so 0.302 bits + 40 is
-    # 40 digits, far below the separating precision of _eigen_data (142 at
-    # k = 120); the forms equal the head of a 512-coefficient build bit for bit
+    # a build of a few coefficients has a 0/1 basis, and the Hecke matrix
+    # needs 142 digits at k = 120; the forms equal the head of a
+    # 512-coefficient build bit for bit
     for k in range(88, 121, 2):
         for f, g in zip(mf.eigenforms(k, 8), mf.eigenforms(k, 512)):
             assert np.array_equal(f.cn, g.cn[:9]), k
+
+
+def test_one_hecke_solve_per_weight(monkeypatch):
+    # every build of S_k, exact or float, of any length, reads one solve
+    calls = []
+    eig = mf._eig
+    monkeypatch.setattr(mf, "_eig", lambda A, dps, k: calls.append(k) or eig(A, dps, k))
+    series.clear_store()
+    for n in (8, 72, 512, 2520):
+        mf.eigenforms(48, n)
+    mf.eigenforms(46, 100)
+    mf.eigenforms(46, 2322)
+    series.clear_store()
+    assert calls == [48, 46]
+
+
+def test_eigen_data_vectors_are_the_solve_exactly():
+    # V_i = v_i 2^P with no rounding: P is the finest exponent among the v_i
+    series.clear_store()
+    m, P, vectors = mf._eigen_data(40)
+    A = mf.hecke_matrix(40, m)
+    _, vecs = mf._eig(A, _separating_dps(A), 40)
+    assert [[_fraction(x) for x in v] for v in vecs] == \
+        [[Fraction(V, 2 ** P) for V in v] for v in vectors]
+    assert any(V % 2 for v in vectors for V in v)
+
+
+@pytest.mark.parametrize("k,n", [(72, 513), (96, 3000)])
+def test_eigenforms_past_the_hecke_word_table_raise_before_building(k, n):
+    # _SPAN_WORDS stops at d = 5: the error names k, d and the 512 limit,
+    # and comes before any series or solve is built
+    series.clear_store()
+    with pytest.raises(ValueError, match=rf"S_{k} has dimension {k // 12}.*512 coefficients"):
+        mf.eigenforms(k, n)
+    assert not series._STORE
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -227,14 +267,15 @@ def test_float_extension_validated_against_exact_prefix():
 @pytest.mark.parametrize("k", [16, 24, 36, 40, 46, 48])
 def test_integer_eigen_evaluation_matches_mpmath(k):
     # every n <= 512, and 200 sampled n past it where the build is exact,
-    # held to the stated bound d 2^-60 n^-(k-1)/2 + 3 ulp against the value
-    # at the working precision of the whole basis, v from the same solve
+    # held to d 2^-60 n^-(k-1)/2 + 3 ulp against the value at the working
+    # precision of the whole basis, v from a solve of T_m at that precision
     length = 512 if k % 12 == 0 else 3000
     series.clear_store()
     forms = mf.eigenforms(k, length)
     basis = mf.miller_basis(k, length)
     d = len(basis)
-    A, _, sep_dps, _ = mf._eigen_data(k)
+    A = mf.hecke_matrix(k, mf._eigen_data(k)[0])
+    sep_dps = _separating_dps(A)
     ns = list(range(1, 513))
     if length > 512:
         ns += [int(n) for n in np.random.default_rng(k).choice(
@@ -484,6 +525,6 @@ def test_separating_operator_fallback_logic(monkeypatch):
     monkeypatch.setattr(mf, "hecke_matrix",
                         lambda k, m: [[540, 0], [0, 540]] if (k, m) == (24, 2) else hecke(k, m))
     series.clear_store()
-    A, m, _, _ = mf._eigen_data(24)
+    m, _, _ = mf._eigen_data(24)
     series.clear_store()
-    assert m == 3 and A == hecke(24, 3)
+    assert m == 3
