@@ -184,13 +184,6 @@ def _m_from_w(g: NewformRecord, p: int, w: float, w_cert: float) -> CertValue:
     return CertValue(value=pref * w, certificate=abs(pref) * w_cert)
 
 
-def _recovery_denominator(p: int, w: float) -> float:
-    denom = 2.0 * w / math.sqrt(p)
-    if abs(denom) < 1e-8:
-        raise ValueError("degenerate recovery")
-    return denom
-
-
 def m_term_direct(g: NewformRecord, p: int, k: int,
                   g_scale: float = DEFAULT_G_SCALE, tol: float = 1e-9) -> CertValue:
     """M = 2 C_g(p)/sqrt(p) * sum_d a_d/d V(...), truncated by V-decay."""
@@ -212,16 +205,8 @@ def m_term_residue(g: NewformRecord, p: int, k: int) -> float:
 _E_SKIP_SHARE = 1e-4  # of the E certificate, spent on skipped (nu, c) points
 
 
-@dataclass(frozen=True)
-class ETruncation:
-    """Truncation policy of the off-diagonal sum; None fields auto-size."""
-
-    nu_cutoff: int | None = None
-    tol: float = 1e-6
-
-
-def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
-           g_scale: float = DEFAULT_G_SCALE) -> CertValue:
+def e_term(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
+           tol: float = 1e-6, nu_cutoff: int | None = None) -> CertValue:
     """Off-diagonal term: 4 pi (-1)^{k/2} sum_nu sum_c S(nu,p;c)/c J_{k-1} * weights.
 
     With |S(nu,p;c)| <= c and |J_{k-1}(y)| <= (y/2)^{k-1}/(k-1)!, the (nu, c)
@@ -229,12 +214,13 @@ def e_term(g: NewformRecord, p: int, k: int, trunc: ETruncation = ETruncation(),
     Row c skips the longest prefix of nus whose bound mass
     c^-(k-1) sum_{nu' < nu0} B_nu' is at most _E_SKIP_SHARE of the
     certificate before skipping, over cmax, and the skipped mass joins the
-    c-tail: skipping raises the certificate by at most that share.
+    c-tail: skipping raises the certificate by at most that share.  The nu
+    range ends at ``nu_cutoff``, or by default where the AFE tail is below
+    tol/16.
     """
     _validate_pair(g, p, k)
-    tol = trunc.tol
     vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
-    M = trunc.nu_cutoff or effective_cutoff(vp, tol / 16.0)
+    M = nu_cutoff or effective_cutoff(vp, tol / 16.0)
     if g.length < M:
         raise ValueError(f"need C_g up to {M}")
     nu_idx = np.arange(1, M + 1)
@@ -355,17 +341,12 @@ def lhs_moment(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCAL
 def recover_coefficient(g: NewformRecord, p: int, k: int,
                         g_scale: float = DEFAULT_G_SCALE) -> float:
     """C_g(p) back out of the moment identity: sqrt(p)(LHS - E)/(2 sum_d a_d/d V)."""
-    _validate_pair(g, p, k)
-    denom = _recovery_denominator(p, _w_at_p(g, p, k, g_scale, _RECOVERY_W_TOL)[0])
-    lhs = lhs_moment(g, p, k, g_scale=g_scale)
-    e_val = e_term(g, p, k, g_scale=g_scale)
-    return (lhs.value - e_val.value) / denom
+    return moment_report(g, p, k, g_scale=g_scale).recovered_c
 
 
 def moment_report(g: NewformRecord, p: int, k: int,
                   g_scale: float = DEFAULT_G_SCALE,
-                  afe_tol: float = 1e-8,
-                  e_trunc: ETruncation = ETruncation()) -> MomentReport:
+                  afe_tol: float = 1e-8, e_tol: float = 1e-6) -> MomentReport:
     """M, E, the LHS and the recovered C_g(p) at one (p, k).  W(p) is evaluated
     once, at the recovery's stop rule (tighter than ``m_term_direct``'s), and
     serves both M and the recovery."""
@@ -373,11 +354,14 @@ def moment_report(g: NewformRecord, p: int, k: int,
     w, w_cert = _w_at_p(g, p, k, g_scale, _RECOVERY_W_TOL)
     md = _m_from_w(g, p, w, w_cert)
     mr = m_term_residue(g, p, k)
-    ev = e_term(g, p, k, trunc=e_trunc, g_scale=g_scale)
+    ev = e_term(g, p, k, g_scale=g_scale, tol=e_tol)
     lh = lhs_moment(g, p, k, g_scale=g_scale, afe_tol=afe_tol)
     resid = lh.value - md.value - ev.value
     cert = lh.certificate + md.certificate + ev.certificate
-    rec = (lh.value - ev.value) / _recovery_denominator(p, w)
+    denom = 2.0 * w / math.sqrt(p)
+    if abs(denom) < 1e-8:
+        raise ValueError("degenerate recovery")
+    rec = (lh.value - ev.value) / denom
     return MomentReport(weight=k, p=p, m_direct=md.value, m_residue=mr,
                         e_value=ev.value, lhs=lh.value,
                         identity_residual=resid, recovered_c=rec,
@@ -405,8 +389,7 @@ def asymptotic_scan(g: NewformRecord, p: int, k_list,
     prefixes of it.
     """
     k_list = list(k_list)
-    by_k = {k: moment_report(g, p, k, g_scale=g_scale, afe_tol=afe_tol,
-                             e_trunc=ETruncation(tol=e_tol))
+    by_k = {k: moment_report(g, p, k, g_scale=g_scale, afe_tol=afe_tol, e_tol=e_tol)
             for k in sorted(set(k_list), reverse=True)}
     reports = [by_k[k] for k in k_list]
     lk = np.array([math.log(r.weight) for r in reports])

@@ -500,7 +500,7 @@ def _c_tail_bound(k1: int, k2: int, x, s: float, norm_bound: int) -> float:
     per_eta = _translate_tail(k1, k2, x1, x2, s, 0) + _translate_tail(k2, k1, x2, x1, s, 1)
     total = float(np.sum(np.sqrt(3.0 * norms) * per_eta))
     # beyond 8*n0: assumes each eta-sum decays like N^{-(k1+k2-2)/2}, which
-    # terms held at the 0.7 cap do not (ROADMAP item 5)
+    # terms held at the 0.7 cap do not (ROADMAP item 2)
     decay = (k1 + k2 - 2) / 2.0
     far = 8 * n0 - 1
     return total + math.sqrt(3.0) * float(per_eta[-1]) * far ** 1.5 / (decay - 1.5)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -153,38 +154,43 @@ def test_unknown_command_usage(capsys):
     assert main([]) == 2
 
 
-def test_config_file_roundtrip(tmp_path, delta_file, capsys):
+def test_config_file_roundtrip(tmp_path, capsys):
+    # an @file holds one argument per line, and later flags override it
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("field = Q\nafe_tol = 1e-8\noutdir = " + str(tmp_path) + "\n")
-    rc = main(["--config", str(cfg), "kloosterman", "--m", "2", "--n", "3",
-               "--c", "5"])
-    assert rc == 0
-    assert (tmp_path / "kloosterman.csv").exists()
+    cfg.write_text(f"--field=Q_sqrt5\n--outdir={tmp_path}\n")
+    assert main(["kloosterman", f"@{cfg}", "--field", "Q", "--m", "2", "--n", "3",
+                 "--c", "5"]) == 0
+    manifest = json.loads((tmp_path / "kloosterman.manifest.json").read_text())
+    assert manifest["options"]["field"] == "Q"
+    # an option the command does not read is refused, even at its default
+    cfg.write_text(f"--afe-tol=1e-8\n--outdir={tmp_path / 'unread'}\n")
+    assert main(["kloosterman", f"@{cfg}", "--m", "2", "--n", "3", "--c", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: --afe-tol=1e-8")
+    assert not (tmp_path / "unread").exists()
 
 
-def test_config_unknown_key(tmp_path):
+def test_config_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not_a_key = 1\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        from rsmoment.cli import load_config
-        load_config(str(cfg))
+    cfg.write_text("--not-a-key=1\n")
+    assert main(["units", f"@{cfg}", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --not-a-key=1\n"
+    assert not (tmp_path / "units.csv").exists()
 
 
 @pytest.mark.parametrize("flags,config", [
     (["--contour", "-1"], None),
-    ([], "afe_tol = abc\n"),
-    ([], "not_a_key = 1\n"),
+    ([], "--afe-tol=abc\n"),
+    ([], "--g-scale=0\n"),
 ])
 def test_bad_config_value_exit(capsys, tmp_path, flags, config):
     if config is not None:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
-        flags = flags + ["--config", str(cfg)]
-    rc = main(flags + ["kloosterman", "--m", "1", "--n", "1", "--c", "3",
-                       "--outdir", str(tmp_path)])
+        flags = flags + [f"@{cfg}"]
+    rc = main(["afe", "--g", "x.nf"] + flags + ["--outdir", str(tmp_path)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "kloosterman.csv").exists()
+    assert capsys.readouterr().err.startswith("error: argument --")
+    assert not (tmp_path / "afe.csv").exists()
 
 
 @pytest.mark.parametrize("command,key,value,via_config", [
@@ -196,6 +202,7 @@ def test_bad_config_value_exit(capsys, tmp_path, flags, config):
     ("moment", "field", "Q_sqrt5", False),
     ("scan", "field", "Q_sqrt2", True),
     ("make-newform", "field", "Q_sqrt5", False),
+    ("make-newform", "outdir", "out", False),
     ("trace-check", "field", "Q_sqrt5", False),
     ("kloosterman", "g_scale", "3", False),
     ("kloosterman", "afe_tol", "1e-3", True),
@@ -206,41 +213,96 @@ def test_bad_config_value_exit(capsys, tmp_path, flags, config):
     ("make-newform", "e_tol", "1e-3", True),
     ("afe", "e_tol", "1e-4", False),
 ])
-def test_unread_config_value_exit(capsys, tmp_path, command, key, value, via_config):
-    # a value the command's computation would silently replace by its default
+def test_unread_config_value_exit(capsys, tmp_path, monkeypatch, command, key, value,
+                                  via_config):
+    # an option the command does not read is refused, as a flag or from an @file
+    monkeypatch.chdir(tmp_path)
+    option = "--" + key.replace("_", "-")
     if via_config:
-        cfg = tmp_path / "unread.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        flag = ["--config", str(cfg)]
+        (tmp_path / "unread.cfg").write_text(f"{option}={value}\n")
+        flag = ["@unread.cfg"]
     else:
-        flag = ["--" + key.replace("_", "-"), value]
+        flag = [option, value]
     args = {"moment": ["--g", "x.nf", "--k", "16"], "scan": ["--g", "x.nf"],
             "recover": ["--g", "x.nf"], "trace-check": [], "afe": ["--g", "x.nf"],
             "kloosterman": ["--m", "1", "--n", "1", "--c", "3"], "units": [],
             "rhs-nf": ["--k", "20,20"], "rhs": ["--k", "20,20"],
-            "make-newform": ["--k", "12", "--out", str(tmp_path / "x.nf")]}[command]
-    assert main([command] + args + flag + ["--outdir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {command} does not read {key};")
-    assert list(tmp_path.glob("*.csv")) == [] and not (tmp_path / "x.nf").exists()
+            "make-newform": ["--k", "12", "--out", "x.nf"]}[command]
+    assert main([command] + args + flag) == 2
+    err = capsys.readouterr().err
+    # rhs is not a command (rhs-nf is): argparse refuses the name itself
+    refused = ("argument command: invalid choice: 'rhs'" if command == "rhs"
+               else f"unrecognized arguments: {option}")
+    assert err.startswith(f"error: {refused}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == (["unread.cfg"] if via_config else [])
 
 
-def test_read_config_values_pass_the_check(tmp_path):
-    # the values each command does read, and defaults of the ones it does not
-    from rsmoment.cli import build_parser, load_config, _apply_overrides
-    args = build_parser().parse_args(["scan", "--g", "x.nf", "--afe-tol", "1e-7",
-                                      "--e-tol", "1e-5", "--contour", "1.5", "--field", "Q"])
-    cfg = _apply_overrides(load_config(None), args)
-    assert (cfg.afe_tol, cfg.e_tol, cfg.contour) == (1e-7, 1e-5, 1.5)
+def test_read_config_values_pass_the_check():
+    # the options a command reads parse; one it does not read is refused
+    # even at its default value
+    args = cli.build_parser().parse_args(["scan", "--g", "x.nf", "--afe-tol", "1e-7",
+                                          "--e-tol", "1e-5", "--g-scale", "0.5"])
+    assert (args.afe_tol, args.e_tol, args.g_scale) == (1e-7, 1e-5, 0.5)
+    for option, default in (("--contour", "1.0"), ("--field", "Q")):
+        with pytest.raises(ValueError, match=f"unrecognized arguments: {option}"):
+            cli.build_parser().parse_args(["scan", "--g", "x.nf", option, default])
+
+
+def test_each_command_reads_exactly_the_options_it_declares():
+    # every option is declared on the one subparser of each command that
+    # reads it, so argparse refuses all others; follows ``args`` into helpers
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def reads(name):
+        out = set()
+        for node in ast.walk(defs[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                out.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in defs
+                  and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+                out |= reads(node.func.id)
+        return out
+
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli._COMMANDS)
+    for command, parser in subparsers.choices.items():
+        declared = {a.dest for a in parser._actions if a.dest != "help"}
+        assert reads(cli._COMMANDS[command].__name__) == declared, command
+
+
+@pytest.mark.parametrize("argv,stem", [
+    (["scan", "--k", "16:20:2", "--p", "2", "--e-tol", "1e-5"], "scan_p2"),
+    (["kloosterman", "--field", "Q_sqrt5", "--m", "2", "--n", "3", "--c", "7",
+      "--c2", "1"], "kloosterman"),
+])
+def test_manifest_replays_the_run(capsys, tmp_path, delta_file, argv, stem):
+    # the manifest's options alone rebuild the run, byte for byte
+    if argv[0] == "scan":
+        argv = argv + ["--g", delta_file]
+    assert main(argv + ["--outdir", str(tmp_path / "first")]) == 0
+    manifest = json.loads((tmp_path / "first" / f"{stem}.manifest.json").read_text())
+    replay = [manifest["command"]] + [f"--{dest.replace('_', '-')}={value}"
+                                      for dest, value in manifest["options"].items()]
+    assert main(replay + ["--outdir", str(tmp_path / "second")]) == 0
+    assert ((tmp_path / "second" / f"{stem}.csv").read_bytes()
+            == (tmp_path / "first" / f"{stem}.csv").read_bytes())
 
 
 @pytest.mark.parametrize("args", [
-    ["--config", "/nonexistent/x.cfg", "units", "--field", "Q_sqrt5"],
+    ["units", "--field", "Q_sqrt5", "@/nonexistent/x.cfg"],
     ["moment", "--g", "/nonexistent.nf", "--k", "16"],
     ["make-newform", "--k", "12", "--count", "50", "--out", "/nonexistent/dir/x.nf"],
 ])
-def test_missing_or_unwritable_file_exit(capsys, tmp_path, args):
-    assert main(args + ["--outdir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+def test_missing_or_unwritable_file_exit(capsys, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "/nonexistent" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_afe_command(capsys, tmp_path, delta_file):

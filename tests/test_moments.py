@@ -11,6 +11,8 @@ from rsmoment.specialfn import (EULER_GAMMA, bessel_j_array, bessel_j_c_tail_bou
                                 digamma)
 from rsmoment.tracefmla import petersson_rhs_q
 
+E_TOL = 1e-6  # e_term's default tol
+
 
 @pytest.fixture(scope="module")
 def delta_record():
@@ -90,9 +92,9 @@ def test_w_sum_matches_pointwise_sum(k, level, l):
     # four times its d range; M's and E's default stop tolerances
     vp = mo.VParams((k,), (l,), conductor=float(level))
     vq = mo._vq(vp)
-    M = mo.effective_cutoff(vp, mo.ETruncation().tol / 16.0)
+    M = mo.effective_cutoff(vp, E_TOL / 16.0)
     cases = [(np.array([float(p)]), 1e-9 / 16) for p in (1, 2, 5)]
-    cases.append((np.arange(1.0, M + 1), mo.ETruncation().tol * 1e-4))
+    cases.append((np.arange(1.0, M + 1), E_TOL * 1e-4))
     for nus, tol in cases:
         W, cert, d_end = mo._w_sum(vp, level, nus, tol)
         # the stop rule one d at a time: the first coprime d >= 4 below tol
@@ -135,16 +137,15 @@ def test_bad_twist_raises(delta_record, p):
 
 def test_e_term_stability_under_doubled_truncations(delta_record):
     base = mo.e_term(delta_record, 1, 20)
-    vp_cut = mo.effective_cutoff(mo.VParams((20,), (12,)), mo.ETruncation().tol / 16.0)
-    doubled = mo.e_term(delta_record, 1, 20,
-                        trunc=mo.ETruncation(nu_cutoff=2 * vp_cut))
+    vp_cut = mo.effective_cutoff(mo.VParams((20,), (12,)), E_TOL / 16.0)
+    doubled = mo.e_term(delta_record, 1, 20, nu_cutoff=2 * vp_cut)
     assert abs(base.value - doubled.value) <= 1e-6
     # four times the nu range moves E by at most the certificate, plus 1e-14
     # relative for rounding, which the certificate (truncation only) does not cover
     for k in (20, 24, 32):
         short = mo.e_term(delta_record, 1, k)
-        M = mo.effective_cutoff(mo.VParams((k,), (12,)), mo.ETruncation().tol / 16.0)
-        long = mo.e_term(delta_record, 1, k, trunc=mo.ETruncation(nu_cutoff=4 * M))
+        M = mo.effective_cutoff(mo.VParams((k,), (12,)), E_TOL / 16.0)
+        long = mo.e_term(delta_record, 1, k, nu_cutoff=4 * M)
         gap = abs(long.value - short.value)
         assert gap <= short.certificate + 1e-14 * max(1.0, abs(short.value)), (k, gap)
 
@@ -213,7 +214,7 @@ def test_moment_report_evaluates_w_at_p_once(delta_record, monkeypatch):
 def _e_unskipped(g, p, k):
     """E over every (nu, c) point of its grid, the certificate before skipping,
     and the number of grid points (all of which the loop used to evaluate)."""
-    tol = mo.ETruncation().tol
+    tol = E_TOL
     vp = mo.VParams((k,), (g.weight,))
     M = mo.effective_cutoff(vp, tol / 16.0)
     nus = np.arange(1.0, M + 1)
