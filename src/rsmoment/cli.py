@@ -4,10 +4,11 @@ Commands mirror the verification surfaces: trace-check (trace-formula
 cross-validation), afe (central values + G-independence), kloosterman,
 rhs-nf, units, moment, scan, recover, make-newform.  Each command declares
 exactly the options it reads, so any other option is refused (exit 2).
-Arguments may also come from ``@FILE`` files, one argument per line.  Every
-command but make-newform writes a manifest (its options, package and
-interpreter versions, certificates) next to its CSV, so a run can be
-reproduced byte-for-byte from the manifest alone.
+Arguments may also come from ``@FILE`` files, one argument per line; blank
+and ``#`` lines are skipped.  Every command but make-newform writes a
+manifest (its options, package and interpreter versions, certificates)
+next to its CSV, so a run can be reproduced byte-for-byte from the
+manifest alone.
 """
 
 from __future__ import annotations
@@ -146,8 +147,10 @@ def cmd_afe(args) -> int:
                 cv = central_value(eigenforms(k, cut)[f.index], g, g_scale=cg,
                                    contour=args.contour, cutoff=cut)
                 vals.append(cv.value)
+                # six digits, as rhs-nf: a certificate sized just below
+                # --afe-tol must not print as --afe-tol itself
                 rows.append(f"{k},{f.index},{cg},{args.contour},{cv.value:.15g},"
-                            f"{cv.certificate:.3g}")
+                            f"{cv.certificate:.6g}")
                 certs[f"k{k}f{f.index}cg{cg}"] = cv.certificate
             spread_max = max(spread_max, max(vals) - min(vals))
     rows.append(f"# max spread across g_scale values: {spread_max:.3g}")
@@ -194,7 +197,10 @@ def cmd_recover(args) -> int:
     g = load_newform(args.g)
     rows = ["k,p,recovered_C,reference_C,abs_error"]
     worst = 0.0
-    for k in _parse_krange(args.k):
+    ks = _parse_krange(args.k)
+    for k in ks:  # before any report builds a form
+        moments._check_probe_limit(k)
+    for k in ks:
         rec = moments.recover_coefficient(g, args.p, k, g_scale=args.g_scale)
         ref = g.c(args.p)
         worst = max(worst, abs(rec - ref))
@@ -225,6 +231,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValueError(message)
+
+    def convert_arg_line_to_args(self, arg_line):
+        """One argument per line of an @FILE; blank and ``#`` lines are skipped."""
+        text = arg_line.strip()
+        return [] if not text or text.startswith("#") else [arg_line]
 
 
 # the options several commands read; each command declares only its own

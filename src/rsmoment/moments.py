@@ -28,7 +28,7 @@ import numpy as np
 from . import series as _series
 from .modforms import NewformRecord, dim_cusp, eigenforms
 from .rankin import (DEFAULT_CONTOUR, DEFAULT_G_SCALE, V_DIRECT_MAX, UncertifiedError,
-                     VParams, _afe_grid, _afe_sum, _vq, effective_cutoff)
+                     VParams, _afe_grid, _afe_sum, _cutoff_search, _vq, effective_cutoff)
 from .specialfn import bessel_j_array, bessel_j_c_tail_bound, digamma, zeta_laurent_at_center
 from .tracefmla import CertValue, kloosterman_row, petersson_rhs_q
 from .numfield import Q as FIELD_Q
@@ -93,10 +93,19 @@ def omega_weights(k: int) -> OmegaWeights:
     return _series.memo(("omega", k), lambda: _solve_omega(k))
 
 
+def _check_probe_limit(k: int):
+    """Refuse a weight whose S_k has more forms than the omega solve has probes."""
+    d = dim_cusp(k)
+    if d > len(_PROBES):
+        raise ValueError(f"dim S_{k} = {d} exceeds the {len(_PROBES)}-probe limit "
+                         "of the harmonic-weight solve")
+
+
 def _solve_omega(k: int) -> OmegaWeights:
     d = dim_cusp(k)
     if d == 0:
         raise ValueError("empty space")
+    _check_probe_limit(k)
     forms = eigenforms(k, max(72, 2 * d + 8))
     probes = _PROBES[:d]
     A = np.array([[f.c(m) for f in forms] for m in probes])
@@ -215,12 +224,11 @@ def e_term(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
     c^-(k-1) sum_{nu' < nu0} B_nu' is at most _E_SKIP_SHARE of the
     certificate before skipping, over cmax, and the skipped mass joins the
     c-tail: skipping raises the certificate by at most that share.  The nu
-    range ends at ``nu_cutoff``, or by default where the AFE tail is below
-    tol/16.
+    range ends at ``nu_cutoff``, or by default at ``_e_nu_range``.
     """
     _validate_pair(g, p, k)
     vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
-    M = nu_cutoff or effective_cutoff(vp, tol / 16.0)
+    M = nu_cutoff or _e_nu_range(vp, tol)
     if g.length < M:
         raise ValueError(f"need C_g up to {M}")
     nu_idx = np.arange(1, M + 1)
@@ -259,6 +267,18 @@ def e_term(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
     if cert > 50 * tol:
         raise UncertifiedError(f"e_term certificate {cert:.2e} far above tol", cert)
     return CertValue(value=value, certificate=cert)
+
+
+def _e_nu_range(vp: VParams, tol: float) -> int:
+    """E's default nu range at e_term's tol: the least M whose AFE tail, with
+    |b_m| majorized by d(m)^3, is below tol/16.
+
+    It keeps d(m)^3 where the LHS cutoff reads Deligne's sharper B(m): the
+    shorter range B gives would move mass from the summed nus into the
+    nu-tail, whose bound is far looser, and raise E's certificate about 3x.
+    """
+    return _series.memo(("E nu range", vp, tol), lambda: _cutoff_search(
+        vp, tol / 16.0, lambda n: _series.divisor_count_sieve(n) ** 3))
 
 
 def _w_row(vp: VParams, level: int, M: int, tol: float):
@@ -351,6 +371,7 @@ def moment_report(g: NewformRecord, p: int, k: int,
     once, at the recovery's stop rule (tighter than ``m_term_direct``'s), and
     serves both M and the recovery."""
     _validate_pair(g, p, k)
+    _check_probe_limit(k)
     w, w_cert = _w_at_p(g, p, k, g_scale, _RECOVERY_W_TOL)
     md = _m_from_w(g, p, w, w_cert)
     mr = m_term_residue(g, p, k)
@@ -389,6 +410,8 @@ def asymptotic_scan(g: NewformRecord, p: int, k_list,
     prefixes of it.
     """
     k_list = list(k_list)
+    for k in k_list:  # before any report builds a form
+        _check_probe_limit(k)
     by_k = {k: moment_report(g, p, k, g_scale=g_scale, afe_tol=afe_tol, e_tol=e_tol)
             for k in sorted(set(k_list), reverse=True)}
     reports = [by_k[k] for k in k_list]

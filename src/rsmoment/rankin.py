@@ -345,10 +345,9 @@ class RankinSeries:
     def __post_init__(self):
         if abs(self.b[1] - 1.0) > 1e-9:
             raise ValueError("b_1 must be 1 for normalized forms at coprime levels")
-        m = len(self.b) - 1
-        d3 = _series.divisor_count_sieve(m + 1) ** 3
-        if np.any(np.abs(self.b[1:]) > d3[1:] * (1 + 1e-6) + 1e-9):
-            raise ValueError("b_m exceeds the divisor-bound sanity threshold")
+        bound = _series.deligne_bound_sieve(len(self.b))
+        if np.any(np.abs(self.b[1:]) > bound[1:] * (1 + 1e-6) + 1e-9):
+            raise ValueError("b_m exceeds Deligne's bound B(m), the sanity threshold")
 
     @property
     def length(self) -> int:
@@ -379,15 +378,28 @@ def b_coefficients(f, g: NewformRecord, M: int) -> RankinSeries:
 
 
 def effective_cutoff(p: VParams, tol: float) -> int:
-    """Smallest M with sum_{m>M} d(m)^3 m^{-1/2} |V(y_m)| < tol (envelope-certified)."""
+    """The least M at which sum_{m>M} B(m) m^{-1/2} |V(y_m)| is certified below
+    tol, by ``afe_tail_bound`` and by the envelope sum of the search
+    (``_cutoff_search``).  B(m) = sum_{d^2|m} d(m/d^2)^2 is Deligne's bound on
+    |b_m| (``series.deligne_bound_sieve``)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if math.isinf(tol):
         return 1
-    return _series.memo(("AFE cutoff", p, tol), lambda: _cutoff_search(p, tol))
+    return _series.memo(("AFE cutoff", p, tol), lambda: _cutoff_search(p, tol, _series.deligne_bound_sieve))
 
 
-def _cutoff_search(p: VParams, tol: float) -> int:
+def _cutoff_search(p: VParams, tol: float, majorant) -> int:
+    """The least M that two tail bounds of sum_{m>M} majorant(m) m^{-1/2} |V(y_m)|
+    both certify below tol: the envelope summed to a horizon m_far whose far
+    remainder is below tol/8, and ``_tail_bound``, with its own horizon
+    max(4M, 4096).
+
+    The first bound falls with M, so prefix sums give its least certifying
+    M, the guess; the least M at or above it that ``_tail_bound`` certifies
+    is bracketed by steps that double from the guess and found by
+    bisection, taking that bound, too, to fall as M grows.
+    """
     vq = _vq(p)
     m_far = 1024
     while True:
@@ -400,8 +412,7 @@ def _cutoff_search(p: VParams, tol: float) -> int:
         m_far *= 2
     ms = np.arange(1, m_far + 1, dtype=float)
     env = vq.envelope(p.afe_argument(ms))
-    d3 = _series.divisor_count_sieve(m_far + 1)[1:] ** 3
-    terms = d3 * env / np.sqrt(ms)
+    terms = majorant(m_far + 1)[1:] * env / np.sqrt(ms)
     rev_cum = np.cumsum(terms[::-1])[::-1]     # rev_cum[i] = sum_{m >= i+1}
     want = np.empty(m_far)                     # want[M-1] = sum_{m > M} + remainder
     want[: m_far - 1] = rev_cum[1:] + remainder
@@ -410,16 +421,29 @@ def _cutoff_search(p: VParams, tol: float) -> int:
     if len(hit) == 0:
         raise UncertifiedError("effective_cutoff: tolerance unreachable",
                                certificate=float(want[-1]))
-    m_cut = int(hit[0]) + 1
-    # make the returned cutoff coherent with afe_tail_bound's own horizon
-    while afe_tail_bound(p, m_cut) > tol and m_cut < _CUTOFF_M_FAR_CAP:
-        m_cut = int(m_cut * 1.15) + 1
-    return m_cut
+    # invariant: lo does not certify (lo = guess - 1 fails the first bound),
+    # hi does; the first step is 1/64 of the guess, which is seldom further
+    # than that from the least certifying M (1,680 against 1,690 at k = 40)
+    lo, hi = int(hit[0]), int(hit[0]) + 1
+    step = max(1, hi // 64)
+    while (cert := _tail_bound(p, hi, majorant)) > tol:
+        if hi >= _CUTOFF_M_FAR_CAP:
+            raise UncertifiedError("effective_cutoff: tail bound not certifiable",
+                                   certificate=cert)
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _tail_bound(p, mid, majorant) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _beyond_far_bound(vq: VQuadrature, p: VParams, m_far: int) -> float:
     """Bound sum_{m>m_far} d(m)^3 m^{-1/2} |V| via d(m) <= sqrt(3m) and the
-    tangent-line majorant of the (log-convex) envelope."""
+    tangent-line majorant of the (log-convex) envelope.  It bounds the same
+    sum with B(m) <= d(m)^3 in place of d(m)^3."""
     slope = vq.envelope_slope(p.afe_argument(float(m_far)))
     env_far = float(vq.envelope(p.afe_argument(float(m_far)))[0])
     if slope <= 3.1:
@@ -428,7 +452,16 @@ def _beyond_far_bound(vq: VQuadrature, p: VParams, m_far: int) -> float:
 
 
 def afe_tail_bound(p: VParams, M: int) -> float:
-    """Certified bound on sum_{m>M} d(m)^3 m^{-1/2} |V(y_m)|."""
+    """Certified bound on sum_{m>M} B(m) m^{-1/2} |V(y_m)|, B(m) = sum_{d^2|m}
+    d(m/d^2)^2 (``series.deligne_bound_sieve``): Deligne's bound on |b_m|."""
+    return _tail_bound(p, M, _series.deligne_bound_sieve)
+
+
+def _tail_bound(p: VParams, M: int, majorant) -> float:
+    """Certified bound on sum_{m>M} majorant(m) m^{-1/2} |V(y_m)|: the envelope
+    summed to m_far = max(4M, 4096) (doubled until the far remainder is
+    finite), plus ``_beyond_far_bound`` past it, valid for any majorant(m)
+    <= d(m)^3."""
     vq = _vq(p)
     m_far = max(4 * M, 4096)
     remainder = _beyond_far_bound(vq, p, m_far)
@@ -439,8 +472,7 @@ def afe_tail_bound(p: VParams, M: int) -> float:
         return math.inf
     ms = np.arange(M + 1, m_far + 1, dtype=float)
     env = vq.envelope(p.afe_argument(ms))
-    d3 = _series.divisor_count_sieve(m_far + 1)[M + 1:] ** 3
-    return float(np.sum(d3 * env / np.sqrt(ms)) + remainder)
+    return float(np.sum(majorant(m_far + 1)[M + 1:] * env / np.sqrt(ms)) + remainder)
 
 
 @dataclass

@@ -25,7 +25,8 @@ Two multiplication engines:
 Both engines convolve through one helper, ``_fft_conv`` (``numpy.fft`` real
 transforms at a 5-smooth length).
 
-Also hosts the arithmetic sieves (sigma_k, divisor counts), prime divisors,
+Also hosts the arithmetic sieves (sigma_k, divisor counts, Deligne's bound
+B(m) on Rankin-Selberg coefficients), prime divisors,
 and the standard level-1 generators: eta powers via the pentagonal/Jacobi
 sparse expansions, Delta, and every Eisenstein series E_w as one integral
 multiple D E_w, read off one exact sigma_{w-1} sieve.
@@ -57,6 +58,7 @@ __all__ = [
     "mul_float",
     "sigma_sieve",
     "divisor_count_sieve",
+    "deligne_bound_sieve",
     "eta3_sparse",
     "eta6_float",
     "delta_exact",
@@ -381,6 +383,28 @@ def sigma_sieve(power: int, length: int) -> np.ndarray:
 def divisor_count_sieve(length: int) -> np.ndarray:
     """d(n) for n < length as read-only float64 (index 0 is 0)."""
     return _divisor_sums(0, length)
+
+
+def deligne_bound_sieve(length: int) -> np.ndarray:
+    """B(m) = sum_{d^2 | m} d(m/d^2)^2 for m < length as read-only float64
+    (index 0 is 0), from the store.
+
+    Deligne's |C(n)| <= d(n) for normalized eigenforms makes B(m) a bound on
+    every Rankin-Selberg coefficient b_m = sum_{d^2 | m, (d, level) = 1}
+    C_f(m/d^2) C_g(m/d^2), at every level.  B(m) <= d(m)^3, because
+    d(m/d^2) <= d(m) and the d with d^2 | m are at most d(m) many.  Every
+    entry is an integer far below 2^53, so a slice equals a fresh build.
+    """
+    def build(n):
+        d2 = divisor_count_sieve(n) ** 2
+        out = np.zeros(n)
+        d = 1
+        while d * d < n:
+            s = d * d
+            out[s::s] += d2[1:(n - 1) // s + 1]
+            d += 1
+        return out
+    return stored(("deligne bound",), length, build)
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:

@@ -288,3 +288,13 @@ def kl_nf_exact_phase(field, alpha, beta, c) -> complex:
         ang = 2.0 * math.pi * float(frac)
         total += complex(math.cos(ang), math.sin(ang))
     return total
+
+
+def deligne_bound(m: int) -> int:
+    """B(m) = sum of d(m/e^2)^2 over e with e^2 | m, each divisor count by
+    trial division up to the square root."""
+    def count(n):
+        r = math.isqrt(n)
+        return 2 * sum(1 for e in range(1, r + 1) if n % e == 0) - (r * r == n)
+    return sum(count(m // (e * e)) ** 2 for e in range(1, math.isqrt(m) + 1)
+               if m % (e * e) == 0)

@@ -169,6 +169,16 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert not (tmp_path / "unread").exists()
 
 
+def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a Q_sqrt5 sum\n\n--field=Q_sqrt5\n   \n  # outdir below\n"
+                   f"--outdir={tmp_path}\n\n")
+    assert main(["kloosterman", f"@{cfg}", "--m", "2", "--n", "3", "--c", "5"]) == 0, \
+        capsys.readouterr().err
+    manifest = json.loads((tmp_path / "kloosterman.manifest.json").read_text())
+    assert manifest["options"]["field"] == "Q_sqrt5"
+
+
 def test_config_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("--not-a-key=1\n")
@@ -323,6 +333,25 @@ def test_afe_checks_g_length_before_building_forms(capsys, tmp_path, monkeypatch
     assert rc == 2
     assert "insufficient coefficients" in capsys.readouterr().err
     assert max(requests, default=0) <= 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--k", "76", "--p", "2"],
+    ["scan", "--k", "70,76"],
+    ["recover", "--k", "20,76"],
+])
+def test_weight_past_the_probe_limit_exit(capsys, tmp_path, delta_file, monkeypatch, argv):
+    # dim S_76 = 6 outgrows the 5 probes of the omega solve: exit 2 before
+    # any form is built, for every weight asked
+    requests = []
+    build = mo.eigenforms
+    monkeypatch.setattr(mo, "eigenforms", lambda k, n: requests.append((k, n)) or build(k, n))
+    rc = main(argv[:1] + ["--g", delta_file] + argv[1:] + ["--outdir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: dim S_76 = 6 exceeds the 5-probe limit "
+                                       "of the harmonic-weight solve\n")
+    assert requests == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_make_newform_past_the_hecke_word_table_exit(capsys, tmp_path):

@@ -92,7 +92,7 @@ def test_w_sum_matches_pointwise_sum(k, level, l):
     # four times its d range; M's and E's default stop tolerances
     vp = mo.VParams((k,), (l,), conductor=float(level))
     vq = mo._vq(vp)
-    M = mo.effective_cutoff(vp, E_TOL / 16.0)
+    M = mo._e_nu_range(vp, E_TOL)
     cases = [(np.array([float(p)]), 1e-9 / 16) for p in (1, 2, 5)]
     cases.append((np.arange(1.0, M + 1), E_TOL * 1e-4))
     for nus, tol in cases:
@@ -137,14 +137,14 @@ def test_bad_twist_raises(delta_record, p):
 
 def test_e_term_stability_under_doubled_truncations(delta_record):
     base = mo.e_term(delta_record, 1, 20)
-    vp_cut = mo.effective_cutoff(mo.VParams((20,), (12,)), E_TOL / 16.0)
+    vp_cut = mo._e_nu_range(mo.VParams((20,), (12,)), E_TOL)
     doubled = mo.e_term(delta_record, 1, 20, nu_cutoff=2 * vp_cut)
     assert abs(base.value - doubled.value) <= 1e-6
     # four times the nu range moves E by at most the certificate, plus 1e-14
     # relative for rounding, which the certificate (truncation only) does not cover
     for k in (20, 24, 32):
         short = mo.e_term(delta_record, 1, k)
-        M = mo.effective_cutoff(mo.VParams((k,), (12,)), E_TOL / 16.0)
+        M = mo._e_nu_range(mo.VParams((k,), (12,)), E_TOL)
         long = mo.e_term(delta_record, 1, k, nu_cutoff=4 * M)
         gap = abs(long.value - short.value)
         assert gap <= short.certificate + 1e-14 * max(1.0, abs(short.value)), (k, gap)
@@ -216,7 +216,7 @@ def _e_unskipped(g, p, k):
     and the number of grid points (all of which the loop used to evaluate)."""
     tol = E_TOL
     vp = mo.VParams((k,), (g.weight,))
-    M = mo.effective_cutoff(vp, tol / 16.0)
+    M = mo._e_nu_range(vp, tol)
     nus = np.arange(1.0, M + 1)
     W, w_cert, _ = mo._w_sum(vp, g.level, nus, tol * 1e-4)
     cg = np.asarray(g.cn[: M + 1])

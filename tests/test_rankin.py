@@ -7,6 +7,7 @@ import pytest
 import oracles
 from rsmoment import modforms as mf
 from rsmoment import rankin as rk
+from rsmoment import series
 from rsmoment.specialfn import log_gamma
 
 
@@ -18,6 +19,19 @@ def delta_record():
 @pytest.fixture(scope="module")
 def f16():
     return mf.eigenforms(16, 50000)[0]
+
+
+@pytest.fixture(autouse=True)
+def deligne_bounds_every_rankin_series(monkeypatch):
+    # B(m) >= |b_m| on every Rankin series a test in this file builds
+    build = rk.b_coefficients
+
+    def checked(f, g, M):
+        rs = build(f, g, M)
+        over = np.abs(rs.b) - series.deligne_bound_sieve(M + 1)
+        assert np.all(over <= 0.0), (M, int(np.argmax(over)), float(np.max(over)))
+        return rs
+    monkeypatch.setattr(rk, "b_coefficients", checked)
 
 
 def test_vparams_validation():
@@ -181,6 +195,24 @@ def test_effective_cutoff_weight_scaling():
     assert 3.0 <= m2 / m1 <= 6.0
 
 
+@pytest.mark.parametrize("k, tol, cut", [(14, 5e-9, 188), (24, 5e-9, 630), (40, 5e-9, 1690),
+                                         (40, 5e-8, 1281), (48, 5e-8, 1848)])
+def test_effective_cutoff_under_deligne_bound(k, tol, cut):
+    p = rk.VParams((k,), (12,))
+    assert rk.effective_cutoff(p, tol) == cut
+    assert rk.afe_tail_bound(p, cut) <= tol
+    # the d(m)^3 majorant, which E's nu range keeps, needs over 30% more terms
+    assert rk._cutoff_search(p, tol, lambda n: series.divisor_count_sieve(n) ** 3) > 1.3 * cut
+
+
+def test_effective_cutoff_is_the_least_afe_tail_bound_certifies():
+    # at (40, 5e-9) the search's envelope sum certifies from 1,680 on and
+    # afe_tail_bound from 1,690; a x1.15 step from 1,680 overshot to 1,932
+    p = rk.VParams((40,), (12,))
+    assert rk.effective_cutoff(p, 5e-9) == 1690
+    assert rk.afe_tail_bound(p, 1689) > 5e-9 >= rk.afe_tail_bound(p, 1690)
+
+
 def test_b_coefficients_level_one(delta_record, f16):
     rs = rk.b_coefficients(f16, delta_record, 200)
     assert abs(rs.b[1] - 1.0) < 1e-12
@@ -240,14 +272,18 @@ def test_central_value_truncation_stability(f16, delta_record):
     assert abs(a.value - b.value) <= a.certificate + b.certificate
 
 
-@pytest.mark.parametrize("k", [16, 24, 36, 40])
-def test_central_value_certificate_against_4x_cutoff(delta_record, k):
+@pytest.mark.parametrize("k, tol", [(16, 1e-8), (24, 1e-8), (36, 1e-8), (40, 1e-8),
+                                    (44, 1e-7), (48, 1e-7)],
+                         ids=["16", "24", "36", "40", "44-scan", "48-scan"])
+def test_central_value_certificate_against_4x_cutoff(delta_record, k, tol):
     # every form of S_k against g = Delta: summing to 4M moves L by at most
     # the certificate at M, plus 1e-14 relative for rounding, which the
-    # certificate (truncation only) does not cover
-    cut = rk.effective_cutoff(rk.VParams((k,), (12,)), 1e-8 / 2)
+    # certificate (truncation only) does not cover; at central_value's
+    # default tol and, for k = 44 and 48, at the scan's afe_tol 1e-7
+    cut = rk.effective_cutoff(rk.VParams((k,), (12,)), tol / 2)
     for f, f_long in zip(mf.eigenforms(k, cut), mf.eigenforms(k, 4 * cut)):
-        short = rk.central_value(f, delta_record)
+        short = rk.central_value(f, delta_record, tol=tol)
+        assert short.cutoff == cut
         long = rk.central_value(f_long, delta_record, cutoff=4 * cut)
         gap = abs(long.value - short.value)
         assert gap <= short.certificate + 1e-14 * max(1.0, abs(short.value)), (k, f.index, gap)
@@ -273,3 +309,10 @@ def test_rankin_series_sanity_threshold():
     b[10] = 9999.0
     with pytest.raises(ValueError, match="sanity"):
         rk.RankinSeries(b=b, k=16, l=12, level=1)
+    # b_6 = 20 lies in (B(6), d(6)^3] = (16, 64]: within the divisor cube,
+    # past Deligne's bound
+    b[10], b[6] = 0.0, 20.0
+    with pytest.raises(ValueError, match="sanity"):
+        rk.RankinSeries(b=b, k=16, l=12, level=1)
+    b[6] = -16.0
+    assert rk.RankinSeries(b=b, k=16, l=12, level=1).length == 10

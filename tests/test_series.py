@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from rsmoment import series
 
 
@@ -291,6 +292,22 @@ def test_divisor_sums_bit_identical_in_any_request_order(power, sieve):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[1] = 0.0
+
+
+def test_deligne_bound_sieve():
+    # B(m) = sum_{d^2|m} d(m/d^2)^2 against trial division, below d(m)^3
+    series.clear_store()
+    long = series.deligne_bound_sieve(5001)
+    sliced = series.deligne_bound_sieve(300)
+    series.clear_store()
+    fresh = series.deligne_bound_sieve(300)
+    assert sliced.tobytes() == fresh.tobytes() == long[:300].tobytes()
+    assert long[0] == 0.0
+    assert long[1:].tolist() == [oracles.deligne_bound(m) for m in range(1, 5001)]
+    cube = series.divisor_count_sieve(5001) ** 3
+    assert np.all(long <= cube)
+    assert long[6] == 16.0 and cube[6] == 64.0  # d(6) = 4 and no square divisor
+    assert not long.flags.writeable
 
 
 def test_clear_store_resets_every_memo():
