@@ -6,13 +6,15 @@ Two multiplication engines:
   (coefficients packed in fixed-width byte slots, one big multiply, signed
   unpack with an offset trick).  Used for the exact prefix of every
   q-expansion, where cancellation must be tracked exactly.  The big multiply
-  has two paths: CPython's ``A * B`` below 20 kB per operand, and above it a
-  float64 FFT convolution of the operands' bytes, rounded and carried in
-  integers.  Two guards, every FFT output within 1/4 of an integer and an
-  exact check of the product modulo 2^61 - 1, send a failed FFT product back
-  to ``A * B``; Percival's error bound is 3.8e-3 at 2 MB per operand, far
-  inside the 1/2 rounding needs, so every product equals ``A * B``.  A
-  square packs its operand once and squares it on either path.
+  has two paths: CPython's ``A * B`` below 6 kB per operand, and from there
+  a float64 FFT convolution of the operands' 12-bit digits, rounded and
+  carried in integers.  12-bit digits are used while Percival's worst-case
+  error bound for them is below 1/4 (up to about 840 kB per operand), and
+  bytes beyond, where the bound is 3.8e-3 at 2 MB.  Two guards, every FFT
+  output within 1/4 of an integer and an exact check of the product modulo
+  2^61 - 1, send a failed FFT product back to ``A * B``, so every product
+  equals ``A * B``.  A square packs its operand once and squares it on
+  either path.
 * ``mul_float`` -- float64 banded block convolution.  Both operands are cut
   into dyadic blocks; block pairs within 3 octaves of the diagonal are
   convolved by FFT with each block scaled to unit max, and the pairs further
@@ -114,11 +116,11 @@ def mul_exact(a: list[int], b: list[int], n_out: int) -> list[int]:
 
     Kronecker substitution: each factor is packed into one big integer with a
     fixed-width byte slot per coefficient, the two are multiplied once by
-    ``_big_mul`` (CPython's ``A * B``, or a byte-wise FFT product checked
-    exactly above ``_FFT_MIN_BYTES`` per operand), and the slots are read
-    back with a sign offset.  The result equals the schoolbook product.  A
-    square (``a == b``) packs once and hands ``_big_mul`` one integer twice,
-    so CPython or the FFT squares it.
+    ``_big_mul`` (CPython's ``A * B``, or from ``_FFT_MIN_BYTES`` per operand
+    a float64 FFT product over 12-bit or byte digits, checked exactly), and
+    the slots are read back with a sign offset.  The result equals the
+    schoolbook product.  A square (``a == b``) packs once and hands
+    ``_big_mul`` one integer twice, so CPython or the FFT squares it.
     """
     la, lb = len(a), len(b)
     if la == 0 or lb == 0 or n_out <= 0:
@@ -139,7 +141,7 @@ def mul_exact(a: list[int], b: list[int], n_out: int) -> list[int]:
     nslots = la + lb + 1
     offset = int.from_bytes(half.to_bytes(slot, "little") * nslots, "little")
     C += offset
-    raw = C.to_bytes(slot * (nslots + 2), "little", signed=False)
+    raw = memoryview(C.to_bytes(slot * (nslots + 2), "little", signed=False))
     # every coefficient lies in (-half, half), so each offset slot is one
     # base-2^nbits digit and no carry crosses a slot boundary
     out = [
@@ -149,14 +151,14 @@ def mul_exact(a: list[int], b: list[int], n_out: int) -> list[int]:
     return out + [0] * (n_out - n)
 
 
-_FFT_MIN_BYTES = 20_000  # below this per operand CPython's Karatsuba A * B wins
+_FFT_MIN_BYTES = 6_000  # measured: from here the FFT beats A * B and A * A
 _CHECK_PRIME = (1 << 61) - 1  # modulus of the exact check on every FFT product
 
 
 def _big_mul(A: int, B: int) -> int:
-    """A * B: CPython's product below ``_FFT_MIN_BYTES`` bytes in either
-    operand, else ``_fft_mul``'s, or CPython's where a guard of it fails.
-    ``B is A`` squares on either path."""
+    """A * B: CPython's product below ``_FFT_MIN_BYTES`` (6 kB) in either
+    operand, else ``_fft_mul``'s 12-bit or byte FFT product, or CPython's
+    where a guard of it fails.  ``B is A`` squares on either path."""
     if min(A.bit_length(), B.bit_length()) < 8 * _FFT_MIN_BYTES:
         return A * B
     C = _fft_mul(A, B)
@@ -164,34 +166,33 @@ def _big_mul(A: int, B: int) -> int:
 
 
 def _fft_mul(A: int, B: int) -> int | None:
-    """A * B by a float64 FFT over bytes, or None when a guard fails.
+    """A * B by a float64 FFT over 12-bit or byte digits, or None when a
+    guard fails.
 
-    The little-endian bytes of |A| and |B| are convolved by one real FFT
-    (``_fft_conv``), every output is rounded to the nearest integer, and the
-    int64 digits are carried by viewing them as 8 byte planes:
-    |A B| = sum_j int(plane_j) << 8j.  Two guards decide whether that
-    result is returned:
+    The digits of |A| and |B| are convolved by one real FFT (``_fft_conv``)
+    and every output is rounded to the nearest integer; ``_carry`` sums them
+    back into |A B|.  The digits are 12 bits wide while Percival's bound for
+    12-bit digits, all at their maximum, is below 1/4 (``_digit_bits``: up to
+    about 840 kB per operand), and bytes beyond; 12-bit digits make the
+    transform 2/3 as long.  Two guards decide whether the result is returned:
 
     * every FFT output lies within 1/4 of its rounded value, and
     * C = (A mod p)(B mod p) mod p for p = 2^61 - 1, an exact O(n) check.
 
-    Percival (Math. Comp. 72, 2003) bounds the FFT error by
-    ||x|| ||y|| ((1+e)^3K (1+e sqrt5)^(3K+1) (1+b)^3K - 1), e = 2^-53,
-    b = e / sqrt2, K = log2 of the transform length.  For 2 MB operands
-    (larger than any the checker multiplies), all bytes 255, that is
-    3.8e-3 against the 1/2 that rounding needs, so the guards are not
-    expected to fail.  ``B is A`` converts the bytes once and takes one
-    forward transform.
+    Rounding needs every output within 1/2 of its integer, and the bound
+    (``_fft_error_bound``) keeps 12-bit digits below 1/4 and bytes at 3.8e-3
+    for 2 MB operands (larger than any the checker multiplies), so the
+    guards are not expected to fail.  ``B is A`` converts the digits once
+    and takes one forward transform.
     """
-    x = _byte_floats(A)
-    conv = _fft_conv(x, x if B is A else _byte_floats(B))
+    la, lb = (A.bit_length() + 7) // 8, (B.bit_length() + 7) // 8
+    bits = _digit_bits(la, lb)
+    x = _digits(A, bits)
+    conv = _fft_conv(x, x if B is A else _digits(B, bits))
     digits = np.rint(conv)
     if np.max(np.abs(conv - digits)) > 0.25:
         return None
-    planes = digits.astype("<i8").view(np.uint8).reshape(-1, 8)
-    C = 0
-    for j in range(8):
-        C += int.from_bytes(planes[:, j].tobytes(), "little") << (8 * j)
+    C = _carry(digits.astype(np.int64), bits)
     if (A < 0) != (B < 0):
         C = -C
     p = _CHECK_PRIME
@@ -201,10 +202,63 @@ def _fft_mul(A: int, B: int) -> int | None:
     return C
 
 
-def _byte_floats(A: int) -> np.ndarray:
-    """The little-endian bytes of |A| as float64."""
+def _fft_error_bound(norms: float, size: int) -> float:
+    """Percival's bound on every output error of a float64 FFT convolution.
+
+    ``norms`` is ||x|| ||y||, the product of the inputs' Euclidean norms, and
+    ``size`` the transform length.  Percival (Math. Comp. 72, 2003) bounds
+    the error by ||x|| ||y|| ((1+e)^3K (1+e sqrt5)^(3K+1) (1+b)^3K - 1),
+    e = 2^-53, b = e / sqrt2, K = log2(size).  It is evaluated as expm1 of a
+    sum of log1p terms: in float64 1 + e rounds to 1, so the expression as
+    written comes out at about half its value.
+    """
+    e = 2.0 ** -53
+    k = 3 * math.log2(size)
+    return norms * math.expm1(k * math.log1p(e) + (k + 1) * math.log1p(e * math.sqrt(5))
+                              + k * math.log1p(e / math.sqrt(2)))
+
+
+def _digit_bits(la: int, lb: int) -> int:
+    """The digit width of ``_fft_mul`` for operands of la and lb bytes: 12
+    while Percival's bound for 12-bit digits all at 4095 is below 1/4, else 8.
+    """
+    na, nb = 2 * -(-la // 3), 2 * -(-lb // 3)  # two digits per 3 bytes, as ``_digits``
+    worst = _fft_error_bound(4095.0 ** 2 * math.sqrt(na * nb), _fast_len(na + nb - 1))
+    return 12 if worst < 0.25 else 8
+
+
+def _digits(A: int, bits: int) -> np.ndarray:
+    """The little-endian base-2^bits digits of |A| as float64, bits 8 or 12;
+    12-bit digits come two from every three bytes, the last three padded."""
     raw = abs(A).to_bytes((A.bit_length() + 7) // 8, "little")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+    if bits == 8:
+        return np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+    t = np.frombuffer(raw + bytes(-len(raw) % 3), dtype=np.uint8)
+    t = t.reshape(-1, 3).astype(np.uint16)
+    out = np.empty((len(t), 2))
+    out[:, 0] = t[:, 0] | (t[:, 1] & 15) << 8
+    out[:, 1] = t[:, 1] >> 4 | t[:, 2] << 4
+    return out.ravel()
+
+
+def _carry(c: np.ndarray, bits: int) -> int:
+    """sum_j c[j] 2^(bits j) for nonnegative int64 digits c, bits 8 or 12.
+
+    Every 24 / bits consecutive digits merge into one field f_i at bit 24 i,
+    below 2^63 wherever the FFT is certified.  Bytes 0-2, 3-5 and 6-7 of
+    every f_i, laid end to end, are three base-2^24 integers F_0, F_1, F_2,
+    and the sum is F_0 + F_1 2^24 + F_2 2^48.
+    """
+    group = 24 // bits
+    f = c[::group].copy()
+    for t in range(1, group):
+        part = c[t::group]
+        f[:len(part)] += part << (bits * t)
+    b = f.view(np.uint8).reshape(-1, 8)
+    top = np.zeros((len(f), 3), dtype=np.uint8)
+    top[:, :2] = b[:, 6:]
+    return sum(int.from_bytes(x.tobytes(), "little") << (24 * k)
+               for k, x in enumerate((b[:, :3], b[:, 3:6], top)))
 
 
 def _fast_len(n: int) -> int:
@@ -238,15 +292,21 @@ def _fft_conv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pack_signed(v: list[int], slot: int) -> int:
-    pos = b"".join(
-        (x if x > 0 else 0).to_bytes(slot, "little") for x in v
-    )
-    if min(v) >= 0:
-        return int.from_bytes(pos, "little")
-    neg = b"".join(
-        (-x if x < 0 else 0).to_bytes(slot, "little") for x in v
-    )
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_i v[i] 2^(8 slot i), each entry written once as a signed slot.
+
+    A negative entry's two's-complement slot reads 2^(8 slot) above it, so
+    one correction integer, a 1 just past every negative entry's slot, is
+    subtracted.
+    """
+    packed = int.from_bytes(
+        b"".join(x.to_bytes(slot, "little", signed=True) for x in v), "little")
+    neg = [i for i, x in enumerate(v) if x < 0]
+    if not neg:
+        return packed
+    correction = bytearray(slot * (len(v) + 1))
+    for i in neg:
+        correction[slot * (i + 1)] = 1
+    return packed - int.from_bytes(correction, "little")
 
 
 def _dyadic_blocks(n: int) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -82,6 +83,82 @@ def test_mul_exact_square_fft_branch_packs_once(a, n_out):
     assert len(results) == 2 and None not in results  # FFT ran, no fallback
 
 
+@pytest.fixture(params=[8, 12], ids=["bytes", "12-bit"])
+def digit_bits(request, monkeypatch):
+    """Run the test with ``_fft_mul`` held to one digit width."""
+    monkeypatch.setattr(series, "_digit_bits", lambda la, lb: request.param)
+    return request.param
+
+
+def _all_ones(nbytes):
+    return (1 << (8 * nbytes)) - 1  # every digit at its maximum, at either width
+
+
+@pytest.mark.parametrize("la, lb", [
+    (3000, 3000), (3001, 3001), (3002, 3002),  # byte lengths 0, 1, 2 mod 3
+    (3001, 3002), (12_000, 40), (40, 12_001)])  # unequal, and far apart
+def test_fft_mul_equals_product_at_worst_case(digit_bits, la, lb):
+    A, B = _all_ones(la), _all_ones(lb)
+    assert series._fft_mul(A, B) == A * B
+    assert series._fft_mul(A, A) == A * A  # a square: one forward transform
+
+
+@pytest.mark.parametrize("la, lb", [(5000, 5000), (5000, 5001), (5002, 4000), (20_000, 7)])
+@pytest.mark.parametrize("sa, sb", [(1, -1), (-1, 1), (-1, -1)])
+def test_fft_mul_equals_product_with_signs(digit_bits, la, lb, sa, sb):
+    rng = np.random.default_rng(la + 7 * lb)
+    A = sa * int.from_bytes(rng.bytes(la - 1) + b"\x80", "little")
+    B = sb * int.from_bytes(rng.bytes(lb - 1) + b"\xff", "little")
+    assert series._fft_mul(A, B) == A * B
+    assert series._fft_mul(A, A) == A * A == series._fft_mul(A, -A) * -1
+
+
+@pytest.mark.parametrize("bits, top", [(8, 46), (12, 50)])  # every field f_i below 2^63
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 1001, 1002])
+def test_carry_sums_the_digits(bits, top, n):
+    c = np.random.default_rng(n).integers(0, 2 ** top, n, dtype=np.int64)
+    c[-1] = 2 ** top - 1
+    assert series._carry(c, bits) == sum(int(x) << (bits * j) for j, x in enumerate(c))
+
+
+def _percival_mp(norms, size):
+    """Percival's bound evaluated as written, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        e = mpmath.mpf(2) ** -53
+        k = 3 * mpmath.log(size, 2)
+        return float(norms * ((1 + e) ** k * (1 + e * mpmath.sqrt(5)) ** (k + 1)
+                              * (1 + e / mpmath.sqrt(2)) ** k - 1))
+
+
+def test_fft_error_bound_is_percivals():
+    size = series._fast_len(2 * 2_000_000 - 1)
+    norms = 255.0 ** 2 * 2_000_000  # two 2 MB operands, every byte 255
+    bound = series._fft_error_bound(norms, size)
+    assert bound == pytest.approx(3.8e-3, rel=0.01)
+    assert bound == pytest.approx(_percival_mp(norms, size), rel=1e-12)
+    e = 2.0 ** -53  # as written in float64, 1 + e rounds to 1: about half
+    k = 3 * np.log2(size)
+    naive = norms * ((1 + e) ** k * (1 + e * 5 ** 0.5) ** (k + 1) * (1 + e / 2 ** 0.5) ** k - 1)
+    assert naive < 0.6 * bound
+
+
+def test_digit_bits_is_12_exactly_while_its_bound_is_below_a_quarter():
+    def worst_12bit(la, lb):
+        na, nb = 2 * -(-la // 3), 2 * -(-lb // 3)
+        return _percival_mp(4095.0 ** 2 * (na * nb) ** 0.5, series._fast_len(na + nb - 1))
+
+    lo, hi = 100_000, 2_000_000  # the last equal byte length whose bound is below 1/4
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if worst_12bit(mid, mid) < 0.25 else (lo, mid)
+    assert 800_000 < lo < 880_000
+    for la, lb in [(lo, lo), (hi, hi), (lo - 3, lo + 3), (lo, 2 * lo), (1000, 4 * lo),
+                   (6000, 6000), (93_555, 93_555), (3 * lo, 3 * lo)]:
+        bits = 12 if worst_12bit(la, lb) < 0.25 else 8
+        assert series._digit_bits(la, lb) == series._digit_bits(lb, la) == bits
+    assert series._digit_bits(lo, lo) == 12 and series._digit_bits(hi, hi) == 8
+
+
 @pytest.mark.parametrize("shift", [0.4, 1.0])  # fails the 1/4 guard; the mod-p check
 def test_mul_exact_falls_back_when_a_guard_fails(monkeypatch, shift):
     a = [(-1) ** i * (3 ** 700 + i) for i in range(200)]
@@ -94,9 +171,11 @@ def test_mul_exact_falls_back_when_a_guard_fails(monkeypatch, shift):
         return out
     monkeypatch.setattr(series, "_fft_conv", perturbed)
     results = _counting_fft_mul(monkeypatch)
-    assert series.mul_exact(a, b, 400) == schoolbook(a, b, 400)
-    assert series.mul_exact(a, a, 400) == schoolbook(a, a, 400)  # a square
-    assert results == [None, None]
+    for bits in (8, 12):  # both digit widths
+        monkeypatch.setattr(series, "_digit_bits", lambda la, lb: bits)
+        assert series.mul_exact(a, b, 400) == schoolbook(a, b, 400)
+        assert series.mul_exact(a, a, 400) == schoolbook(a, a, 400)  # a square
+    assert results == [None] * 4
 
 
 def naive_delta(n):
