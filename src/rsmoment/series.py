@@ -6,15 +6,14 @@ Two multiplication engines:
   (coefficients packed in fixed-width byte slots, one big multiply, signed
   unpack with an offset trick).  Used for the exact prefix of every
   q-expansion, where cancellation must be tracked exactly.  The big multiply
-  has two paths: CPython's ``A * B`` below 6 kB per operand, and from there
-  a float64 FFT convolution of the operands' 12-bit digits, rounded and
-  carried in integers.  12-bit digits are used while Percival's worst-case
-  error bound for them is below 1/4 (up to about 840 kB per operand), and
-  bytes beyond, where the bound is 3.8e-3 at 2 MB.  Two guards, every FFT
-  output within 1/4 of an integer and an exact check of the product modulo
-  2^61 - 1, send a failed FFT product back to ``A * B``, so every product
-  equals ``A * B``.  A square packs its operand once and squares it on
-  either path.
+  has two paths: from 6 kB per operand up to about 840 kB, where Percival's
+  worst-case error estimate for 12-bit digits reaches 1/4, a float64 FFT
+  convolution of the operands' 12-bit digits, rounded and carried in
+  integers, and CPython's ``A * B`` outside that range.  Two guards, every
+  FFT output within 1/4 of an integer and an exact check of the product
+  modulo 2^61 - 1, send a failed FFT product back to ``A * B``, so every
+  product equals ``A * B``.  A square packs its operand once and squares it
+  on either path.
 * ``mul_float`` -- float64 banded block convolution.  Both operands are cut
   into dyadic blocks; block pairs within 3 octaves of the diagonal are
   convolved by FFT with each block scaled to unit max, and the pairs further
@@ -117,8 +116,8 @@ def mul_exact(a: list[int], b: list[int], n_out: int) -> list[int]:
     Kronecker substitution: each factor is packed into one big integer with a
     fixed-width byte slot per coefficient, the two are multiplied once by
     ``_big_mul`` (CPython's ``A * B``, or from ``_FFT_MIN_BYTES`` per operand
-    a float64 FFT product over 12-bit or byte digits, checked exactly), and
-    the slots are read back with a sign offset.  The result equals the
+    a float64 FFT product over 12-bit digits, checked exactly), and the
+    slots are read back with a sign offset.  The result equals the
     schoolbook product.  A square (``a == b``) packs once and hands
     ``_big_mul`` one integer twice, so CPython or the FFT squares it.
     """
@@ -156,43 +155,43 @@ _CHECK_PRIME = (1 << 61) - 1  # modulus of the exact check on every FFT product
 
 
 def _big_mul(A: int, B: int) -> int:
-    """A * B: CPython's product below ``_FFT_MIN_BYTES`` (6 kB) in either
-    operand, else ``_fft_mul``'s 12-bit or byte FFT product, or CPython's
-    where a guard of it fails.  ``B is A`` squares on either path."""
-    if min(A.bit_length(), B.bit_length()) < 8 * _FFT_MIN_BYTES:
+    """A * B: ``_fft_mul``'s product from ``_FFT_MIN_BYTES`` (6 kB) in both
+    operands while ``_fft_worst_error`` is below 1/4 (up to about 840 kB
+    each), else CPython's, which also stands in where a guard of the FFT
+    fails.  ``B is A`` squares on either path."""
+    na, nb = A.bit_length(), B.bit_length()
+    if min(na, nb) < 8 * _FFT_MIN_BYTES or _fft_worst_error(na, nb) >= 0.25:
         return A * B
     C = _fft_mul(A, B)
     return A * B if C is None else C
 
 
 def _fft_mul(A: int, B: int) -> int | None:
-    """A * B by a float64 FFT over 12-bit or byte digits, or None when a
-    guard fails.
+    """A * B by a float64 FFT over 12-bit digits, or None when a guard fails.
 
-    The digits of |A| and |B| are convolved by one real FFT (``_fft_conv``)
-    and every output is rounded to the nearest integer; ``_carry`` sums them
-    back into |A B|.  The digits are 12 bits wide while Percival's bound for
-    12-bit digits, all at their maximum, is below 1/4 (``_digit_bits``: up to
-    about 840 kB per operand), and bytes beyond; 12-bit digits make the
-    transform 2/3 as long.  Two guards decide whether the result is returned:
+    The 12-bit digits of |A| and |B| are convolved by one real FFT
+    (``_fft_conv``) and every output is rounded to the nearest integer;
+    ``_carry`` sums them back into |A B|.  Two guards decide whether the
+    result is returned:
 
     * every FFT output lies within 1/4 of its rounded value, and
     * C = (A mod p)(B mod p) mod p for p = 2^61 - 1, an exact O(n) check.
 
-    Rounding needs every output within 1/2 of its integer, and the bound
-    (``_fft_error_bound``) keeps 12-bit digits below 1/4 and bytes at 3.8e-3
-    for 2 MB operands (larger than any the checker multiplies), so the
-    guards are not expected to fail.  ``B is A`` converts the digits once
-    and takes one forward transform.
+    Rounding needs every output within 1/2 of its integer.  ``_big_mul``
+    calls this only while Percival's bound (``_fft_worst_error``) for
+    operands of that size, every digit at 4095, is below 1/4.  Percival
+    proves the bound for a radix-2 complex FFT; numpy's real transform at a
+    5-smooth length also runs radix-3 and radix-5 passes, so here it is an
+    estimate, not a proof.  The exact check mod p is what makes every
+    returned product equal A * B.  ``B is A`` converts the digits once and
+    takes one forward transform.
     """
-    la, lb = (A.bit_length() + 7) // 8, (B.bit_length() + 7) // 8
-    bits = _digit_bits(la, lb)
-    x = _digits(A, bits)
-    conv = _fft_conv(x, x if B is A else _digits(B, bits))
+    x = _digits(A)
+    conv = _fft_conv(x, x if B is A else _digits(B))
     digits = np.rint(conv)
     if np.max(np.abs(conv - digits)) > 0.25:
         return None
-    C = _carry(digits.astype(np.int64), bits)
+    C = _carry(digits.astype(np.int64))
     if (A < 0) != (B < 0):
         C = -C
     p = _CHECK_PRIME
@@ -218,21 +217,18 @@ def _fft_error_bound(norms: float, size: int) -> float:
                               + k * math.log1p(e / math.sqrt(2)))
 
 
-def _digit_bits(la: int, lb: int) -> int:
-    """The digit width of ``_fft_mul`` for operands of la and lb bytes: 12
-    while Percival's bound for 12-bit digits all at 4095 is below 1/4, else 8.
-    """
-    na, nb = 2 * -(-la // 3), 2 * -(-lb // 3)  # two digits per 3 bytes, as ``_digits``
-    worst = _fft_error_bound(4095.0 ** 2 * math.sqrt(na * nb), _fast_len(na + nb - 1))
-    return 12 if worst < 0.25 else 8
+def _fft_worst_error(abits: int, bbits: int) -> float:
+    """``_fft_error_bound`` for ``_fft_mul`` on operands of abits and bbits
+    bits, every 12-bit digit at 4095: 2.3e-2 at 93 kB each, 1/4 at about
+    840 kB."""
+    na, nb = 2 * -(-abits // 24), 2 * -(-bbits // 24)  # as ``_digits`` pads
+    return _fft_error_bound(4095.0 ** 2 * math.sqrt(na * nb), _fast_len(na + nb - 1))
 
 
-def _digits(A: int, bits: int) -> np.ndarray:
-    """The little-endian base-2^bits digits of |A| as float64, bits 8 or 12;
-    12-bit digits come two from every three bytes, the last three padded."""
+def _digits(A: int) -> np.ndarray:
+    """The little-endian base-2^12 digits of |A| as float64, two from every
+    three bytes, the last three padded."""
     raw = abs(A).to_bytes((A.bit_length() + 7) // 8, "little")
-    if bits == 8:
-        return np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     t = np.frombuffer(raw + bytes(-len(raw) % 3), dtype=np.uint8)
     t = t.reshape(-1, 3).astype(np.uint16)
     out = np.empty((len(t), 2))
@@ -241,19 +237,16 @@ def _digits(A: int, bits: int) -> np.ndarray:
     return out.ravel()
 
 
-def _carry(c: np.ndarray, bits: int) -> int:
-    """sum_j c[j] 2^(bits j) for nonnegative int64 digits c, bits 8 or 12.
+def _carry(c: np.ndarray) -> int:
+    """sum_j c[j] 2^(12 j) for nonnegative int64 digits c, below 2^50.
 
-    Every 24 / bits consecutive digits merge into one field f_i at bit 24 i,
-    below 2^63 wherever the FFT is certified.  Bytes 0-2, 3-5 and 6-7 of
-    every f_i, laid end to end, are three base-2^24 integers F_0, F_1, F_2,
-    and the sum is F_0 + F_1 2^24 + F_2 2^48.
+    Every two digits merge into one little-endian field f_i = c[2i] +
+    c[2i+1] 2^12 at bit 24 i, below 2^63.  Bytes 0-2, 3-5 and 6-7 of every
+    f_i, laid end to end, are three base-2^24 integers F_0, F_1, F_2, and
+    the sum is F_0 + F_1 2^24 + F_2 2^48.
     """
-    group = 24 // bits
-    f = c[::group].copy()
-    for t in range(1, group):
-        part = c[t::group]
-        f[:len(part)] += part << (bits * t)
+    f = c[::2].astype("<i8")  # a copy, its bytes in the order read below
+    f[:len(c) // 2] += c[1::2] << 12
     b = f.view(np.uint8).reshape(-1, 8)
     top = np.zeros((len(f), 3), dtype=np.uint8)
     top[:, :2] = b[:, 6:]

@@ -83,29 +83,34 @@ def test_mul_exact_square_fft_branch_packs_once(a, n_out):
     assert len(results) == 2 and None not in results  # FFT ran, no fallback
 
 
-@pytest.fixture(params=[8, 12], ids=["bytes", "12-bit"])
-def digit_bits(request, monkeypatch):
-    """Run the test with ``_fft_mul`` held to one digit width."""
-    monkeypatch.setattr(series, "_digit_bits", lambda la, lb: request.param)
-    return request.param
-
-
 def _all_ones(nbytes):
-    return (1 << (8 * nbytes)) - 1  # every digit at its maximum, at either width
+    return (1 << (8 * nbytes)) - 1  # every 12-bit digit at 4095
 
 
 @pytest.mark.parametrize("la, lb", [
     (3000, 3000), (3001, 3001), (3002, 3002),  # byte lengths 0, 1, 2 mod 3
     (3001, 3002), (12_000, 40), (40, 12_001)])  # unequal, and far apart
-def test_fft_mul_equals_product_at_worst_case(digit_bits, la, lb):
+def test_fft_mul_equals_product_at_worst_case(la, lb):
     A, B = _all_ones(la), _all_ones(lb)
     assert series._fft_mul(A, B) == A * B
     assert series._fft_mul(A, A) == A * A  # a square: one forward transform
 
 
+@pytest.mark.parametrize("la, lb", [(800_000, 800_000), (800_000, 266_667)])
+def test_fft_mul_rounding_margin_near_the_size_limit(la, lb):
+    A, B = _all_ones(la), _all_ones(lb)
+    assert series._fft_worst_error(8 * la, 8 * lb) < 0.25  # _big_mul takes the FFT
+    x = series._digits(A)
+    conv = series._fft_conv(x, x if la == lb else series._digits(B))
+    assert np.max(np.abs(conv - np.rint(conv))) < 1 / 16  # well inside the 1/4 guard
+    n, m = 8 * la, 8 * lb  # (2^n - 1)(2^m - 1), without CPython's product
+    want = (1 << (n + m)) - (1 << n) - (1 << m) + 1
+    assert series._fft_mul(A, A if la == lb else B) == want
+
+
 @pytest.mark.parametrize("la, lb", [(5000, 5000), (5000, 5001), (5002, 4000), (20_000, 7)])
 @pytest.mark.parametrize("sa, sb", [(1, -1), (-1, 1), (-1, -1)])
-def test_fft_mul_equals_product_with_signs(digit_bits, la, lb, sa, sb):
+def test_fft_mul_equals_product_with_signs(la, lb, sa, sb):
     rng = np.random.default_rng(la + 7 * lb)
     A = sa * int.from_bytes(rng.bytes(la - 1) + b"\x80", "little")
     B = sb * int.from_bytes(rng.bytes(lb - 1) + b"\xff", "little")
@@ -113,12 +118,13 @@ def test_fft_mul_equals_product_with_signs(digit_bits, la, lb, sa, sb):
     assert series._fft_mul(A, A) == A * A == series._fft_mul(A, -A) * -1
 
 
-@pytest.mark.parametrize("bits, top", [(8, 46), (12, 50)])  # every field f_i below 2^63
+@pytest.mark.parametrize("dtype", ["<i8", ">i8"])  # either byte order in
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1001, 1002])
-def test_carry_sums_the_digits(bits, top, n):
-    c = np.random.default_rng(n).integers(0, 2 ** top, n, dtype=np.int64)
-    c[-1] = 2 ** top - 1
-    assert series._carry(c, bits) == sum(int(x) << (bits * j) for j, x in enumerate(c))
+def test_carry_sums_the_digits(dtype, n):
+    c = np.random.default_rng(n).integers(0, 2 ** 50, n, dtype=np.int64)
+    c[-1] = 2 ** 50 - 1  # a top field near 2^62: its eighth byte is read
+    want = sum(int(x) << (12 * j) for j, x in enumerate(c))
+    assert series._carry(c.astype(dtype)) == want
 
 
 def _percival_mp(norms, size):
@@ -142,7 +148,7 @@ def test_fft_error_bound_is_percivals():
     assert naive < 0.6 * bound
 
 
-def test_digit_bits_is_12_exactly_while_its_bound_is_below_a_quarter():
+def test_big_mul_takes_the_fft_exactly_while_its_bound_is_below_a_quarter(monkeypatch):
     def worst_12bit(la, lb):
         na, nb = 2 * -(-la // 3), 2 * -(-lb // 3)
         return _percival_mp(4095.0 ** 2 * (na * nb) ** 0.5, series._fast_len(na + nb - 1))
@@ -152,11 +158,30 @@ def test_digit_bits_is_12_exactly_while_its_bound_is_below_a_quarter():
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if worst_12bit(mid, mid) < 0.25 else (lo, mid)
     assert 800_000 < lo < 880_000
-    for la, lb in [(lo, lo), (hi, hi), (lo - 3, lo + 3), (lo, 2 * lo), (1000, 4 * lo),
-                   (6000, 6000), (93_555, 93_555), (3 * lo, 3 * lo)]:
-        bits = 12 if worst_12bit(la, lb) < 0.25 else 8
-        assert series._digit_bits(la, lb) == series._digit_bits(lb, la) == bits
-    assert series._digit_bits(lo, lo) == 12 and series._digit_bits(hi, hi) == 8
+    pairs = [(lo, lo), (hi, hi), (lo - 3, lo + 3), (lo, 2 * lo), (6000, 4 * lo),
+             (6000, 40 * lo), (6000, 6000), (93_555, 93_555), (3 * lo, 3 * lo)]
+    for la, lb in pairs:
+        below = worst_12bit(la, lb) < 0.25
+        for a, b in [(la, lb), (lb, la)]:
+            assert (series._fft_worst_error(8 * a, 8 * b) < 0.25) == below
+    # _big_mul routes on the same bound; stand-in operands record the route
+    taken = []
+
+    class Operand:
+        def __init__(self, nbytes):
+            self.nbits = 8 * nbytes
+
+        def bit_length(self):
+            return self.nbits
+
+        def __mul__(self, other):
+            taken.append("cpython")
+
+    monkeypatch.setattr(series, "_fft_mul", lambda A, B: taken.append("fft") or 0)
+    for la, lb in pairs:
+        taken.clear()
+        series._big_mul(Operand(la), Operand(lb))
+        assert taken == (["fft"] if worst_12bit(la, lb) < 0.25 else ["cpython"])
 
 
 @pytest.mark.parametrize("shift", [0.4, 1.0])  # fails the 1/4 guard; the mod-p check
@@ -171,11 +196,9 @@ def test_mul_exact_falls_back_when_a_guard_fails(monkeypatch, shift):
         return out
     monkeypatch.setattr(series, "_fft_conv", perturbed)
     results = _counting_fft_mul(monkeypatch)
-    for bits in (8, 12):  # both digit widths
-        monkeypatch.setattr(series, "_digit_bits", lambda la, lb: bits)
-        assert series.mul_exact(a, b, 400) == schoolbook(a, b, 400)
-        assert series.mul_exact(a, a, 400) == schoolbook(a, a, 400)  # a square
-    assert results == [None] * 4
+    assert series.mul_exact(a, b, 400) == schoolbook(a, b, 400)
+    assert series.mul_exact(a, a, 400) == schoolbook(a, a, 400)  # a square
+    assert results == [None, None]
 
 
 def naive_delta(n):
