@@ -9,27 +9,26 @@ eigenform's coefficients are then integer sums sum_i V_i b_i(n) over the
 echelon Miller basis, scaled to C_f(n) by one correctly rounded int/int
 division (``_normalized``).  The basis is read off the
 monomials Delta^i D E_{k-12i}, i = 1..d, one exact product each (D E_w, the
-least integral multiple of E_w, from ``series.eisenstein_exact``).  When the
-most-cuspidal monomial Delta^d E_w carries an Eisenstein factor (k not 0 mod
-12) that build serves every length, so those forms are exact at every
-length.  For pure Delta^d weights (k = 12d) it serves a fixed prefix; beyond
-it, normalized coefficients C_f(n) = a_f(n) / n^{(k-1)/2} are extended in
+least integral multiple of E_w, from ``series.eisenstein_exact``).  That
+build serves every length up to ``_EXACT_MAX`` (every moment report's to
+k = 120), and every length when the most-cuspidal monomial Delta^d E_w
+carries an Eisenstein factor (k not 0 mod 12).  Past it, pure Delta^d weights
+(k = 12d) extend the normalized coefficients C_f(n) = a_f(n) / n^{(k-1)/2} in
 float64 from Delta^d and its translates by Hecke words in T_2 and T_3,
 cusp-by-cusp products free of the Eisenstein-versus-cusp cancellation that
 floats cannot survive.  The Miller basis is echelon, so a cusp form is fixed
 by a(1..d): a form's coordinates in the Hecke-word span are one exact
 rational inverse of the d x d matrix of the words' first d coefficients,
 applied to a_f(1..d), and that inverse exists exactly when the words span
-S_k.  The same matrix times the basis gives each word's exact head.  The
-overlap with the exact prefix is verified on every float build, and each
-form carries that build's error.
+S_k.  The same matrix times the basis gives each word's exact head.  Each
+float build splices in the exact (k, ``_HEAD``) entry, checks the overlap
+with it on [_HEAD / 2, _HEAD], and carries that check's error.
 
 ``eigenforms(k, length)`` is one ``series.memo`` entry per (k, length),
 built from k and length alone: the exact series behind it come from
 ``series``' grow-only store, which is the same whatever the build length,
 and the float Delta^d is a local product chain that nothing stores.  The
-Hecke solve is one entry per weight, and a float build splices in the
-(k, ``_EXACT_PREFIX``) entry.
+Hecke solve is one entry per weight.
 ``series.clear_store`` resets all of them.
 
 Also hosts the plain-text newform coefficient file format used to feed the
@@ -97,9 +96,10 @@ class Eigenform:
 
     ``cn`` holds C_f(n) = a_f(n)/n^{(k-1)/2} as read-only float64,
     index-aligned with cn[0] = 0.  ``float_rel`` is the float-vs-exact
-    overlap error of the build that made ``cn`` (0 when ``cn`` was built
-    exactly: within the exact prefix, or at any length for a weight not 0
-    mod 12).
+    overlap error of the build that made ``cn``: 0 when ``cn`` was built
+    exactly (a weight not 0 mod 12, or at most ``_EXACT_MAX`` coefficients).
+    The overlap lies inside the exact word heads, so it does not see the
+    float extension's own error past them.
     """
 
     weight: int
@@ -289,34 +289,34 @@ def _exact_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
 
 
 def _float_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
-    """Float forms of S_k, k = 12d, to ``length`` from the Hecke-word span,
-    the exact prefix ``eigenforms(k, _EXACT_PREFIX)`` spliced in.  a_f(1..d)
-    are the eigenvector (echelon basis), so each coordinate
-    gamma = M^-1 a_f(1..d) is one exact rational sum."""
+    """Float forms of S_k, k = 12d, to ``length`` past ``_EXACT_MAX``, from
+    the Hecke-word span, with the exact ``eigenforms(k, _HEAD)`` spliced in
+    (the word heads' length).  a_f(1..d) are the eigenvector (echelon
+    basis), so each coordinate gamma = M^-1 a_f(1..d) is one exact rational
+    sum."""
     d = dim_cusp(k)
     if d not in _SPAN_WORDS:
         raise ValueError(f"S_{k} has dimension {d}, and Hecke-word spans exist only "
                          f"for d <= {max(_SPAN_WORDS)}: its eigenforms stop at "
-                         f"{_EXACT_PREFIX} coefficients")
-    prefix = eigenforms(k, _EXACT_PREFIX)
+                         f"{_EXACT_MAX} coefficients")
+    prefix = eigenforms(k, _HEAD)
     _, P, vectors = _eigen_data(k)
     inv = _span_inverse(k, d)
     orbit = _hecke_orbit_normalized(k, d, length)
-    pref = _EXACT_PREFIX
     out = []
     for f, V in zip(prefix, vectors):
         cn = np.zeros(length + 1)
         for j in range(d):
             gam = sum(c * v for c, v in zip(inv[j], V)) / (1 << P)
             cn += float(gam) * orbit[j]
-        # splice the exact prefix and validate the overlap
-        ov = slice(max(2, pref // 2), pref + 1)
+        # splice the exact head and validate the overlap
+        ov = slice(_HEAD // 2, _HEAD + 1)
         denom = np.abs(f.cn[ov]) + 1e-6
         rel = np.max(np.abs(cn[ov] - f.cn[ov]) / denom)
         if rel > 5e-6:
             raise ArithmeticError(
                 f"float extension disagrees with exact prefix (rel {rel:.2e})")
-        cn[: pref + 1] = f.cn
+        cn[: _HEAD + 1] = f.cn
         cn.flags.writeable = False
         out.append(replace(f, cn=cn, float_rel=float(rel)))
     return tuple(out)
@@ -462,7 +462,7 @@ def _delta_power_float(d: int, n: int) -> np.ndarray:
     return cur
 
 
-_EXACT_PREFIX = 512
+_EXACT_MAX = 2 ** 14  # longest exact build of a k = 12d weight
 
 
 def eigenforms(k: int, length: int) -> list[Eigenform]:
@@ -470,15 +470,15 @@ def eigenforms(k: int, length: int) -> list[Eigenform]:
 
     One store entry per (k, length), built from k and length alone, so no
     coefficient depends on what was asked before.  A weight not 0 mod 12,
-    and any request within ``_EXACT_PREFIX``, is built exactly at
-    ``length``; past it, k = 12d is extended in float from the exact
-    prefix, for d <= 5 only (a larger d raises ``ValueError`` before any
-    build).  Each call returns a fresh list of the stored frozen forms,
-    whose read-only ``cn`` has exactly ``length + 1`` entries.
+    and any request of at most ``_EXACT_MAX`` coefficients, is built
+    exactly at ``length``; past it, k = 12d is extended in float
+    (``_float_eigen``), for d <= 5 only (a larger d raises ``ValueError``
+    before any build).  Each call returns a fresh list of the stored frozen
+    forms, whose read-only ``cn`` has exactly ``length + 1`` entries.
     """
     if length < 1:
         raise ValueError("length must be positive")
-    build = _exact_eigen if k % 12 or length <= _EXACT_PREFIX else _float_eigen
+    build = _exact_eigen if k % 12 or length <= _EXACT_MAX else _float_eigen
     return list(series.memo(("eigenforms", k, length), lambda: build(k, length)))
 
 

@@ -13,9 +13,9 @@ certificates, and the identity residual |LHS - M - E| is checked against
 the combined certificate on every report.
 
 The harmonic weights omega_f are not computed from Petersson norms: they
-are solved from the trace formula itself on probe pairs and cross-validated
-on held-out pairs, which keeps the check honest (an inconsistent solve
-cannot reproduce held-out trace data).
+are solved from the trace formula itself on the probe pairs (m, 1),
+m = 1..dim S_k, and cross-validated on held-out pairs, which keeps the
+check honest (an inconsistent solve cannot reproduce held-out trace data).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _HELD_OUT_PAIRS = ((2, 3), (3, 5), (4, 9), (2, 8))
-_PROBES = (1, 2, 3, 5, 7)
 
 
 @dataclass
@@ -89,25 +88,17 @@ _OMEGA_RHS_TOL = 1e-11  # truncation tolerance of every Petersson right side
 
 
 def omega_weights(k: int) -> OmegaWeights:
-    """Solve sum_f omega_f C_f(m_i) = rhs(m_i, 1) and cross-validate held-out pairs."""
+    """Solve sum_f omega_f C_f(m) = rhs(m, 1), m = 1..dim S_k, and
+    cross-validate held-out pairs."""
     return _series.memo(("omega", k), lambda: _solve_omega(k))
-
-
-def _check_probe_limit(k: int):
-    """Refuse a weight whose S_k has more forms than the omega solve has probes."""
-    d = dim_cusp(k)
-    if d > len(_PROBES):
-        raise ValueError(f"dim S_{k} = {d} exceeds the {len(_PROBES)}-probe limit "
-                         "of the harmonic-weight solve")
 
 
 def _solve_omega(k: int) -> OmegaWeights:
     d = dim_cusp(k)
     if d == 0:
         raise ValueError("empty space")
-    _check_probe_limit(k)
     forms = eigenforms(k, max(72, 2 * d + 8))
-    probes = _PROBES[:d]
+    probes = range(1, d + 1)
     A = np.array([[f.c(m) for f in forms] for m in probes])
     rhs = [petersson_rhs_q(m, 1, k, tol=_OMEGA_RHS_TOL) for m in probes]
     bvec = np.array([r.value for r in rhs])
@@ -147,6 +138,11 @@ def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
     searched on blocks of d, one envelope call per block.  Returns
     (W, cert, d_end): the terms d < d_end are summed, and cert bounds the
     error of every W(nu).
+
+    The d-tail is proved.  |V| <= envelope, which falls in y, so nus[0]
+    bounds every row.  The envelope is summed over d_end <= d < D = 8 d_end.
+    Past D it is at most its line at y_D = afe(nus[0] D^2), of slope
+    sigma_D, and sum_{d >= D} (D/d)^(2 sigma_D)/d <= 1/D + 1/(2 sigma_D).
     """
     vq = _vq(vp)
     start, size = 1, 64
@@ -155,16 +151,22 @@ def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
         envs = vq.envelope(vp.afe_argument(nus[0] * block * block))
         stop = np.nonzero((envs / block < tol) & (block >= 4) & (np.gcd(block, level) == 1))[0]
         if len(stop):
-            d, env = int(block[stop[0]]), float(envs[stop[0]])
+            d = int(block[stop[0]])
             break
         start += size
         size *= 2
         if start > 10 ** 6:
             raise UncertifiedError("d-sum failed to certify")
     ds = [e for e in range(1, d) if math.gcd(e, level) == 1]
-    # geometric-ish remainder (envelope slope >= 1 in d beyond here), and the
-    # quadrature tail once per term, sum_{d' < d} 1/d' <= 1 + log d
-    cert = 4.0 * env / d + vq.quad_tail * (1.0 + math.log(d))
+    # the d-tail (above), and the quadrature tail once per term,
+    # sum_{d' < d} 1/d' <= 1 + log d
+    D = 8 * d
+    near = np.arange(d, D)
+    near = near[np.gcd(near, level) == 1]
+    y_D = vp.afe_argument(nus[0] * D * D)
+    cert = (float(np.sum(vq.envelope(vp.afe_argument(nus[0] * near * near)) / near))
+            + float(vq.envelope(y_D)[0]) * (1.0 / D + 0.5 / vq.envelope_slope(y_D))
+            + vq.quad_tail * (1.0 + math.log(d)))
     W = np.zeros(len(nus))
     # whole d-rows per V call, at most V_DIRECT_MAX points (one row, on the
     # interpolant path, when the nus alone are more)
@@ -371,7 +373,6 @@ def moment_report(g: NewformRecord, p: int, k: int,
     once, at the recovery's stop rule (tighter than ``m_term_direct``'s), and
     serves both M and the recovery."""
     _validate_pair(g, p, k)
-    _check_probe_limit(k)
     w, w_cert = _w_at_p(g, p, k, g_scale, _RECOVERY_W_TOL)
     md = _m_from_w(g, p, w, w_cert)
     mr = m_term_residue(g, p, k)
@@ -410,8 +411,6 @@ def asymptotic_scan(g: NewformRecord, p: int, k_list,
     prefixes of it.
     """
     k_list = list(k_list)
-    for k in k_list:  # before any report builds a form
-        _check_probe_limit(k)
     by_k = {k: moment_report(g, p, k, g_scale=g_scale, afe_tol=afe_tol, e_tol=e_tol)
             for k in sorted(set(k_list), reverse=True)}
     reports = [by_k[k] for k in k_list]

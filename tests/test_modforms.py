@@ -136,7 +136,7 @@ def test_one_hecke_solve_per_weight(monkeypatch):
     eig = mf._eig
     monkeypatch.setattr(mf, "_eig", lambda A, dps, k: calls.append(k) or eig(A, dps, k))
     series.clear_store()
-    for n in (8, 72, 512, 2520):
+    for n in (8, 72, 512, 20000):
         mf.eigenforms(48, n)
     mf.eigenforms(46, 100)
     mf.eigenforms(46, 2322)
@@ -155,12 +155,28 @@ def test_eigen_data_vectors_are_the_solve_exactly():
     assert any(V % 2 for v in vectors for V in v)
 
 
-@pytest.mark.parametrize("k,n", [(72, 513), (96, 3000)])
+def test_pure_delta_weights_exact_to_the_bound(monkeypatch):
+    # k = 12d is built exactly up to 2^14 coefficients; one more takes the
+    # float path, which splices in the exact 1024-coefficient head
+    calls = []
+    for name in ("_exact_eigen", "_float_eigen"):
+        build = getattr(mf, name)
+        monkeypatch.setattr(mf, name, lambda k, n, name=name, build=build:
+                            calls.append((name, n)) or build(k, n))
+    series.clear_store()
+    mf.eigenforms(12, 2 ** 14)
+    mf.eigenforms(12, 2 ** 14 + 1)
+    series.clear_store()
+    assert calls == [("_exact_eigen", 2 ** 14), ("_float_eigen", 2 ** 14 + 1),
+                     ("_exact_eigen", 1024)]
+
+
+@pytest.mark.parametrize("k,n", [(72, 2 ** 14 + 1), (96, 20000)])
 def test_eigenforms_past_the_hecke_word_table_raise_before_building(k, n):
-    # _SPAN_WORDS stops at d = 5: the error names k, d and the 512 limit,
+    # _SPAN_WORDS stops at d = 5: the error names k, d and the 16384 limit,
     # and comes before any series or solve is built
     series.clear_store()
-    with pytest.raises(ValueError, match=rf"S_{k} has dimension {k // 12}.*512 coefficients"):
+    with pytest.raises(ValueError, match=rf"S_{k} has dimension {k // 12}.*16384 coefficients"):
         mf.eigenforms(k, n)
     assert not series._STORE
 
@@ -180,7 +196,7 @@ def test_exact_products_stay_at_the_requested_length(monkeypatch):
     monkeypatch.setattr(series, "mul_exact",
                         lambda a, b, n: calls.append((n, bool(a[0] or b[0]))) or mul(a, b, n))
     series.clear_store()
-    mf.eigenforms(48, 2520)  # exact to 512, word heads to 1024, floats past them
+    mf.eigenforms(48, 20000)  # exact forms and word heads to 1024, floats past them
     assert max(n for n, _ in calls) <= 1025
     calls.clear()
     series.clear_store()
@@ -259,27 +275,25 @@ def test_ramanujan_bound_at_primes():
 
 
 def test_float_extension_validated_against_exact_prefix():
-    forms = mf.eigenforms(36, 5000)
+    forms = mf.eigenforms(36, 20000)
     assert max(f.float_rel for f in forms) < 1e-9
     assert all(f.float_rel == 0.0 for f in mf.eigenforms(36, 100))  # exact prefix
 
 
 @pytest.mark.parametrize("k", [16, 24, 36, 40, 46, 48])
 def test_integer_eigen_evaluation_matches_mpmath(k):
-    # every n <= 512, and 200 sampled n past it where the build is exact,
-    # held to d 2^-60 n^-(k-1)/2 + 3 ulp against the value at the working
+    # every n <= 512, and 200 sampled n past it, held to
+    # d 2^-60 n^-(k-1)/2 + 3 ulp against the value at the working
     # precision of the whole basis, v from a solve of T_m at that precision
-    length = 512 if k % 12 == 0 else 3000
+    length = 3000
     series.clear_store()
     forms = mf.eigenforms(k, length)
     basis = mf.miller_basis(k, length)
     d = len(basis)
     A = mf.hecke_matrix(k, mf._eigen_data(k)[0])
     sep_dps = _separating_dps(A)
-    ns = list(range(1, 513))
-    if length > 512:
-        ns += [int(n) for n in np.random.default_rng(k).choice(
-            np.arange(513, length + 1), 200, replace=False)]
+    ns = list(range(1, 513)) + [int(n) for n in np.random.default_rng(k).choice(
+        np.arange(513, length + 1), 200, replace=False)]
     bits = max(abs(x).bit_length() for b in basis for x in b.an) + 1
     dps = max(sep_dps, int(bits * 0.302) + 40)
     _, vecs = mf._eig(A, dps, k)
@@ -345,7 +359,7 @@ def test_store_holds_no_float_series():
     # a float Delta^d is a local product chain of each float build; the store
     # keeps exact series, the sieves and read-only memo entries only
     series.clear_store()
-    forms = mf.eigenforms(36, 3000)
+    forms = mf.eigenforms(36, 20000)
     sieve = series.sigma_sieve(3, 100)
     arrays = [key for key, held in series._STORE.items() if isinstance(held, np.ndarray)]
     assert arrays == [("sigma", 3)]
@@ -357,7 +371,7 @@ def test_store_holds_no_float_series():
 
 @pytest.mark.parametrize("k,n,earlier", [
     (24, 3000, [(24, 9000)]),
-    (36, 1860, [(48, 12000)]),
+    (36, 1860, [(48, 4000)]),
     (36, 2 ** 16, [(36, 2 ** 17)]),
 ])
 def test_eigenforms_independent_of_earlier_requests(k, n, earlier):
@@ -455,8 +469,8 @@ def test_eigenforms_exact_length_read_only_and_stable():
                         f.cn[1] = 0.0
                     assert k % 12 == 0 or f.float_rel == 0.0
             # a float build of another length rounds its FFTs differently,
-            # so past the exact prefix the two lengths agree to 1e-12 only
-            cut = short_n + 1 if k % 12 else min(short_n + 1, 513)
+            # so past the exact head the two lengths agree to 1e-12 only
+            cut = short_n + 1 if k % 12 else min(short_n + 1, 1025)
             for f, s, cn in zip(long_forms, short_forms, kept):
                 assert np.array_equal(f.cn, cn)
                 assert np.array_equal(s.cn[:cut], cn[:cut])
@@ -516,7 +530,7 @@ def test_rank_deficient_hecke_words_raise(monkeypatch):
     monkeypatch.setitem(mf._SPAN_WORDS, 2, [(), ()])
     series.clear_store()
     with pytest.raises(ArithmeticError, match="rank-deficient"):
-        mf.eigenforms(24, 1000)
+        mf.eigenforms(24, 20000)
 
 
 def test_separating_operator_fallback_logic(monkeypatch):

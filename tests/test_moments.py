@@ -37,6 +37,21 @@ def test_omega_k24_held_out_validation():
     assert np.all(ow.omega > 0)
 
 
+@pytest.mark.parametrize("k", [76, 120])
+def test_omega_past_five_forms_held_out_validation(k):
+    # d = 6 and 10: one probe per form, m = 1..d, and the held-out pairs
+    ow = mo.omega_weights(k)
+    d = mf.dim_cusp(k)
+    forms = mf.eigenforms(k, 64)
+    assert ow.probe_set == tuple(range(1, d + 1)) and len(ow.omega) == d
+    assert np.all(ow.omega > 0)
+    for (m, n) in ((2, 3), (3, 5), (4, 9), (2, 8)):
+        lhs = sum(w * f.c(m) * f.c(n) for w, f in zip(ow.omega, forms))
+        rhs = petersson_rhs_q(m, n, k, tol=1e-11)
+        assert abs(lhs - rhs.value) <= (1e-8 * max(1.0, abs(rhs.value))
+                                        + ow.certificate + rhs.certificate)
+
+
 def test_omega_sum_is_diagonal():
     for k in (16, 24, 36):
         ow = mo.omega_weights(k)
@@ -102,10 +117,16 @@ def test_w_sum_matches_pointwise_sum(k, level, l):
                      and float(vq.envelope(vp.afe_argument(nus[0] * d * d))[0]) / d < tol)
         assert d_end == d_ref
         # the quadrature tail counts once per summed term; the d-tail is taken
-        # out first, because it is far larger and would hide a missing part
+        # out first, because it is far larger and would hide a missing part:
+        # the envelope over d_end <= d < D = 8 d_end, then its line past D
         used = [d for d in range(1, d_end) if math.gcd(d, level) == 1]
-        env_end = float(vq.envelope(vp.afe_argument(nus[0] * d_end * d_end))[0])
-        assert cert - 4.0 * env_end / d_end >= vq.quad_tail * sum(1.0 / d for d in used)
+        D = 8 * d_end
+        env = [float(vq.envelope(vp.afe_argument(nus[0] * d * d))[0])
+               for d in range(d_end, D + 1)]
+        sigma = vq.envelope_slope(vp.afe_argument(nus[0] * D * D))
+        d_tail = sum(e / d for d, e in zip(range(d_end, D), env) if math.gcd(d, level) == 1)
+        d_tail += env[-1] * (1.0 / D + 1.0 / (2.0 * sigma))
+        assert cert - d_tail >= vq.quad_tail * sum(1.0 / d for d in used)
         # scalar V over every nu is slow; check W at about 40 nus from 1 to M
         for i in np.unique(np.geomspace(1, len(nus), 40).astype(int)) - 1:
             plain = sum(vq.value(vp.afe_argument(nus[i] * d * d)) / d
@@ -113,10 +134,10 @@ def test_w_sum_matches_pointwise_sum(k, level, l):
             assert abs(W[i] - plain) <= cert, (nus[i], W[i] - plain, cert)
 
 
-@pytest.mark.parametrize("k", [14, 30, 48, 60])
+@pytest.mark.parametrize("k", [14, 30, 48, 60, 96, 120])
 def test_w_sum_stop_rule_against_8x_d_range(k):
-    # falsifies the stop rule's remainder 4 env/d ("envelope slope >= 1 in d
-    # beyond here"): W over d < 8 d_end moves by at most the certificate
+    # falsifies the stop rule's d-tail: W over d < 8 d_end moves by at most
+    # the certificate
     vp = mo.VParams((k,), (12,))
     vq = mo._vq(vp)
     for tol in (1e-10 / 16, 1e-10):
@@ -127,6 +148,20 @@ def test_w_sum_stop_rule_against_8x_d_range(k):
             assert interp_err == 0.0
             gap = abs(float(np.sum(vals / ds)) - float(W[0]))
             assert gap <= cert, (k, tol, nu, gap / cert)
+
+
+def test_moment_reports_build_no_float_form(delta_record, monkeypatch):
+    # the scan's tolerances at every pure Delta^d weight up to k = 60
+    calls = []
+    build = mf._float_eigen
+    monkeypatch.setattr(mf, "_float_eigen", lambda k, n: calls.append((k, n)) or build(k, n))
+    series.clear_store()
+    for k in (24, 36, 48, 60):
+        for p in (1, 2):
+            rep = mo.moment_report(delta_record, p, k, afe_tol=1e-7, e_tol=1e-5)
+            assert abs(rep.identity_residual) <= rep.cert_total
+    series.clear_store()
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [0, -2, 4])
