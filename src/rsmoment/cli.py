@@ -52,12 +52,18 @@ def _write_outputs(args, csv_text: str, certs: dict, stem: str) -> Path:
 
 
 def _parse_krange(spec: str) -> list[int]:
-    if ":" in spec:
-        parts = [int(x) for x in spec.split(":")]
-        lo, hi = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 2
-        return list(range(lo, hi + 1, step))
-    return [int(x) for x in spec.split(",")]
+    """The weights of a comma list or lo:hi[:step] (step 2); a range that
+    names no weight, or a step <= 0, raises ValueError."""
+    if ":" not in spec:
+        return [int(x) for x in spec.split(",")]
+    parts = [int(x) for x in spec.split(":")]
+    lo, hi = parts[0], parts[1]
+    step = parts[2] if len(parts) > 2 else 2
+    ks = list(range(lo, hi + 1, step)) if step > 0 else []
+    if not ks:
+        raise ValueError(f"--k {spec} names no weight: lo:hi[:step] needs lo <= hi "
+                         f"and step > 0")
+    return ks
 
 
 def cmd_kloosterman(args) -> int:

@@ -20,9 +20,10 @@ floats cannot survive.  The Miller basis is echelon, so a cusp form is fixed
 by a(1..d): a form's coordinates in the Hecke-word span are one exact
 rational inverse of the d x d matrix of the words' first d coefficients,
 applied to a_f(1..d), and that inverse exists exactly when the words span
-S_k.  The same matrix times the basis gives each word's exact head.  Each
-float build splices in the exact (k, ``_HEAD``) entry, checks the overlap
-with it on [_HEAD / 2, _HEAD], and carries that check's error.
+S_k.  Each float build checks its word combination, which reads the float
+Delta^d up to 4 ``_HEAD``, against the exact (k, ``_HEAD``) entry on
+[_HEAD / 2, _HEAD], carries that check's error (it sees float error, but is
+not a bound), and splices the exact entry in.
 
 ``eigenforms(k, length)`` is one ``series.memo`` entry per (k, length),
 built from k and length alone: the exact series behind it come from
@@ -98,8 +99,8 @@ class Eigenform:
     index-aligned with cn[0] = 0.  ``float_rel`` is the float-vs-exact
     overlap error of the build that made ``cn``: 0 when ``cn`` was built
     exactly (a weight not 0 mod 12, or at most ``_EXACT_MAX`` coefficients).
-    The overlap lies inside the exact word heads, so it does not see the
-    float extension's own error past them.
+    The overlap check reads float coefficients of Delta^d, so it sees the
+    float extension's error, but it reads low and is not a bound on it.
     """
 
     weight: int
@@ -290,10 +291,9 @@ def _exact_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
 
 def _float_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
     """Float forms of S_k, k = 12d, to ``length`` past ``_EXACT_MAX``, from
-    the Hecke-word span, with the exact ``eigenforms(k, _HEAD)`` spliced in
-    (the word heads' length).  a_f(1..d) are the eigenvector (echelon
-    basis), so each coordinate gamma = M^-1 a_f(1..d) is one exact rational
-    sum."""
+    the Hecke-word span, with the exact ``eigenforms(k, _HEAD)`` spliced in.
+    a_f(1..d) are the eigenvector (echelon basis), so each coordinate
+    gamma = M^-1 a_f(1..d) is one exact rational sum."""
     d = dim_cusp(k)
     if d not in _SPAN_WORDS:
         raise ValueError(f"S_{k} has dimension {d}, and Hecke-word spans exist only "
@@ -309,7 +309,8 @@ def _float_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
         for j in range(d):
             gam = sum(c * v for c, v in zip(inv[j], V)) / (1 << P)
             cn += float(gam) * orbit[j]
-        # splice the exact head and validate the overlap
+        # validate the overlap, where the words read float Delta^d, then
+        # splice the exact head
         ov = slice(_HEAD // 2, _HEAD + 1)
         denom = np.abs(f.cn[ov]) + 1e-6
         rel = np.max(np.abs(cn[ov] - f.cn[ov]) / denom)
@@ -325,13 +326,14 @@ def _float_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
 # Hecke words whose translates of Delta^d span S_{12d}; the
 # exact coordinate step (``_span_inverse``) checks that on every extension.
 # Words multiply the needed base length by prod(word), so this caps the
-# length overhead at 6x even for dim 5 (the plain T_2 orbit would need 16x).
+# length overhead at 4x at dim 4 (the plain T_2 orbit would need 8x).  A
+# dim-5 row (adding the word (2, 3)) fails the 5e-6 overlap gate of
+# ``_float_eigen``: rel 5.8e-5 at every length from 2^14 + 1 to 2^16.
 _SPAN_WORDS = {
     1: [()],
     2: [(), (2,)],
     3: [(), (2,), (3,)],
     4: [(), (2,), (3,), (2, 2)],
-    5: [(), (2,), (3,), (2, 2), (2, 3)],
 }
 
 
@@ -342,7 +344,7 @@ def _span_inverse(k: int, d: int) -> list[list[Fraction]]:
     gamma = M^-1 (a_f(1), ..., a_f(d)); the words span S_k exactly when M
     is invertible, and a singular M raises ArithmeticError.
     """
-    vecs = _span_raw_exact(k, d, d)
+    vecs = _span_raw_exact(k, d)
     rows = [[Fraction(v[i]) for v in vecs] + [Fraction(int(i == r + 1)) for r in range(d)]
             for i in range(1, d + 1)]
     for c in range(d):
@@ -358,29 +360,18 @@ def _span_inverse(k: int, d: int) -> list[list[Fraction]]:
     return [row[d:] for row in rows]
 
 
-def _span_raw_exact(k: int, d: int, length: int) -> list[list[int]]:
-    """The Hecke-word translates of Delta^d in S_k, k = 12d, exact to ``length``."""
+def _span_raw_exact(k: int, d: int) -> list[list[int]]:
+    """The Hecke-word translates of Delta^d in S_k, k = 12d, exact to d."""
     out = []
     for word in _SPAN_WORDS[d]:
-        need = length * math.prod(word)
+        need = d * math.prod(word)
         cur = _delta_power_exact(d, need + 1)
         run = need
         for p in reversed(word):
             run //= p
             cur = hecke_apply(p, QExpansion(k, cur), run).an
-        out.append(list(cur[: length + 1]))
+        out.append(list(cur[: d + 1]))
     return out
-
-
-def _word_heads(k: int, d: int, head: int) -> list[list[int]]:
-    """The Hecke-word translates R_j of Delta^d in S_k, k = 12d, exact to ``head``.
-
-    R_j = sum_i R_j(i) f_i over the echelon Miller basis, so only the leads
-    R_j(1..d) need Delta^d, and only to d prod(word).
-    """
-    cols = list(zip(*(f.an for f in miller_basis(k, head))))
-    return [[sum(map(operator.mul, lead[1:], col)) for col in cols]
-            for lead in _span_raw_exact(k, d, d)]
 
 
 def _tp_raw_float(arr: np.ndarray, weight: int, p: int, out_len: int) -> np.ndarray:
@@ -406,30 +397,24 @@ def _hecke_orbit_normalized(k: int, d: int, length: int) -> list[np.ndarray]:
     """Normalized float arrays of the Hecke-translate spanning set of S_k, k = 12d.
 
     Every vector is a T-word applied to Delta^d, read off Delta^d's float
-    expansion by index gathers, so the only convolution work is Delta^d
-    itself.  Exact heads are spliced in throughout: the float convolution
-    noise is absolute, so the structurally tiny early coefficients would
-    otherwise be noise and every downstream read (the T-words read indices
-    p*n) would amplify it.  Each head is normalized in integers
-    (``_normalized`` with P = 0), the float rest by n^{-(k-1)/2}.
+    expansion by index gathers and scaled by n^{-(k-1)/2}, so the only
+    convolution work is Delta^d itself.  The word (p) reads Delta^d at p n,
+    so past index ``_HEAD`` / p it reads float coefficients: the overlap
+    check of ``_float_eigen`` on [``_HEAD`` / 2, ``_HEAD``] sees them.
     """
-    head = min(_HEAD, length)
-    heads = _word_heads(k, d, head)
     need = (length + 1) * max(map(math.prod, _SPAN_WORDS[d]))
     base = _delta_power_float(d, need)
     n = np.arange(length + 1, dtype=float)
     n[0] = 1.0
     scale = np.exp(-0.5 * (k - 1) * np.log(n))
     out = []
-    for word, hd in zip(_SPAN_WORDS[d], heads):
+    for word in _SPAN_WORDS[d]:
         cur = base
         run = (len(base) - 1)
         for p in reversed(word):
             run //= p
             cur = _tp_raw_float(cur, k, p, run)
-        arr = np.array(cur[: length + 1]) * scale
-        arr[: head + 1] = _normalized(hd, k, 0)
-        out.append(arr)
+        out.append(np.array(cur[: length + 1]) * scale)
     return out
 
 
@@ -472,7 +457,7 @@ def eigenforms(k: int, length: int) -> list[Eigenform]:
     coefficient depends on what was asked before.  A weight not 0 mod 12,
     and any request of at most ``_EXACT_MAX`` coefficients, is built
     exactly at ``length``; past it, k = 12d is extended in float
-    (``_float_eigen``), for d <= 5 only (a larger d raises ``ValueError``
+    (``_float_eigen``), for d <= 4 only (a larger d raises ``ValueError``
     before any build).  Each call returns a fresh list of the stored frozen
     forms, whose read-only ``cn`` has exactly ``length + 1`` entries.
     """

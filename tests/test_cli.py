@@ -150,6 +150,17 @@ def test_recover_command(capsys, tmp_path, delta_file):
     assert rows[1].split(",")[0] == "18"
 
 
+@pytest.mark.parametrize("command", ["scan", "recover", "trace-check", "afe"])
+def test_k_spec_naming_no_weight_exit(capsys, tmp_path, delta_file, command):
+    # an empty range and a step <= 0 are refused before any weight is run
+    g = [] if command == "trace-check" else ["--g", delta_file]
+    for spec in ("60:14", "16:20:0", "20:16:-2"):
+        assert main([command, *g, "--k", spec, "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and spec in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_command_usage(capsys):
     assert main([]) == 2
 
