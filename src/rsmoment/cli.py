@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .numfield import get_field
-from .modforms import eigenforms, load_newform, newform_from_eigenform, write_newform
+from .modforms import dim_cusp, eigenforms, load_newform, newform_from_eigenform, write_newform
 from .rankin import (DEFAULT_G_SCALE, DEFAULT_CONTOUR, UncertifiedError, VParams,
                      central_value, effective_cutoff)
 from .tracefmla import (TraceRHSParams, kloosterman_nf, kloosterman_q,
@@ -52,13 +52,19 @@ def _write_outputs(args, csv_text: str, certs: dict, stem: str) -> Path:
 
 
 def _parse_krange(spec: str) -> list[int]:
-    """The weights of a comma list or lo:hi[:step] (step 2); a range that
-    names no weight, or a step <= 0, raises ValueError."""
-    if ":" not in spec:
-        return [int(x) for x in spec.split(",")]
-    parts = [int(x) for x in spec.split(":")]
-    lo, hi = parts[0], parts[1]
-    step = parts[2] if len(parts) > 2 else 2
+    """The weights of a comma list or lo:hi[:step] (step 2); a spec of
+    neither form, a range that names no weight, or a step <= 0, raises
+    ValueError."""
+    parts = spec.split(":")
+    try:
+        nums = [int(x) for x in (parts if len(parts) > 1 else spec.split(","))]
+    except ValueError:
+        nums = None
+    if nums is None or len(parts) > 3:
+        raise ValueError(f"--k {spec} is neither a comma list of weights nor lo:hi[:step]")
+    if len(parts) == 1:
+        return nums
+    lo, hi, step = (nums + [2])[:3]
     ks = list(range(lo, hi + 1, step)) if step > 0 else []
     if not ks:
         raise ValueError(f"--k {spec} names no weight: lo:hi[:step] needs lo <= hi "
@@ -215,6 +221,9 @@ def cmd_recover(args) -> int:
 
 
 def cmd_make_newform(args) -> int:
+    d = dim_cusp(args.k)
+    if not 0 <= args.index < d:
+        raise ValueError(f"--index {args.index} names no form: dim S_{args.k} = {d}")
     forms = eigenforms(args.k, args.count)
     rec = newform_from_eigenform(forms[args.index])
     write_newform(rec, args.out)

@@ -2,13 +2,13 @@
 
 The degree-1 specialization of the Hilbert machinery: cusp forms for
 SL_2(Z), built from Delta and the Eisenstein series.  Exact big-integer
-arithmetic is used for every structural step (echelon basis, Hecke
-matrices).  One ``mpmath.eig`` of a Hecke matrix per weight gives the
-eigenvectors v (``_eig``), kept exactly as integers V = v 2^P; an
-eigenform's coefficients are then integer sums sum_i V_i b_i(n) over the
-echelon Miller basis, scaled to C_f(n) by one correctly rounded int/int
-division (``_normalized``).  The basis is read off the
-monomials Delta^i D E_{k-12i}, i = 1..d, one exact product each (D E_w, the
+arithmetic, on plain integer lists a(0..M), is used for every structural
+step (echelon basis, Hecke matrices).  One ``mpmath.eig`` of a Hecke matrix
+per weight gives the eigenvectors v (``_eig``), kept exactly as integers
+V = v 2^P; an eigenform's coefficients are then integer sums
+sum_i V_i b_i(n) over the echelon Miller basis, scaled to C_f(n) by one
+correctly rounded int/int division (``_normalized``).  The basis is read
+off the monomials Delta^i D E_{k-12i}, i = 1..d, one exact product each (D E_w, the
 least integral multiple of E_w, from ``series.eisenstein_exact``).  That
 build serves every length up to ``_EXACT_MAX`` (every moment report's to
 k = 120), and every length when the most-cuspidal monomial Delta^d E_w
@@ -33,7 +33,7 @@ Hecke solve is one entry per weight.
 ``series.clear_store`` resets all of them.
 
 Also hosts the plain-text newform coefficient file format used to feed the
-fixed form g.
+fixed form g, which is an ``Eigenform`` like the forms of S_k.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ import numpy as np
 from . import series
 
 __all__ = [
-    "QExpansion",
     "Eigenform",
-    "NewformRecord",
     "dim_cusp",
     "miller_basis",
     "hecke_apply",
@@ -72,41 +70,31 @@ def dim_cusp(k: int) -> int:
     return dim_m - 1
 
 
-@dataclass
-class QExpansion:
-    """Exact integer q-expansion a(0..M) of a weight-k form (a(0)=0 if cuspidal)."""
+@dataclass(frozen=True)
+class Eigenform:
+    """Normalized Hecke eigenform: a form of S_k (level 1) or the fixed g.
+
+    ``cn`` holds C_f(n) = a_f(n)/n^{(k-1)/2} as read-only float64,
+    index-aligned with cn[0] = 0 and cn[1] = 1.  ``float_rel`` is the
+    float-vs-exact overlap error of the build that made ``cn``: 0 when
+    ``cn`` was built exactly (a weight not 0 mod 12, or at most
+    ``_EXACT_MAX`` coefficients) or read from a file.  The overlap check
+    reads float coefficients of Delta^d, so it sees the float extension's
+    error, but it reads low and is not a bound on it.
+    """
 
     weight: int
-    an: list[int]
+    cn: np.ndarray
+    index: int = 0
+    level: int = 1
+    float_rel: float = 0.0
 
     def __post_init__(self):
         if self.weight % 2:
             raise ValueError("odd weight")
-
-    @property
-    def length(self) -> int:
-        return len(self.an) - 1
-
-    def a(self, n: int) -> int:
-        return self.an[n]
-
-
-@dataclass(frozen=True)
-class Eigenform:
-    """Normalized Hecke eigenform of level 1.
-
-    ``cn`` holds C_f(n) = a_f(n)/n^{(k-1)/2} as read-only float64,
-    index-aligned with cn[0] = 0.  ``float_rel`` is the float-vs-exact
-    overlap error of the build that made ``cn``: 0 when ``cn`` was built
-    exactly (a weight not 0 mod 12, or at most ``_EXACT_MAX`` coefficients).
-    The overlap check reads float coefficients of Delta^d, so it sees the
-    float extension's error, but it reads low and is not a bound on it.
-    """
-
-    weight: int
-    index: int
-    cn: np.ndarray
-    float_rel: float = 0.0
+        if abs(self.cn[1] - 1.0) > 1e-12:
+            raise ValueError("not normalized")
+        self.cn.flags.writeable = False
 
     @property
     def length(self) -> int:
@@ -117,28 +105,6 @@ class Eigenform:
 
     def a(self, n: int) -> float:
         return self.cn[n] * n ** ((self.weight - 1) / 2.0)
-
-
-@dataclass
-class NewformRecord:
-    """The fixed form g: weight, level, and already-normalized C_g(m)."""
-
-    weight: int
-    level: int
-    cn: np.ndarray
-
-    def __post_init__(self):
-        if self.weight % 2:
-            raise ValueError("odd weight")
-        if abs(self.cn[1] - 1.0) > 1e-12:
-            raise ValueError("not normalized")
-
-    @property
-    def length(self) -> int:
-        return len(self.cn) - 1
-
-    def c(self, n: int) -> float:
-        return float(self.cn[n])
 
 
 # -- generators ----------------------------------------------------------------
@@ -159,7 +125,7 @@ def _monomial_exact(i: int, w: int, length: int) -> list[int]:
         _delta_power_exact(i, n), series.eisenstein_exact(w, n), n))
 
 
-def miller_basis(k: int, length: int) -> list[QExpansion]:
+def miller_basis(k: int, length: int) -> list[list[int]]:
     """Echelonized cusp basis: a(f_i, j) = delta_ij for i, j <= dim S_k.  Exact.
 
     Delta^i D E_{k-12i} = D q^i + O(q^(i+1)), i = 1..d, is one product each;
@@ -183,27 +149,27 @@ def miller_basis(k: int, length: int) -> list[QExpansion]:
                 raise ArithmeticError(f"row {i} of the Miller basis of S_{k} is not integral")
             cur = [c // lead for c in cur]
         fs[i - 1] = cur
-    return [QExpansion(k, f) for f in fs]
+    return fs
 
 
-def hecke_apply(m: int, f: QExpansion, out_len: int | None = None) -> QExpansion:
-    """T_m f with a(T_m f)(n) = sum_{e | gcd(m,n)} e^{k-1} a(mn/e^2).  Exact."""
+def hecke_apply(m: int, an: list[int], k: int, out_len: int | None = None) -> list[int]:
+    """T_m of the weight-k expansion a(0..M): a(T_m f)(n) = sum_{e | gcd(m,n)}
+    e^{k-1} a(mn/e^2), n <= out_len (default M // m).  Exact."""
     if m < 1:
         raise ValueError("m must be positive")
     if out_len is None:
-        out_len = f.length // m
-    if f.length < m * out_len:
+        out_len = (len(an) - 1) // m
+    if len(an) - 1 < m * out_len:
         raise ValueError("length underflow")
-    k = f.weight
     out = [0] * (out_len + 1)
     for n in range(1, out_len + 1):
         acc = 0
         g = math.gcd(m, n)
         for e in range(1, g + 1):
             if g % e == 0:
-                acc += e ** (k - 1) * f.an[m * n // (e * e)]
+                acc += e ** (k - 1) * an[m * n // (e * e)]
         out[n] = acc
-    return QExpansion(k, out)
+    return out
 
 
 # -- eigenform machinery --------------------------------------------------------
@@ -241,7 +207,7 @@ def hecke_matrix(k: int, m: int) -> list[list[int]]:
     holds a(T_m f_i)(1..d), the coordinates of T_m f_i."""
     d = dim_cusp(k)
     basis = miller_basis(k, m * d)
-    return [[hecke_apply(m, basis[i], d).an[j + 1] for i in range(d)]
+    return [[hecke_apply(m, basis[i], k, d)[j + 1] for i in range(d)]
             for j in range(d)]
 
 
@@ -280,11 +246,10 @@ def _exact_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
     """
     basis = miller_basis(k, length)
     _, P, vectors = _eigen_data(k)
-    cols = list(zip(*(f.an for f in basis)))[: length + 1]
+    cols = list(zip(*basis))[: length + 1]
     forms = []
     for idx, V in enumerate(vectors):
         cn = _normalized([sum(map(operator.mul, V, col)) for col in cols], k, P)
-        cn.flags.writeable = False
         forms.append(Eigenform(weight=k, index=idx, cn=cn))
     return tuple(forms)
 
@@ -318,7 +283,6 @@ def _float_eigen(k: int, length: int) -> tuple[Eigenform, ...]:
             raise ArithmeticError(
                 f"float extension disagrees with exact prefix (rel {rel:.2e})")
         cn[: _HEAD + 1] = f.cn
-        cn.flags.writeable = False
         out.append(replace(f, cn=cn, float_rel=float(rel)))
     return tuple(out)
 
@@ -369,7 +333,7 @@ def _span_raw_exact(k: int, d: int) -> list[list[int]]:
         run = need
         for p in reversed(word):
             run //= p
-            cur = hecke_apply(p, QExpansion(k, cur), run).an
+            cur = hecke_apply(p, cur, k, run)
         out.append(list(cur[: d + 1]))
     return out
 
@@ -469,7 +433,7 @@ def eigenforms(k: int, length: int) -> list[Eigenform]:
 
 # -- newform records ---------------------------------------------------------------
 
-def load_newform(path) -> NewformRecord:
+def load_newform(path) -> Eigenform:
     """Parse the plain-text coefficient file (weight/level/count header, then m C(m))."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -498,14 +462,12 @@ def load_newform(path) -> NewformRecord:
             raise ValueError(f"newform parse failure: index {m} repeated")
         seen.add(m)
         cn[m] = val
-    if abs(cn[1] - 1.0) > 1e-12:
-        raise ValueError("not normalized")
-    rec = NewformRecord(weight=weight, level=level, cn=cn)
+    rec = Eigenform(weight=weight, level=level, cn=cn)
     _ramanujan_check(rec)
     return rec
 
 
-def _ramanujan_check(rec: NewformRecord):
+def _ramanujan_check(rec: Eigenform):
     limit = min(rec.length, 2000)
     for p in _primes_below(limit + 1):
         if rec.level % p == 0:
@@ -525,7 +487,7 @@ def _primes_below(n: int) -> list[int]:
     return out
 
 
-def write_newform(rec: NewformRecord, path):
+def write_newform(rec: Eigenform, path):
     with open(path, "w") as fh:
         fh.write(f"weight {rec.weight}\n")
         fh.write(f"level {rec.level}\n")
@@ -534,5 +496,6 @@ def write_newform(rec: NewformRecord, path):
             fh.write(f"{m} {rec.cn[m]:.17g}\n")
 
 
-def newform_from_eigenform(f: Eigenform, level: int = 1) -> NewformRecord:
-    return NewformRecord(weight=f.weight, level=level, cn=f.cn.copy())
+def newform_from_eigenform(f: Eigenform, level: int = 1) -> Eigenform:
+    """f as the fixed form g of level ``level``; ``cn`` is shared, not copied."""
+    return replace(f, level=level)

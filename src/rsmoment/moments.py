@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series as _series
-from .modforms import NewformRecord, dim_cusp, eigenforms
+from .modforms import Eigenform, dim_cusp, eigenforms
 from .rankin import (DEFAULT_CONTOUR, DEFAULT_G_SCALE, V_DIRECT_MAX, UncertifiedError,
                      VParams, _afe_grid, _afe_sum, _cutoff_search, _vq, effective_cutoff)
 from .specialfn import bessel_j_array, bessel_j_c_tail_bound, digamma, zeta_laurent_at_center
@@ -121,7 +121,7 @@ def _solve_omega(k: int) -> OmegaWeights:
                         rhs_diag=rhs[0].value)
 
 
-def _validate_pair(g: NewformRecord, p: int, k: int):
+def _validate_pair(g: Eigenform, p: int, k: int):
     if k <= g.weight:
         raise ValueError("weight constraint k_j > l_j violated")
     if p != 1:
@@ -183,26 +183,26 @@ def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
 _RECOVERY_W_TOL = 1e-10 / 16  # W(p) stop rule of the recovery, and of M in a report
 
 
-def _w_at_p(g: NewformRecord, p: int, k: int, g_scale: float, tol: float):
+def _w_at_p(g: Eigenform, p: int, k: int, g_scale: float, tol: float):
     """(W(p), certificate): ``_w_sum`` at the one nu = p."""
     vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
     W, cert, _ = _w_sum(vp, g.level, np.array([float(p)]), tol)
     return float(W[0]), cert
 
 
-def _m_from_w(g: NewformRecord, p: int, w: float, w_cert: float) -> CertValue:
+def _m_from_w(g: Eigenform, p: int, w: float, w_cert: float) -> CertValue:
     pref = 2.0 * g.c(p) / math.sqrt(p)
     return CertValue(value=pref * w, certificate=abs(pref) * w_cert)
 
 
-def m_term_direct(g: NewformRecord, p: int, k: int,
+def m_term_direct(g: Eigenform, p: int, k: int,
                   g_scale: float = DEFAULT_G_SCALE, tol: float = 1e-9) -> CertValue:
     """M = 2 C_g(p)/sqrt(p) * sum_d a_d/d V(...), truncated by V-decay."""
     _validate_pair(g, p, k)
     return _m_from_w(g, p, *_w_at_p(g, p, k, g_scale, tol / 16))
 
 
-def m_term_residue(g: NewformRecord, p: int, k: int) -> float:
+def m_term_residue(g: Eigenform, p: int, k: int) -> float:
     """The contour-shift residue form of M (the O(1/k) remainder not added)."""
     _validate_pair(g, p, k)
     gm1, g0 = zeta_laurent_at_center(FIELD_Q, _series.prime_divisors(g.level))
@@ -216,7 +216,7 @@ def m_term_residue(g: NewformRecord, p: int, k: int) -> float:
 _E_SKIP_SHARE = 1e-4  # of the E certificate, spent on skipped (nu, c) points
 
 
-def e_term(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
+def e_term(g: Eigenform, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
            tol: float = 1e-6, nu_cutoff: int | None = None) -> CertValue:
     """Off-diagonal term: 4 pi (-1)^{k/2} sum_nu sum_c S(nu,p;c)/c J_{k-1} * weights.
 
@@ -329,7 +329,7 @@ def _nu_tail_row(vp: VParams, M: int):
     return _series.memo(("nu-tail row", vp, M), build)
 
 
-def lhs_moment(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
+def lhs_moment(g: Eigenform, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
                afe_tol: float = 1e-8) -> CertValue:
     """sum over eigenforms of L(f x g, 1/2) C_f(p) omega_f, with certificate."""
     _validate_pair(g, p, k)
@@ -360,13 +360,13 @@ def lhs_moment(g: NewformRecord, p: int, k: int, g_scale: float = DEFAULT_G_SCAL
     return CertValue(value=total, certificate=cert)
 
 
-def recover_coefficient(g: NewformRecord, p: int, k: int,
+def recover_coefficient(g: Eigenform, p: int, k: int,
                         g_scale: float = DEFAULT_G_SCALE) -> float:
     """C_g(p) back out of the moment identity: sqrt(p)(LHS - E)/(2 sum_d a_d/d V)."""
     return moment_report(g, p, k, g_scale=g_scale).recovered_c
 
 
-def moment_report(g: NewformRecord, p: int, k: int,
+def moment_report(g: Eigenform, p: int, k: int,
                   g_scale: float = DEFAULT_G_SCALE,
                   afe_tol: float = 1e-8, e_tol: float = 1e-6) -> MomentReport:
     """M, E, the LHS and the recovered C_g(p) at one (p, k).  W(p) is evaluated
@@ -399,7 +399,7 @@ class ScanResult:
     max_abs_residual_from_fit: float
 
 
-def asymptotic_scan(g: NewformRecord, p: int, k_list,
+def asymptotic_scan(g: Eigenform, p: int, k_list,
                     g_scale: float = DEFAULT_G_SCALE,
                     afe_tol: float = 1e-7,
                     e_tol: float = 1e-5) -> ScanResult:

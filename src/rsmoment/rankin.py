@@ -1,5 +1,8 @@
 """Rankin-Selberg coefficients, the AFE weight function V, and central values.
 
+f and g are both ``modforms.Eigenform``s; their coefficients b_m are one
+float array b[0..M] (``b_coefficients``), held to Deligne's bound.
+
 V_{1/2}(y) is the contour integral of y^{-u} gamma(1/2,u) G(u)/u over a
 vertical line Re(u) = sigma > 0, with gamma(1/2,u) the ratio of archimedean
 factors and G(u) = exp(c_G u^2) an even holomorphic damper, G(0)=1.  The
@@ -32,12 +35,11 @@ import numpy as np
 
 from .specialfn import log_gamma
 from . import series as _series
-from .modforms import Eigenform, NewformRecord
+from .modforms import Eigenform
 
 __all__ = [
     "VParams",
     "VQuadrature",
-    "RankinSeries",
     "b_coefficients",
     "effective_cutoff",
     "central_value",
@@ -333,38 +335,16 @@ def _vq(p: VParams, contour: float = DEFAULT_CONTOUR) -> VQuadrature:
     return _series.memo(("V quadrature", p, contour), lambda: VQuadrature(p, contour))
 
 
-@dataclass
-class RankinSeries:
-    """Coefficients b_m of the Dirichlet series over plain integers."""
-
-    b: np.ndarray
-    k: int
-    l: int
-    level: int
-
-    def __post_init__(self):
-        if abs(self.b[1] - 1.0) > 1e-9:
-            raise ValueError("b_1 must be 1 for normalized forms at coprime levels")
-        bound = _series.deligne_bound_sieve(len(self.b))
-        if np.any(np.abs(self.b[1:]) > bound[1:] * (1 + 1e-6) + 1e-9):
-            raise ValueError("b_m exceeds Deligne's bound B(m), the sanity threshold")
-
-    @property
-    def length(self) -> int:
-        return len(self.b) - 1
-
-
-def b_coefficients(f, g: NewformRecord, M: int) -> RankinSeries:
-    """b_m = sum_{d^2 | m, gcd(d, level)=1} C_f(m/d^2) C_g(m/d^2).
+def b_coefficients(f: Eigenform, g: Eigenform, M: int) -> np.ndarray:
+    """b[0..M], b_m = sum_{d^2 | m, gcd(d, level)=1} C_f(m/d^2) C_g(m/d^2).
 
     Over Q an ideal of norm d coprime to the level is unique, so a_d is the
-    coprimality indicator.
+    coprimality indicator.  Raises ValueError unless b_1 = 1 and every
+    |b_m| is within Deligne's bound B(m).
     """
-    cf = f.cn if hasattr(f, "cn") else f
-    cg = g.cn
-    if len(cf) - 1 < M or len(cg) - 1 < M:
+    if f.length < M or g.length < M:
         raise ValueError("insufficient coefficients for requested length")
-    prod = np.asarray(cf[: M + 1]) * np.asarray(cg[: M + 1])
+    prod = f.cn[: M + 1] * g.cn[: M + 1]
     b = np.zeros(M + 1)
     d = 1
     while d * d <= M:
@@ -373,8 +353,12 @@ def b_coefficients(f, g: NewformRecord, M: int) -> RankinSeries:
             j_max = M // s
             b[s:: s] += prod[1: j_max + 1]
         d += 1
-    return RankinSeries(b=b, k=f.weight if hasattr(f, "weight") else 0,
-                        l=g.weight, level=g.level)
+    if abs(b[1] - 1.0) > 1e-9:
+        raise ValueError("b_1 must be 1 for normalized forms at coprime levels")
+    bound = _series.deligne_bound_sieve(M + 1)
+    if np.any(np.abs(b[1:]) > bound[1:] * (1 + 1e-6) + 1e-9):
+        raise ValueError("b_m exceeds Deligne's bound B(m), the sanity threshold")
+    return b
 
 
 def effective_cutoff(p: VParams, tol: float) -> int:
@@ -482,7 +466,7 @@ class CentralValue:
     certificate: float
 
 
-def central_value(f: Eigenform, g: NewformRecord, g_scale: float = DEFAULT_G_SCALE,
+def central_value(f: Eigenform, g: Eigenform, g_scale: float = DEFAULT_G_SCALE,
                   contour: float = DEFAULT_CONTOUR, tol: float = 1e-8,
                   cutoff: int | None = None, rigorous_tail: bool = True) -> CentralValue:
     """L(f x g, 1/2) by the approximate functional equation.
@@ -522,17 +506,17 @@ def _afe_grid(p: VParams, contour: float, cutoff: int, rigorous_tail: bool = Tru
     return p, vq, np.sqrt(ms), vv, interp_err, tail
 
 
-def _afe_sum(f: Eigenform, g: NewformRecord, grid) -> CentralValue:
+def _afe_sum(f: Eigenform, g: Eigenform, grid) -> CentralValue:
     """L(f x g, 1/2) and its certificate on one ``_afe_grid``."""
     p, vq, sqrt_ms, vv, interp_err, tail = grid
     cutoff = len(vv)
-    rs = b_coefficients(f, g, cutoff)
-    val = 2.0 * float(np.sum(rs.b[1:] / sqrt_ms * vv))
+    b = b_coefficients(f, g, cutoff)
+    val = 2.0 * float(np.sum(b[1:] / sqrt_ms * vv))
     if tail is None:
         env = float(vq.envelope(p.afe_argument(float(cutoff)))[0])
         slope = vq.envelope_slope(p.afe_argument(float(cutoff)))
-        bbar = float(np.mean(np.abs(rs.b[max(1, cutoff // 2):]))) + 1.0
+        bbar = float(np.mean(np.abs(b[max(1, cutoff // 2):]))) + 1.0
         tail = 2 * bbar * env * math.sqrt(cutoff) / max(slope - 0.5, 0.5)
-    weight_mass = float(np.sum(np.abs(rs.b[1:]) / sqrt_ms))
+    weight_mass = float(np.sum(np.abs(b[1:]) / sqrt_ms))
     cert = 2.0 * tail + 2.0 * (vq.quad_tail + interp_err) * weight_mass
     return CentralValue(value=val, cutoff=cutoff, certificate=cert)

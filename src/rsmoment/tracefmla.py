@@ -343,6 +343,9 @@ class TraceRHSParams:
     tol: float = 1e-8
 
     def __post_init__(self):
+        if len(self.weight_vec) != 2:
+            raise ValueError(f"weight_vec {self.weight_vec} must hold two weights, "
+                             f"one per real embedding")
         if any(kj % 2 or kj < 4 for kj in self.weight_vec):
             raise ValueError("weights must be even and >= 4")
         if self.c_norm_bound < 1 or self.unit_height_bound < 1:

@@ -21,29 +21,20 @@ from rsmoment import tracefmla as tf
 from rsmoment.numfield import norm, trace
 
 
-def evaluate(f, z: complex, tol: float = 1e-10):
-    """(value, certified truncation bound) of f at z in the upper half-plane.
+def evaluate(an: list[int], k: int, z: complex, tol: float = 1e-10):
+    """(value, certified truncation bound) at z in the upper half-plane of
+    the weight-k form with exact integer coefficients a(0..M), a(0) = 0.
 
-    The tail bound uses |a(n)| <= C0 * n^{(k+1)/2}, which is Deligne's bound
-    (with d(n) <= n) for normalized eigenforms and for Delta; for other
-    integer expansions C0 is calibrated on the computed coefficients and the
-    bound is heuristic to that extent.
+    The tail bound uses |a(n)| <= C0 * n^{(k+1)/2}, with C0 calibrated on the
+    computed coefficients: Deligne's bound (with d(n) <= n) for Delta, and
+    heuristic to that extent for other integer expansions.
     """
     y = z.imag
     if y <= 0:
         raise ValueError("need Im z > 0")
-    k = f.weight
     alpha = (k + 1) / 2.0
-    if isinstance(f, mf.Eigenform):
-        M = f.length
-        coeff = lambda n: f.cn[n] * n ** ((k - 1) / 2.0)
-        c0 = 1.0
-    elif isinstance(f, mf.QExpansion):
-        M = f.length
-        coeff = lambda n: float(f.an[n])
-        c0 = max(1.0, max(abs(float(f.an[n])) / n ** alpha for n in range(1, M + 1)))
-    else:
-        raise TypeError("evaluate expects QExpansion or Eigenform")
+    M = len(an) - 1
+    c0 = max(1.0, max(abs(float(an[n])) / n ** alpha for n in range(1, M + 1)))
     q = np.exp(2j * math.pi * z)
     r = abs(q)
     ratio = r * (1.0 + 1.0 / M) ** alpha
@@ -55,7 +46,7 @@ def evaluate(f, z: complex, tol: float = 1e-10):
     val = 0.0 + 0.0j
     qn = q
     for n in range(1, M + 1):
-        val += coeff(n) * qn
+        val += float(an[n]) * qn
         qn *= q
     return val, tail
 

@@ -1,5 +1,6 @@
-"""Every function the benchmark's span recorder wraps, and every name its
-worker imports from rsmoment, must still exist.
+"""Every function the benchmark's span recorder wraps, every name its
+worker imports from rsmoment, and every attribute the worker reads on a
+returned record, must still exist.
 
 perfbench/spans.py names its layer functions by module and attribute; a
 name that disappears only prints a warning there and its per-layer metric
@@ -70,3 +71,23 @@ def test_worker_keyword_calls_are_found():
 def test_worker_keyword_is_a_parameter(module, name, keyword):
     params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
     assert keyword in params
+
+
+def test_returned_records_carry_what_the_worker_reads(tmp_path):
+    # the worker reads these attributes off what rsmoment returns; a dropped
+    # one fails every operation that reads it while nothing else notices
+    from rsmoment.modforms import eigenforms, load_newform, newform_from_eigenform, write_newform
+    from rsmoment.moments import moment_report
+    from rsmoment.rankin import central_value
+    path = tmp_path / "delta.nf"
+    write_newform(newform_from_eigenform(eigenforms(12, 3000)[0]), path)
+    g = load_newform(path)
+    assert isinstance(g.c(2), float)
+    f = eigenforms(16, 3000)[0]
+    assert f.length == 3000 and len(f.cn) == 3001 and f.index == 0
+    cv = central_value(f, g, cutoff=3000, rigorous_tail=False)
+    assert cv.cutoff == 3000
+    assert all(isinstance(x, float) for x in (cv.value, cv.certificate))
+    rep = moment_report(g, 2, 16)
+    assert all(isinstance(x, float)
+               for x in (rep.identity_residual, rep.cert_total, rep.recovered_c))

@@ -128,6 +128,16 @@ def test_rhs_nf_command(capsys, tmp_path):
     assert "certificate" in out
 
 
+@pytest.mark.parametrize("k", ["20", "20,24,26"])
+def test_rhs_nf_needs_two_weights_exit(capsys, tmp_path, k):
+    rc = main(["rhs-nf", "--field", "Q_sqrt5", "--k", k, "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: weight_vec (") and "two weights" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rhs_nf_not_totally_positive_exit(capsys, tmp_path):
     rc = main(["rhs-nf", "--field", "Q_sqrt5", "--k", "20,20", "--nu", "-1",
                "--outdir", str(tmp_path)])
@@ -152,9 +162,10 @@ def test_recover_command(capsys, tmp_path, delta_file):
 
 @pytest.mark.parametrize("command", ["scan", "recover", "trace-check", "afe"])
 def test_k_spec_naming_no_weight_exit(capsys, tmp_path, delta_file, command):
-    # an empty range and a step <= 0 are refused before any weight is run
+    # an empty range, a step <= 0, a non-integer part and a fourth colon
+    # part are refused before any weight is run
     g = [] if command == "trace-check" else ["--g", delta_file]
-    for spec in ("60:14", "16:20:0", "20:16:-2"):
+    for spec in ("60:14", "16:20:0", "20:16:-2", "16,,18", "16:a", "16:20:2:9"):
         assert main([command, *g, "--k", spec, "--outdir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and spec in err
@@ -362,6 +373,19 @@ def test_make_newform_past_the_hecke_word_table_exit(capsys, tmp_path):
     assert rc == 2
     err = capsys.readouterr().err
     assert "S_72 has dimension 6" in err and "16384 coefficients" in err
+    assert not (tmp_path / "x.nf").exists()
+
+
+@pytest.mark.parametrize("index", [2, 5, -1])
+def test_make_newform_index_outside_the_space_exit(capsys, tmp_path, monkeypatch, index):
+    # dim S_24 = 2: refused before any form is built, not an IndexError
+    # after the build nor, at -1, the last form
+    monkeypatch.setattr(cli, "eigenforms", lambda k, n: pytest.fail("built forms"))
+    rc = main(["make-newform", "--k", "24", "--index", str(index), "--count", "50",
+               "--out", str(tmp_path / "x.nf")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --index {index} names no form: dim S_24 = 2\n"
     assert not (tmp_path / "x.nf").exists()
 
 

@@ -27,10 +27,10 @@ def deligne_bounds_every_rankin_series(monkeypatch):
     build = rk.b_coefficients
 
     def checked(f, g, M):
-        rs = build(f, g, M)
-        over = np.abs(rs.b) - series.deligne_bound_sieve(M + 1)
+        b = build(f, g, M)
+        over = np.abs(b) - series.deligne_bound_sieve(M + 1)
         assert np.all(over <= 0.0), (M, int(np.argmax(over)), float(np.max(over)))
-        return rs
+        return b
     monkeypatch.setattr(rk, "b_coefficients", checked)
 
 
@@ -214,11 +214,11 @@ def test_effective_cutoff_is_the_least_afe_tail_bound_certifies():
 
 
 def test_b_coefficients_level_one(delta_record, f16):
-    rs = rk.b_coefficients(f16, delta_record, 200)
-    assert abs(rs.b[1] - 1.0) < 1e-12
+    b = rk.b_coefficients(f16, delta_record, 200)
+    assert abs(b[1] - 1.0) < 1e-12
     # b_4 = C_f(4) C_g(4) + C_f(1) C_g(1): divisors d^2 | 4 are d = 1, 2
     expect4 = f16.c(4) * delta_record.c(4) + 1.0
-    assert abs(rs.b[4] - expect4) < 1e-12
+    assert abs(b[4] - expect4) < 1e-12
     # brute-force double-loop oracle
     for m in (1, 2, 4, 9, 12, 36, 100, 144, 196):
         acc = 0.0
@@ -227,7 +227,7 @@ def test_b_coefficients_level_one(delta_record, f16):
             if m % (d * d) == 0:
                 acc += f16.c(m // (d * d)) * delta_record.c(m // (d * d))
             d += 1
-        assert abs(rs.b[m] - acc) < 1e-12
+        assert abs(b[m] - acc) < 1e-12
 
 
 def test_b_coefficients_level_coprimality():
@@ -237,13 +237,13 @@ def test_b_coefficients_level_coprimality():
     cn = np.zeros(301)
     cn[1:] = 0.5
     cn[1] = 1.0
-    g = mf.NewformRecord(weight=12, level=6, cn=cn)
-    rs = rk.b_coefficients(f, g, 144)
+    g = mf.Eigenform(weight=12, cn=cn, level=6)
+    b = rk.b_coefficients(f, g, 144)
     acc = 0.0
     for d in (1, 5, 7, 11):
         if 144 % (d * d) == 0:
             acc += f.c(144 // (d * d)) * g.c(144 // (d * d))
-    assert abs(rs.b[144] - acc) < 1e-12
+    assert abs(b[144] - acc) < 1e-12
 
 
 def test_central_value_g_scale_invariance(f16, delta_record):
@@ -304,15 +304,21 @@ def test_central_value_equal_weight_distinct_forms_is_fine():
 
 
 def test_rankin_series_sanity_threshold():
-    b = np.zeros(11)
-    b[1] = 1.0
-    b[10] = 9999.0
+    # C_g = 1 everywhere and C_f = 0 past 1 but at one index m, so b_m = C_f(m)
+    cg = np.ones(11)
+    cg[0] = 0.0
+    g = mf.Eigenform(weight=12, cn=cg)
+
+    def f_with(m, c):
+        cn = np.zeros(11)
+        cn[1], cn[m] = 1.0, c
+        return mf.Eigenform(weight=16, cn=cn)
+
     with pytest.raises(ValueError, match="sanity"):
-        rk.RankinSeries(b=b, k=16, l=12, level=1)
+        rk.b_coefficients(f_with(10, 9999.0), g, 10)
     # b_6 = 20 lies in (B(6), d(6)^3] = (16, 64]: within the divisor cube,
     # past Deligne's bound
-    b[10], b[6] = 0.0, 20.0
     with pytest.raises(ValueError, match="sanity"):
-        rk.RankinSeries(b=b, k=16, l=12, level=1)
-    b[6] = -16.0
-    assert rk.RankinSeries(b=b, k=16, l=12, level=1).length == 10
+        rk.b_coefficients(f_with(6, 20.0), g, 10)
+    b = rk.b_coefficients(f_with(6, -16.0), g, 10)
+    assert len(b) == 11 and b[6] == -16.0
