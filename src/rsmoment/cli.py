@@ -73,13 +73,13 @@ def _parse_krange(spec: str) -> list[int]:
 
 
 def cmd_kloosterman(args) -> int:
-    field = get_field(args.field)
-    if field.degree == 1:
+    if args.field == "Q":
         if args.c2:
-            raise ValueError(f"--c2 is the omega-coordinate of c over a quadratic field; "
-                             f"{args.field} has degree 1")
+            raise ValueError("--c2 is the omega-coordinate of c over a quadratic field; "
+                             "Q has degree 1")
         val = kloosterman_q(args.m, args.n, args.c)
     else:
+        field = get_field(args.field)
         val = kloosterman_nf(KloostermanQuery(alpha=field.element(args.m),
                                               beta=field.element(args.n),
                                               c=field.element(args.c, args.c2)))
@@ -91,8 +91,6 @@ def cmd_kloosterman(args) -> int:
 
 def cmd_rhs_nf(args) -> int:
     field = get_field(args.field)
-    if field.degree != 2:
-        raise ValueError("rhs-nf requires a quadratic field (--field Q_sqrt5 or Q_sqrt2)")
     kvec = tuple(int(x) for x in args.k.split(","))
     params = TraceRHSParams(weight_vec=kvec, c_norm_bound=args.cmax,
                             unit_height_bound=args.B, tol=args.tol)
@@ -252,7 +250,7 @@ class _Parser(argparse.ArgumentParser):
 
 # the options several commands read; each command declares only its own
 _OPTIONS = {
-    "--field": dict(default="Q", help="Q | Q_sqrt5 | Q_sqrt2"),
+    "--field": dict(required=True, help="Q_sqrt5 | Q_sqrt2"),
     "--outdir": dict(default="."),
     "--g-scale": dict(type=positive, default=DEFAULT_G_SCALE),
     "--contour": dict(type=positive, default=DEFAULT_CONTOUR),
@@ -272,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(opt, **_OPTIONS[opt])
         return p
 
-    p = add("kloosterman", ("--field", "--outdir"), help="single Kloosterman sum, one CSV row")
+    p = add("kloosterman", ("--outdir",), help="single Kloosterman sum, one CSV row")
+    p.add_argument("--field", default="Q", choices=("Q", "Q_sqrt5", "Q_sqrt2"))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)

@@ -31,7 +31,6 @@ from .rankin import (DEFAULT_CONTOUR, DEFAULT_G_SCALE, V_DIRECT_MAX, Uncertified
                      VParams, _afe_grid, _afe_sum, _cutoff_search, _vq, effective_cutoff)
 from .specialfn import bessel_j_array, bessel_j_c_tail_bound, digamma, zeta_laurent_at_center
 from .tracefmla import CertValue, kloosterman_row, petersson_rhs_q
-from .numfield import Q as FIELD_Q
 
 __all__ = [
     "OmegaWeights",
@@ -205,7 +204,7 @@ def m_term_direct(g: Eigenform, p: int, k: int,
 def m_term_residue(g: Eigenform, p: int, k: int) -> float:
     """The contour-shift residue form of M (the O(1/k) remainder not added)."""
     _validate_pair(g, p, k)
-    gm1, g0 = zeta_laurent_at_center(FIELD_Q, _series.prime_divisors(g.level))
+    gm1, g0 = zeta_laurent_at_center(_series.prime_divisors(g.level))
     l = g.weight
     arg = 4.0 * math.pi ** 2 * p / g.level
     res = g0 + 0.5 * gm1 * (digamma((k - l + 1) / 2.0) + digamma((k + l - 1) / 2.0)
@@ -418,7 +417,7 @@ def asymptotic_scan(g: Eigenform, p: int, k_list,
     lhs = np.array([r.lhs for r in reports])
     A = np.vstack([lk, np.ones_like(lk)]).T
     (slope, intercept), *_ = np.linalg.lstsq(A, lhs, rcond=None)
-    gm1, _ = zeta_laurent_at_center(FIELD_Q, _series.prime_divisors(g.level))
+    gm1, _ = zeta_laurent_at_center(_series.prime_divisors(g.level))
     a_theory = 2.0 * g.c(p) / math.sqrt(p) * gm1
     resid = float(np.max(np.abs(lhs - (slope * lk + intercept))))
     return ScanResult(reports=reports, slope=float(slope), intercept=float(intercept),

@@ -1,10 +1,11 @@
-"""Exact arithmetic in totally real fields of degree 1 or 2 with narrow class number 1.
+"""Exact arithmetic in the real quadratic fields Q(sqrt5) and Q(sqrt2).
 
-Supported fields are Q, Q(sqrt5) and Q(sqrt2).  Elements are stored as exact
-rational coordinates a + b*omega where omega generates the ring of integers
-(omega = (1+sqrt5)/2 resp. sqrt2; omega = 0-slot unused over Q).  Embeddings
-are evaluated lazily at caller-specified precision so that downstream code
-controls its own cancellation budget.
+Both have narrow class number 1; they carry the degree-2 Petersson side
+(the moment identity itself runs over Q and needs no field object).
+Elements are stored as exact rational coordinates a + b*omega where omega
+generates the ring of integers (omega = (1+sqrt5)/2 resp. sqrt2).
+Embeddings are evaluated lazily at caller-specified precision so that
+downstream code controls its own cancellation budget.
 
 Narrow class number 1 plus a fundamental unit of norm -1 means every ideal
 has a totally positive generator and the totally positive units are exactly
@@ -32,32 +33,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """A totally real field of degree 1 or 2, fixed by exact integral data.
+    """A real quadratic field, fixed by exact integral data.
 
     ``omega_trace``/``omega_norm`` encode the minimal polynomial
-    t^2 - omega_trace*t + omega_norm of omega (degree 2 only).
+    t^2 - omega_trace*t + omega_norm of omega; ``fundamental_unit`` holds
+    the coordinates of eps0, whose norm must be -1.
     """
 
     key: str
-    degree: int
     discriminant: int
     omega_trace: int
     omega_norm: int
-    fundamental_unit: tuple[int, int] | None
-    fundamental_unit_norm: int
+    fundamental_unit: tuple[int, int]
 
     def __post_init__(self):
-        if self.degree not in (1, 2):
-            raise ValueError("degree must be 1 or 2")
-        if self.degree == 2 and self.fundamental_unit_norm != -1:
+        if norm(self.eps0) != -1:
             raise ValueError("only norm -1 fundamental units are supported")
-
-    @property
-    def zeta_residue(self) -> float:
-        """Residue of the Dedekind zeta function at s=1 (class number formula, h=1, w=2)."""
-        if self.degree == 1:
-            return 1.0
-        return 2.0 * math.log(self.eps1) / math.sqrt(self.discriminant)
 
     @property
     def eps1(self) -> float:
@@ -66,8 +57,6 @@ class FieldDescriptor:
 
     def embed_omega(self, prec: int = 53):
         """The two real roots of omega's minimal polynomial, larger first."""
-        if self.degree == 1:
-            return (mp.mpf(0),)
         disc = self.omega_trace * self.omega_trace - 4 * self.omega_norm
         with mp.workprec(prec + 16):
             r = mp.sqrt(disc)
@@ -86,15 +75,11 @@ class FieldDescriptor:
 
     @property
     def eps0(self) -> "FieldElement":
-        if self.degree == 1:
-            raise ValueError("fundamental unit undefined for Q")
         return self.element(*self.fundamental_unit)
 
     @property
     def different_gen(self) -> "FieldElement":
         """A totally positive generator of the different ideal."""
-        if self.degree == 1:
-            return self.one
         # sqrt(d_F) times the fundamental unit has norm +d_F and both
         # embeddings positive for the supported fields.
         root = self._sqrt_disc_element()
@@ -120,10 +105,6 @@ class FieldElement:
     field: FieldDescriptor
     a: Fraction
     b: Fraction
-
-    def __post_init__(self):
-        if self.field.degree == 1 and self.b != 0:
-            raise ValueError("degree-1 element with nonzero omega coordinate")
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
@@ -182,7 +163,7 @@ class FieldElement:
         return hash((self.field.key, self.a, self.b))
 
     def __repr__(self):
-        if self.field.degree == 1 or self.b == 0:
+        if self.b == 0:
             return f"{self.a}"
         return f"{self.a} + {self.b}*w[{self.field.key}]"
 
@@ -203,30 +184,22 @@ class FieldElement:
 
 
 def conj(x: FieldElement) -> FieldElement:
-    """Galois conjugate (identity over Q)."""
-    if x.field.degree == 1:
-        return x
+    """Galois conjugate."""
     # omega + omega' = t
     return FieldElement(x.field, x.a + x.field.omega_trace * x.b, -x.b)
 
 
 def trace(x: FieldElement) -> Fraction:
-    if x.field.degree == 1:
-        return x.a
     return 2 * x.a + x.field.omega_trace * x.b
 
 
 def norm(x: FieldElement) -> Fraction:
-    if x.field.degree == 1:
-        return x.a
     t, n = x.field.omega_trace, x.field.omega_norm
     return x.a * x.a + t * x.a * x.b + n * x.b * x.b
 
 
 def embed(x: FieldElement, prec: int = 53):
-    """Real embeddings (sigma_1(x), ..., sigma_n(x)) to prec bits, sigma_1(omega) largest."""
-    if x.field.degree == 1:
-        return (mp.mpf(x.a.numerator) / x.a.denominator,)
+    """Real embeddings (sigma_1(x), sigma_2(x)) to prec bits, sigma_1(omega) largest."""
     with mp.workprec(prec + 16):
         w1, w2 = x.field.embed_omega(prec)
         a = mp.mpf(x.a.numerator) / x.a.denominator
@@ -242,8 +215,6 @@ def is_totally_positive(x: FieldElement) -> bool:
     """True iff every real embedding of x is positive.  Exact (no rounding)."""
     if x.is_zero():
         raise ValueError("zero element")
-    if x.field.degree == 1:
-        return x.a > 0
     # x = a + b*omega is totally positive iff trace and norm of suitable
     # translates are positive: both embeddings > 0 <=> trace > 0 and norm > 0.
     return trace(x) > 0 and norm(x) > 0
@@ -252,28 +223,24 @@ def is_totally_positive(x: FieldElement) -> bool:
 def totally_positive_units(field: FieldDescriptor, bound: float) -> list[FieldElement]:
     """All units eta >> 0 with max_j |log sigma_j(eta)| <= log(bound).
 
-    For the supported degree-2 fields these are eps0^(2t), |t| <= tmax, in
-    ascending order of sigma_1 (sigma_1(eps0) > 1); over Q only 1.
+    These are eps0^(2t), |t| <= tmax, in ascending order of sigma_1
+    (sigma_1(eps0) > 1).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if field.degree == 1:
-        return [field.one]
     tmax = int(math.floor((math.log(bound) + 1e-12) / (2 * math.log(field.eps1))))
     pos = [field.eps0 ** (2 * t) for t in range(1, tmax + 1)]
     return [field.one / u for u in reversed(pos)] + [field.one] + pos
 
 
-Q = FieldDescriptor(key="Q", degree=1, discriminant=1, omega_trace=0,
-                    omega_norm=0, fundamental_unit=None, fundamental_unit_norm=1)
 # omega = (1+sqrt5)/2, min poly t^2 - t - 1; eps0 = omega
-Q_SQRT5 = FieldDescriptor(key="Q_sqrt5", degree=2, discriminant=5, omega_trace=1,
-                          omega_norm=-1, fundamental_unit=(0, 1), fundamental_unit_norm=-1)
+Q_SQRT5 = FieldDescriptor(key="Q_sqrt5", discriminant=5, omega_trace=1, omega_norm=-1,
+                          fundamental_unit=(0, 1))
 # omega = sqrt2, min poly t^2 - 2; eps0 = 1 + sqrt2
-Q_SQRT2 = FieldDescriptor(key="Q_sqrt2", degree=2, discriminant=8, omega_trace=0,
-                          omega_norm=-2, fundamental_unit=(1, 1), fundamental_unit_norm=-1)
+Q_SQRT2 = FieldDescriptor(key="Q_sqrt2", discriminant=8, omega_trace=0, omega_norm=-2,
+                          fundamental_unit=(1, 1))
 
-_FIELDS = {"Q": Q, "Q_sqrt5": Q_SQRT5, "Q_sqrt2": Q_SQRT2}
+_FIELDS = {"Q_sqrt5": Q_SQRT5, "Q_sqrt2": Q_SQRT2}
 
 
 def get_field(key: str) -> FieldDescriptor:

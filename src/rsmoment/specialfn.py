@@ -11,12 +11,12 @@ Everything the moment machinery needs from classical analysis lives here:
   ascending series up to 2 sqrt(order + 1), Miller's backward recurrence
   normalized by the Neumann sum between), and scalar J as a one-point call
   of it,
-* the Laurent data of zeta_F(2u+1) at u = 0 that drives the
-  diagonal-term residue.
+* the Laurent data at u = 0 of the Riemann zeta(2u+1), some Euler factors
+  removed, that drives the diagonal-term residue of the moment over Q.
 
 The slow references the tests check these against (an mpmath J series,
-the Mellin-Barnes J, zeta_F(s) for Re(s) > 1, the ideal-norm zeta sum and
-the gamma-quotient ratio of the contour-shift argument) live in
+the Mellin-Barnes J, mpmath's zeta(s) with Euler factors removed, and the
+gamma-quotient ratio of the contour-shift argument) live in
 ``tests/oracles.py``.
 """
 
@@ -26,8 +26,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-
-from .numfield import FieldDescriptor
 
 __all__ = [
     "log_gamma",
@@ -235,7 +233,12 @@ def _bessel_series(order: int, x: np.ndarray) -> np.ndarray:
     if order <= 170:  # (x/2)^order <= (order+1)^(order/2) and order! stay finite
         lead = np.power(0.5 * x, order) / float(math.factorial(order))
     else:
-        lead = np.exp(order * np.log(0.5 * x) - math.lgamma(order + 1.0))
+        # a running product of (x/2)/j costs an ulp or so per factor; exp of
+        # order log(x/2) - lgamma(order + 1) would turn the absolute rounding
+        # of that exponent, hundreds in size, into relative error
+        half, lead = 0.5 * x, np.ones_like(x)
+        for j in range(1, order + 1):
+            lead *= half / j
     return lead * acc
 
 
@@ -342,93 +345,16 @@ def _bessel_miller(order: int, x: np.ndarray) -> np.ndarray:
 
 # -- zeta --------------------------------------------------------------------
 
-def _chi_quadratic(disc: int, m: int) -> int:
-    """Kronecker symbol (disc/m) for disc in {5, 8}."""
-    if disc == 5:
-        r = m % 5
-        return (0, 1, -1, -1, 1)[r]
-    if disc == 8:
-        r = m % 8
-        return (0, 1, 0, -1, 0, -1, 0, 1)[r]
-    raise ValueError("unsupported discriminant")
+def zeta_laurent_at_center(removed_primes=()) -> tuple[float, float]:
+    """(gamma_-1, gamma_0) of zeta(2u+1) F(2u+1) = gamma_-1/(2u) + gamma_0 + O(u),
 
-
-def _hurwitz_em(s: complex, a: float) -> complex:
-    """Hurwitz zeta(s, a) for Re(s) > 0, s != 1, 0 < a <= 1: Euler-Maclaurin
-    after 60 terms, with the B_2..B_16 corrections."""
-    N = 60
-    out = sum((n + a) ** (-s) for n in range(N))
-    M = N + a
-    out += M ** (1 - s) / (s - 1) + 0.5 * M ** (-s)
-    b2j = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510)
-    fact = 1.0
-    poch = s
-    mpow = M ** (-s - 1)
-    for j, b in enumerate(b2j, 1):
-        fact *= (2 * j - 1) * (2 * j)
-        out += b / fact * poch * mpow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        mpow /= M * M
-    return out
-
-
-def _dirichlet_l_em(disc: int, s: complex) -> complex:
-    """L(s, chi_disc) via the Hurwitz decomposition (pole-free: chi is nonprincipal)."""
-    s = complex(s)
-    if s == 1:
-        return complex(dirichlet_l_at_one(disc))
-    vals = [(_chi_quadratic(disc, r), r) for r in range(1, disc + 1)]
-    return disc ** (-s) * sum(c * _hurwitz_em(s, r / disc) for c, r in vals if c)
-
-
-def dirichlet_l_at_one(disc: int) -> float:
-    """L(1, chi) = -(1/d) * sum chi(r) psi(r/d)."""
-    return -sum(_chi_quadratic(disc, r) * digamma(r / disc)
-                for r in range(1, disc) if _chi_quadratic(disc, r)) / disc
-
-
-def zeta_laurent_at_center(field: FieldDescriptor, removed_primes=()) -> tuple[float, float]:
-    """(gamma_-1, gamma_0) of zeta_F^{removed}(2u+1) = gamma_-1/(2u) + gamma_0 + O(u).
-
-    gamma_-1 is twice the residue in u, i.e. rho_F * prod(removed Euler
-    factors at s=1); gamma_0 collects the Euler-Mascheroni-type constant and
-    the derivative of the removed factors.
+    zeta the Riemann zeta and F(s) = prod_{p removed} (1 - p^-s): gamma_-1 is
+    F(1), and gamma_0 = gamma F(1) + F(1) F'(1)/F(1) with gamma Euler's
+    constant, since zeta(1+w) = 1/w + gamma + O(w).
     """
-    if field.degree == 1:
-        lead = 1.0
-        const = EULER_GAMMA
-    else:
-        disc = field.discriminant
-        l1 = dirichlet_l_at_one(disc)
-        # L'(1, chi) by Richardson-extrapolated central differences
-        def diff(h):
-            return float((_dirichlet_l_em(disc, 1.0 + h) - _dirichlet_l_em(disc, 1.0 - h)).real) / (2 * h)
-        d1, d2 = diff(1e-2), diff(5e-3)
-        lp = (4 * d2 - d1) / 3
-        lead = l1
-        const = EULER_GAMMA * l1 + lp
-    # removed Euler factors: F(s) = prod (1 - N(l)^{-s}); zeta^rem = zeta_F * F
     f1 = 1.0
     flog_deriv = 0.0   # F'(1)/F(1)
     for p in removed_primes:
-        for np_, mult in _prime_ideal_norms(field, p):
-            f1 *= (1 - 1.0 / np_) ** mult
-            flog_deriv += mult * math.log(np_) / (np_ - 1)
-    # zeta_F(1+w) = lead/w + const + ...; with F(1+w) = f1 (1 + flog_deriv w + ...)
-    # and w = 2u: gamma_-1 = lead * f1, gamma_0 = const*f1 + lead*f1*flog_deriv
-    gamma_m1 = lead * f1
-    gamma_0 = const * f1 + lead * f1 * flog_deriv
-    return gamma_m1, gamma_0
-
-
-def _prime_ideal_norms(field: FieldDescriptor, p: int):
-    if field.degree == 1:
-        return [(p, 1)]
-    chi = _chi_quadratic(field.discriminant, p)
-    if chi == 1:
-        return [(p, 2)]
-    if chi == -1:
-        return [(p * p, 1)]
-    return [(p, 1)]
-
-
+        f1 *= 1 - 1.0 / p
+        flog_deriv += math.log(p) / (p - 1)
+    return f1, EULER_GAMMA * f1 + f1 * flog_deriv

@@ -422,8 +422,6 @@ def petersson_rhs_nf(nu: FieldElement, xi: FieldElement,
     with C = (-1)^{(k_1+k_2)/2} (2 pi)^2 / (2 sqrt(d_F)).
     """
     field = nu.field
-    if field.degree != 2:
-        raise ValueError("petersson_rhs_nf requires a quadratic field")
     if not (is_totally_positive(nu) and is_totally_positive(xi)):
         raise ValueError("nu and xi must be totally positive")
     k1, k2 = params.weight_vec
@@ -512,8 +510,6 @@ def _c_tail_bound(k1: int, k2: int, x, s: float, norm_bound: int) -> float:
 def unit_sum_tail(field: FieldDescriptor, lambda0: float, bound: float) -> CertValue:
     """Partial sum of prod_{|sigma_j(eta)|>1} |sigma_j(eta)|^{-lambda0} over
     totally positive units of height <= bound, plus the geometric tail."""
-    if field.degree != 2:
-        raise ValueError("unit sums require a quadratic field")
     if lambda0 < 0:
         raise ValueError("lambda0 must be >= 0")
     eps1 = field.eps1

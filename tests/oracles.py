@@ -176,65 +176,17 @@ def gamma_quotient_check(A: float, c: float, t: float) -> float:
     return math.exp((num - den).real - c * 0.5 * math.log(A * A + t * t))
 
 
-def _ideal_norm_counts(disc: int, length: int) -> np.ndarray:
-    """Number of integral ideals of norm m for m < length (r = 1 * chi_disc)."""
-    r = np.zeros(length)
-    for d in range(1, length):
-        c = sf._chi_quadratic(disc, d)
-        if c:
-            r[d::d] += c
-    r[0] = 0.0
-    return r
-
-
-def zeta_norm_sum_oracle(field, s: complex, length: int = 200000) -> complex:
-    """Brute-force sum over ideal norms with a partial-summation tail correction."""
-    if field.degree == 1:
-        raise ValueError("oracle is for the quadratic fields")
-    r = _ideal_norm_counts(field.discriminant, length)
-    m = np.arange(length, dtype=float)
-    m[0] = 1.0
-    val = complex(np.sum(r[1:] * m[1:] ** (-s)))
-    rho = field.zeta_residue
-    # E(x) = sum_{m<=x} r(m) - rho*x; tail = rho*N^{1-s}/(s-1) - E(N) N^{-s} + s*int E x^{-s-1}
-    N = length - 1
-    E = np.cumsum(r) - rho * np.arange(length)
-    val += rho * N ** (1 - s) / (s - 1) - E[N] * N ** (-s)
-    # integral term estimated numerically over computed range tail half
-    xs = np.arange(length // 2, length, dtype=float)
-    val += complex(s * np.sum(E[length // 2:] * xs ** (-s - 1)))
-    # the remaining integral beyond N is O(N^{1/2 - Re s}); ignored (oracle tolerance)
-    return val
-
-
-def zeta_partial(field, s: complex, removed_primes=()) -> complex:
-    """zeta_F(s) * prod_{l | removed}(1 - N(l)^{-s}) for Re(s) > 1.
-
-    Over Q this is Riemann zeta, Hurwitz zeta(s, 1) by Euler-Maclaurin.  For
-    the quadratic fields the Dedekind factorization zeta_F = zeta * L(chi_disc)
-    is used (an exact identity, checked against ``zeta_norm_sum_oracle``).
-    removed_primes are rational primes; every prime ideal above each is
-    removed.
-    """
+def zeta_partial(s: complex, removed_primes=()) -> complex:
+    """zeta(s) * prod_{p in removed_primes}(1 - p^-s) for Re(s) > 1, from
+    mpmath's Riemann zeta at 30 digits."""
     s = complex(s)
     if s.real <= 1:
         raise ValueError("outside convergence region")
-    if field.degree == 1:
-        val = sf._hurwitz_em(s, 1.0)
+    with mp.workdps(30):
+        val = mp.zeta(s)
         for p in removed_primes:
-            val *= 1 - p ** (-s)
-        return val
-    disc = field.discriminant
-    val = sf._hurwitz_em(s, 1.0) * sf._dirichlet_l_em(disc, s)
-    for p in removed_primes:
-        chi = sf._chi_quadratic(disc, p)
-        if chi == 1:      # split: two ideals of norm p
-            val *= (1 - p ** (-s)) ** 2
-        elif chi == -1:   # inert: one ideal of norm p^2
-            val *= 1 - p ** (-2 * s)
-        else:             # ramified: one ideal of norm p
-            val *= 1 - p ** (-s)
-    return val
+            val *= 1 - mp.mpf(p) ** (-s)
+        return complex(val)
 
 
 def petersson_rhs_q_paper_literal(m: int, n: int, k: int, c_max: int) -> float:

@@ -75,6 +75,17 @@ def test_kloosterman_c2_over_q_exit(capsys, tmp_path):
     assert not (tmp_path / "kloosterman.csv").exists()
 
 
+def test_kloosterman_unknown_field_exit(capsys, tmp_path):
+    # Q is a choice here, though numfield models the quadratic fields only
+    rc = main(["kloosterman", "--field", "Q_sqrt3", "--m", "1", "--n", "1", "--c", "3",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --field: invalid choice: 'Q_sqrt3'")
+    assert "'Q'" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_moment_weight_constraint_exit(capsys, tmp_path, delta_file):
     rc = main(["moment", "--g", delta_file, "--k", "12", "--outdir", str(tmp_path)])
     assert rc != 0
@@ -204,7 +215,7 @@ def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
 def test_config_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("--not-a-key=1\n")
-    assert main(["units", f"@{cfg}", "--outdir", str(tmp_path)]) == 2
+    assert main(["units", "--field", "Q_sqrt5", f"@{cfg}", "--outdir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: unrecognized arguments: --not-a-key=1\n"
     assert not (tmp_path / "units.csv").exists()
 
@@ -257,8 +268,9 @@ def test_unread_config_value_exit(capsys, tmp_path, monkeypatch, command, key, v
         flag = [option, value]
     args = {"moment": ["--g", "x.nf", "--k", "16"], "scan": ["--g", "x.nf"],
             "recover": ["--g", "x.nf"], "trace-check": [], "afe": ["--g", "x.nf"],
-            "kloosterman": ["--m", "1", "--n", "1", "--c", "3"], "units": [],
-            "rhs-nf": ["--k", "20,20"], "rhs": ["--k", "20,20"],
+            "kloosterman": ["--m", "1", "--n", "1", "--c", "3"],
+            "units": ["--field", "Q_sqrt5"], "rhs-nf": ["--field", "Q_sqrt5", "--k", "20,20"],
+            "rhs": ["--k", "20,20"],
             "make-newform": ["--k", "12", "--out", "x.nf"]}[command]
     assert main([command] + args + flag) == 2
     err = capsys.readouterr().err
@@ -267,6 +279,17 @@ def test_unread_config_value_exit(capsys, tmp_path, monkeypatch, command, key, v
                else f"unrecognized arguments: {option}")
     assert err.startswith(f"error: {refused}") and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == (["unread.cfg"] if via_config else [])
+
+
+@pytest.mark.parametrize("argv", [["units"], ["rhs-nf", "--k", "20,20"]])
+def test_field_required_exit(capsys, tmp_path, monkeypatch, argv):
+    # units and rhs-nf run over a real quadratic field only, so --field has
+    # no default there
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the following arguments are required: --field\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_config_values_pass_the_check():

@@ -1,15 +1,12 @@
-import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsmoment.numfield import (Q, Q_SQRT2, Q_SQRT5, FieldElement, conj, embed,
-                               get_field, is_totally_positive, norm,
+from rsmoment.numfield import (Q_SQRT2, Q_SQRT5, FieldDescriptor, FieldElement, conj,
+                               embed, get_field, is_totally_positive, norm,
                                totally_positive_units, trace)
-
-FIELDS = [Q, Q_SQRT5, Q_SQRT2]
 
 
 def bisect_root(poly, lo, hi, iters=200):
@@ -23,11 +20,6 @@ def bisect_root(poly, lo, hi, iters=200):
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def test_embed_identity_over_q():
-    x = Q.element(7)
-    assert embed(x) == (7.0,)
 
 
 def test_embed_sqrt5_against_bisection_oracle():
@@ -91,13 +83,9 @@ def test_embed_product_matches_norm_to_precision():
 def test_totally_positive_examples():
     assert is_totally_positive(Q_SQRT5.element(1, 1))      # 1 + omega
     assert not is_totally_positive(Q_SQRT5.omega)          # second embedding < 0
-    assert is_totally_positive(Q.element(3))
+    assert is_totally_positive(Q_SQRT5.element(3))
     with pytest.raises(ValueError, match="zero element"):
-        is_totally_positive(Q.element(0))
-
-
-def test_totally_positive_units_q():
-    assert totally_positive_units(Q, 100.0) == [Q.one]
+        is_totally_positive(Q_SQRT5.element(0))
 
 
 def test_totally_positive_units_sqrt5():
@@ -125,14 +113,6 @@ def test_unit_set_closed_under_inversion_and_unit_norms():
             assert is_totally_positive(u)
 
 
-def test_zeta_residue_class_number_formula():
-    assert Q.zeta_residue == 1.0
-    rho5 = 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-    rho8 = 2 * math.log(1 + math.sqrt(2)) / math.sqrt(8)
-    assert abs(Q_SQRT5.zeta_residue - rho5) < 1e-12
-    assert abs(Q_SQRT2.zeta_residue - rho8) < 1e-12
-
-
 def test_fundamental_unit_norms():
     assert norm(Q_SQRT5.eps0) == -1
     assert norm(Q_SQRT2.eps0) == -1
@@ -140,6 +120,10 @@ def test_fundamental_unit_norms():
     for field in (Q_SQRT5, Q_SQRT2):
         e = embed(field.eps0, 80)
         assert abs(float(e[0] * e[1]) - float(norm(field.eps0))) < 1e-15
+    # a unit of norm +1 (3 + 2 sqrt2 = eps0^2) is refused as eps0
+    with pytest.raises(ValueError, match="norm -1"):
+        FieldDescriptor(key="Q_sqrt2", discriminant=8, omega_trace=0, omega_norm=-2,
+                        fundamental_unit=(3, 2))
 
 
 def test_get_field():
