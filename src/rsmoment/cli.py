@@ -142,31 +142,39 @@ def cmd_afe(args) -> int:
     rows = ["k,index,g_scale,contour,L,certificate"]
     certs = {}
     spread_max = 0.0
+    bad = []
     for k in _parse_krange(args.k):
         # the cutoff central_value takes at tol = afe_tol, tail below afe_tol/2;
         # g must reach every cutoff before any form is built
-        cuts = [(cg, effective_cutoff(VParams((k,), (g.weight,), conductor=float(g.level),
-                                              g_scale=cg), args.afe_tol / 2.0))
+        cuts = [(cg, effective_cutoff(VParams(k, g.weight, g.level, cg), args.afe_tol / 2.0))
                 for cg in (0.5 * args.g_scale, args.g_scale, 2.0 * args.g_scale)]
         need = max(cut for _, cut in cuts)
         if g.length < need:
             raise ValueError(f"insufficient coefficients: need {need}, g has {g.length}")
         for f in eigenforms(k, 8):
-            vals = []
+            cvs = []
             for cg, cut in cuts:
                 cv = central_value(eigenforms(k, cut)[f.index], g, g_scale=cg,
                                    contour=args.contour, cutoff=cut)
-                vals.append(cv.value)
+                cvs.append(cv)
                 # six digits, as rhs-nf: a certificate sized just below
                 # --afe-tol must not print as --afe-tol itself
                 rows.append(f"{k},{f.index},{cg},{args.contour},{cv.value:.15g},"
                             f"{cv.certificate:.6g}")
                 certs[f"k{k}f{f.index}cg{cg}"] = cv.certificate
-            spread_max = max(spread_max, max(vals) - min(vals))
+            # one value at every g_scale: the functional-equation test of g
+            lo, _, hi = sorted(cvs, key=lambda cv: cv.value)
+            spread = hi.value - lo.value
+            spread_max = max(spread_max, spread)
+            if spread > lo.certificate + hi.certificate:
+                bad.append(f"k = {k}, form {f.index}: spread {spread:.3g} across g_scale "
+                           f"exceeds certificates {lo.certificate:.3g} + {hi.certificate:.3g}")
     rows.append(f"# max spread across g_scale values: {spread_max:.3g}")
     _write_outputs(args, "\n".join(rows) + "\n", certs, "afe")
     print("\n".join(rows))
-    return 0
+    for line in bad:
+        print(line, file=sys.stderr)
+    return 3 if bad else 0
 
 
 def cmd_moment(args) -> int:

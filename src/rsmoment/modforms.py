@@ -468,23 +468,10 @@ def load_newform(path) -> Eigenform:
 
 
 def _ramanujan_check(rec: Eigenform):
-    limit = min(rec.length, 2000)
-    for p in _primes_below(limit + 1):
-        if rec.level % p == 0:
-            continue
-        if abs(rec.cn[p]) > 2.0 + 1e-9:
+    for p in range(2, min(rec.length, 2000) + 1):
+        if abs(rec.cn[p]) > 2.0 + 1e-9 and rec.level % p and series.prime_divisors(p) == (p,):
             warnings.warn(f"Ramanujan violation at p={p}: |C({p})| = {abs(rec.cn[p]):.6f}")
             break
-
-
-def _primes_below(n: int) -> list[int]:
-    sieve = bytearray([1]) * n
-    out = []
-    for p in range(2, n):
-        if sieve[p]:
-            out.append(p)
-            sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return out
 
 
 def write_newform(rec: Eigenform, path):

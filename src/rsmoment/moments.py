@@ -3,11 +3,11 @@
 The eigenform side sum_f L(f x g, 1/2) C_f(p) omega_f equals, by the
 approximate functional equation plus the Petersson formula, a diagonal term
 
-    M = 2 C_g(p)/sqrt(N(p)) * sum_d a_d/d V(4 pi^2 N(p) d^2 / Q)
+    M = 2 C_g(p)/sqrt(p) * sum_{gcd(d, N) = 1} V(4 pi^2 p d^2 / N)/d,
 
-and an off-diagonal term E built from Kloosterman sums against J-Bessel
-factors.  M also has a closed residue form via the Laurent data of
-zeta(2u+1) and digamma values; the difference is the shifted-contour
+N the level of g, and an off-diagonal term E built from Kloosterman sums
+against J-Bessel factors.  M also has a closed residue form via the Laurent
+data of zeta(2u+1) and digamma values; the difference is the shifted-contour
 remainder, of size O(1/k).  Everything here carries propagated truncation
 certificates, and the identity residual |LHS - M - E| is checked against
 the combined certificate on every report.
@@ -130,8 +130,9 @@ def _validate_pair(g: Eigenform, p: int, k: int):
             raise ValueError("p must not divide the level of g")
 
 
-def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
-    """W(nu) = sum_{gcd(d,level)=1} V(4 pi^2 nu d^2 / Q)/d at ascending nus, certified.
+def _w_sum(vp: VParams, nus: np.ndarray, tol: float):
+    """W(nu) = sum_{gcd(d,N)=1} V(4 pi^2 nu d^2 / N)/d, N = ``vp.level``, at
+    ascending nus, certified.
 
     The d range ends at the first coprime d >= 4 with envelope(nus[0])/d < tol,
     searched on blocks of d, one envelope call per block.  Returns
@@ -148,7 +149,7 @@ def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
     while True:
         block = np.arange(start, start + size)
         envs = vq.envelope(vp.afe_argument(nus[0] * block * block))
-        stop = np.nonzero((envs / block < tol) & (block >= 4) & (np.gcd(block, level) == 1))[0]
+        stop = np.nonzero((envs / block < tol) & (block >= 4) & (np.gcd(block, vp.level) == 1))[0]
         if len(stop):
             d = int(block[stop[0]])
             break
@@ -156,12 +157,12 @@ def _w_sum(vp: VParams, level: int, nus: np.ndarray, tol: float):
         size *= 2
         if start > 10 ** 6:
             raise UncertifiedError("d-sum failed to certify")
-    ds = [e for e in range(1, d) if math.gcd(e, level) == 1]
+    ds = [e for e in range(1, d) if math.gcd(e, vp.level) == 1]
     # the d-tail (above), and the quadrature tail once per term,
     # sum_{d' < d} 1/d' <= 1 + log d
     D = 8 * d
     near = np.arange(d, D)
-    near = near[np.gcd(near, level) == 1]
+    near = near[np.gcd(near, vp.level) == 1]
     y_D = vp.afe_argument(nus[0] * D * D)
     cert = (float(np.sum(vq.envelope(vp.afe_argument(nus[0] * near * near)) / near))
             + float(vq.envelope(y_D)[0]) * (1.0 / D + 0.5 / vq.envelope_slope(y_D))
@@ -184,8 +185,7 @@ _RECOVERY_W_TOL = 1e-10 / 16  # W(p) stop rule of the recovery, and of M in a re
 
 def _w_at_p(g: Eigenform, p: int, k: int, g_scale: float, tol: float):
     """(W(p), certificate): ``_w_sum`` at the one nu = p."""
-    vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
-    W, cert, _ = _w_sum(vp, g.level, np.array([float(p)]), tol)
+    W, cert, _ = _w_sum(VParams(k, g.weight, g.level, g_scale), np.array([float(p)]), tol)
     return float(W[0]), cert
 
 
@@ -228,13 +228,13 @@ def e_term(g: Eigenform, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
     range ends at ``nu_cutoff``, or by default at ``_e_nu_range``.
     """
     _validate_pair(g, p, k)
-    vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
+    vp = VParams(k, g.weight, g.level, g_scale)
     M = nu_cutoff or _e_nu_range(vp, tol)
     if g.length < M:
         raise ValueError(f"need C_g up to {M}")
     nu_idx = np.arange(1, M + 1)
     nus = nu_idx.astype(float)
-    W, w_cert, _ = _w_row(vp, g.level, M, tol)
+    W, w_cert, _ = _w_row(vp, M, tol)
     cg = np.asarray(g.cn[: M + 1])
     wt = cg[1:] * W / np.sqrt(nus)
     x_all = 4.0 * math.pi * np.sqrt(nus * p)
@@ -282,11 +282,11 @@ def _e_nu_range(vp: VParams, tol: float) -> int:
         vp, tol / 16.0, lambda n: _series.divisor_count_sieve(n) ** 3))
 
 
-def _w_row(vp: VParams, level: int, M: int, tol: float):
+def _w_row(vp: VParams, M: int, tol: float):
     """``_w_sum`` at nu = 1..M and tol 1e-4 of e_term's: one build per weight,
     shared by every twist p."""
-    return _series.memo(("W row", vp, level, M, tol), lambda: _w_sum(
-        vp, level, np.arange(1, M + 1, dtype=float), tol * 1e-4))
+    return _series.memo(("W row", vp, M, tol), lambda: _w_sum(
+        vp, np.arange(1, M + 1, dtype=float), tol * 1e-4))
 
 
 def _e_cmax(k: int, x_max: float, wt_abs: np.ndarray, tol: float) -> int:
@@ -334,7 +334,7 @@ def lhs_moment(g: Eigenform, p: int, k: int, g_scale: float = DEFAULT_G_SCALE,
     _validate_pair(g, p, k)
     if dim_cusp(k) == 0:
         return CertValue(value=0.0, certificate=0.0)
-    vp = VParams((k,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
+    vp = VParams(k, g.weight, g.level, g_scale)
     cutoff = effective_cutoff(vp, afe_tol / 2.0)
     if g.length < cutoff:
         raise ValueError(f"need C_g up to {cutoff}")

@@ -8,10 +8,10 @@ vertical line Re(u) = sigma > 0, with gamma(1/2,u) the ratio of archimedean
 factors and G(u) = exp(c_G u^2) an even holomorphic damper, G(0)=1.  The
 central value is the identity
 
-    L(f x g, 1/2) = 2 sum_m b_m / sqrt(m) * V(4^n pi^{2n} m / Q),
+    L(f x g, 1/2) = 2 sum_m b_m / sqrt(m) * V(4 pi^2 m / N),
 
-independent of both c_G and the contour height; that independence is the
-module's primary self-check.
+with N the level of g, independent of both c_G and the contour height;
+that independence is the module's primary self-check.
 
 Numerics: trapezoidal quadrature on the vertical line (the integrand is
 analytic in a strip and Gaussian-decaying, so the trapezoid converges
@@ -79,47 +79,40 @@ class UncertifiedError(RuntimeError):
 
 @dataclass(frozen=True)
 class VParams:
-    """Archimedean data of the pair (f, g): weights, conductor, G-scale."""
+    """Archimedean data of the pair (f, g): weights k >= l, g's level N, the
+    G-scale c_G, and the gamma shifts a1 = (k-l+1)/2, a2 = (k+l-1)/2."""
 
-    k_vec: tuple[int, ...]
-    l_vec: tuple[int, ...]
-    conductor: float = 1.0
+    k: int
+    l: int
+    level: int = 1
     g_scale: float = DEFAULT_G_SCALE
 
     def __post_init__(self):
-        if len(self.k_vec) != len(self.l_vec):
-            raise ValueError("weight vectors must share a length")
-        for kj, lj in zip(self.k_vec, self.l_vec):
-            if kj % 2 or lj % 2:
-                raise ValueError("weights must be even")
-            if kj < lj:
-                raise ValueError("weight constraint k_j >= l_j violated")
-        if self.conductor < 1:
-            raise ValueError("conductor must be >= 1")
+        if self.k % 2 or self.l % 2:
+            raise ValueError("weights must be even")
+        if self.k < self.l:
+            raise ValueError("weight constraint k >= l violated")
+        if self.level < 1:
+            raise ValueError("level must be >= 1")
         if self.g_scale <= 0:
             raise ValueError("g_scale must be positive")
 
     @property
-    def degree(self) -> int:
-        return len(self.k_vec)
+    def a1(self) -> float:
+        return (self.k - self.l + 1) / 2.0
 
-    def gamma_shifts(self) -> list[tuple[float, float]]:
-        """The (a1, a2) = ((|k-l|+1)/2, (k+l-1)/2) per embedding."""
-        return [((abs(kj - lj) + 1) / 2.0, (kj + lj - 1) / 2.0)
-                for kj, lj in zip(self.k_vec, self.l_vec)]
+    @property
+    def a2(self) -> float:
+        return (self.k + self.l - 1) / 2.0
 
     def afe_argument(self, m) -> np.ndarray | float:
-        n = self.degree
-        return (4.0 ** n) * math.pi ** (2 * n) * m / self.conductor
+        """y_m = 4 pi^2 m / N, where the AFE reads V for b_m."""
+        return 4.0 * math.pi ** 2 * m / self.level
 
 
 def _log_gamma_quotient(p: VParams, u):
-    """log of prod_j Gamma(a1 + u) Gamma(a2 + u) / (Gamma(a1) Gamma(a2)),
-    elementwise in u."""
-    out = 0.0
-    for a1, a2 in p.gamma_shifts():
-        out = out + (log_gamma(a1 + u) - log_gamma(a1)) + (log_gamma(a2 + u) - log_gamma(a2))
-    return out
+    """log of Gamma(a1 + u) Gamma(a2 + u) / (Gamma(a1) Gamma(a2)), elementwise in u."""
+    return (log_gamma(p.a1 + u) - log_gamma(p.a1)) + (log_gamma(p.a2 + u) - log_gamma(p.a2))
 
 
 def _gamma_quotient_u(p: VParams, u):
@@ -139,10 +132,9 @@ class VQuadrature:
         t_max = math.sqrt(max(1.0, math.log(max(pref, 1.0) / (1e-13 * contour)) / cg)) + 2.0
         self.line, tail = self._build(contour, 0.125, t_max)
         # residue-split nodes for tiny y: contour between u = 0 and the
-        # nearest gamma pole at u = -min_j (|k_j-l_j|+1)/2, kept at least
-        # 0.3 away from it so the trapezoid stays geometric
-        a1_min = min(a1 for a1, _ in p.gamma_shifts())
-        sigma_neg = -min(0.45, max(0.1, a1_min - 0.3))
+        # nearest gamma pole at u = -a1, kept at least 0.3 away from it so
+        # the trapezoid stays geometric
+        sigma_neg = -min(0.45, max(0.1, p.a1 - 0.3))
         self.neg_line, neg_tail = self._build(sigma_neg, 0.05, t_max)
         self.quad_tail = max(tail, neg_tail)  # one tail covers either line
         # log of the line bound constant per sigma on the envelope grid
@@ -344,15 +336,7 @@ def b_coefficients(f: Eigenform, g: Eigenform, M: int) -> np.ndarray:
     """
     if f.length < M or g.length < M:
         raise ValueError("insufficient coefficients for requested length")
-    prod = f.cn[: M + 1] * g.cn[: M + 1]
-    b = np.zeros(M + 1)
-    d = 1
-    while d * d <= M:
-        if math.gcd(d, g.level) == 1:
-            s = d * d
-            j_max = M // s
-            b[s:: s] += prod[1: j_max + 1]
-        d += 1
+    b = _series.square_divisor_sum(f.cn[: M + 1] * g.cn[: M + 1], g.level)
     if abs(b[1] - 1.0) > 1e-9:
         raise ValueError("b_1 must be 1 for normalized forms at coprime levels")
     bound = _series.deligne_bound_sieve(M + 1)
@@ -484,7 +468,7 @@ def central_value(f: Eigenform, g: Eigenform, g_scale: float = DEFAULT_G_SCALE,
         # holds for entire completed L, so f = g is out of contract.
         raise ValueError("Rankin-Selberg pair f = g has a polar L-function; "
                          "the symmetric approximate functional equation does not apply")
-    p = VParams((f.weight,), (g.weight,), conductor=float(g.level), g_scale=g_scale)
+    p = VParams(f.weight, g.weight, g.level, g_scale)
     if cutoff is None:
         cutoff = effective_cutoff(p, tol / 2.0)
     if f.length < cutoff or g.length < cutoff:

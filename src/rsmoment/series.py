@@ -26,24 +26,25 @@ Two multiplication engines:
 Both engines convolve through one helper, ``_fft_conv`` (``numpy.fft`` real
 transforms at a 5-smooth length).
 
-Also hosts the arithmetic sieves (sigma_k, divisor counts, Deligne's bound
-B(m) on Rankin-Selberg coefficients), prime divisors,
-and the standard level-1 generators: eta powers via the pentagonal/Jacobi
-sparse expansions, Delta, and every Eisenstein series E_w as one integral
-multiple D E_w, read off one exact sigma_{w-1} sieve.
+Also hosts the arithmetic sieves, one per quantity: sigma_k (exact, and as
+float64 rounded once per entry), d(n), and Deligne's bound B(m) through the
+one sum over square divisors that also builds the Rankin-Selberg b_m
+(``square_divisor_sum``); prime divisors; and the standard level-1
+generators: eta powers via the pentagonal/Jacobi sparse expansions, Delta,
+and every Eisenstein series E_w as one integral multiple D E_w, read off
+one exact sigma_{w-1} sieve.
 
-All program state lives in one store, ``_STORE``.  Every exact series here
-and in ``modforms`` but the exact sigma sieve, which only
-``eisenstein_exact`` reads, and the float sieves are grow-only entries
-(``stored``): a request is a slice of the longest build so far, and a
-request past it rebuilds at 3/2 of the held length or more.  Each of them
-is the same whatever the build length, so a slice equals a fresh build; no
-other float series is stored.  Everything else the checker reuses
-(eigenforms per weight and length, Hecke data, omega solves, V quadratures,
-AFE cutoffs and grids, the E-term's W rows and nu-tail rows, Kloosterman
-rows, inverse and residue tables) is built once per key (``memo``).
-``clear_store`` drops everything, so it is the one reset of the whole
-checker.
+All program state lives in one store, ``_STORE``.  The grow-only entries
+(``stored``) are every exact series here and in ``modforms`` but the exact
+sigma sieve, and the float sieves of sigma_k, d(n) and B(m): a request is
+a slice of the longest build so far, and a request past it rebuilds at 3/2
+of the held length or more.  Each of them is the same whatever the build
+length, so a slice equals a fresh build; no other float series is stored.
+Everything else the checker reuses (eigenforms per weight and length, Hecke
+data, omega solves, V quadratures, AFE cutoffs and grids, the E-term's W
+rows and nu-tail rows, Kloosterman rows, inverse and residue tables) is
+built once per key (``memo``).  ``clear_store`` drops everything, so it is
+the one reset of the whole checker.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "sigma_sieve",
     "divisor_count_sieve",
     "deligne_bound_sieve",
+    "square_divisor_sum",
     "eta3_sparse",
     "eta6_float",
     "delta_exact",
@@ -398,44 +400,40 @@ def mul_float(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
     return out
 
 
-def _divisor_sums(power: int, length: int) -> np.ndarray:
-    """Read-only sigma_power(m) for m < length, from the store.
+def sigma_sieve(power: int, length: int) -> np.ndarray:
+    """sigma_power(n) for n < length as read-only float64 (index 0 is 0),
+    from the store: ``sigma_sieve_exact`` with each entry rounded once."""
+    return stored(("sigma", power), length,
+                  lambda n: np.array(sigma_sieve_exact(power, n), dtype=float))
 
-    Each index m receives its terms in the same order (d ascending over the
-    divisors d <= sqrt(m), d^p + (m/d)^p at a time) whatever the build
-    length, so every request is bit-identical to a fresh build.
-    """
+
+def divisor_count_sieve(length: int) -> np.ndarray:
+    """d(n) for n < length as read-only float64 (index 0 is 0), from the
+    store: each d counts once at d^2 and twice at d j, j > d."""
     def build(n):
         s = np.zeros(n)
         d = 1
         while d * d < n:
-            dp = float(d) ** power
-            s[d * d] += dp
-            j1 = (n - 1) // d + 1  # cofactors d < j < j1
-            if d + 1 < j1:
-                s[d * (d + 1):d * j1:d] += dp + _int_powers(d + 1, j1, power)
+            s[d * d] += 1.0
+            s[d * (d + 1)::d] += 2.0
             d += 1
         return s
-    return stored(("sigma", power), length, build)
+    return stored(("divisor count",), length, build)
 
 
-def _int_powers(j0: int, j1: int, power: int) -> np.ndarray:
-    # repeated products, so every entry is rounded the same way wherever it sits
-    js = np.arange(j0, j1, dtype=np.float64)
-    out = np.ones_like(js)
-    for _ in range(power):
-        out *= js
+def square_divisor_sum(x: np.ndarray, level: int = 1) -> np.ndarray:
+    """out[m] = sum_{d^2 | m, gcd(d, level) = 1} x[m/d^2] for 0 < m < len(x),
+    out[0] = 0, added in ascending d: the one sum over square divisors behind
+    the Rankin-Selberg coefficients b_m and Deligne's bound B(m)."""
+    n = len(x)
+    out = np.zeros(n)
+    d = 1
+    while d * d < n:
+        if math.gcd(d, level) == 1:
+            sq = d * d
+            out[sq::sq] += x[1:(n - 1) // sq + 1]
+        d += 1
     return out
-
-
-def sigma_sieve(power: int, length: int) -> np.ndarray:
-    """sigma_power(n) for n < length as read-only float64 (index 0 is 0)."""
-    return _divisor_sums(power, length)
-
-
-def divisor_count_sieve(length: int) -> np.ndarray:
-    """d(n) for n < length as read-only float64 (index 0 is 0)."""
-    return _divisor_sums(0, length)
 
 
 def deligne_bound_sieve(length: int) -> np.ndarray:
@@ -448,16 +446,8 @@ def deligne_bound_sieve(length: int) -> np.ndarray:
     d(m/d^2) <= d(m) and the d with d^2 | m are at most d(m) many.  Every
     entry is an integer far below 2^53, so a slice equals a fresh build.
     """
-    def build(n):
-        d2 = divisor_count_sieve(n) ** 2
-        out = np.zeros(n)
-        d = 1
-        while d * d < n:
-            s = d * d
-            out[s::s] += d2[1:(n - 1) // s + 1]
-            d += 1
-        return out
-    return stored(("deligne bound",), length, build)
+    return stored(("deligne bound",), length,
+                  lambda n: square_divisor_sum(divisor_count_sieve(n) ** 2))
 
 
 def prime_divisors(n: int) -> tuple[int, ...]:
@@ -476,10 +466,8 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 
 
 def sigma_sieve_exact(power: int, length: int) -> tuple[int, ...]:
-    """sigma_power(n) for n < length as exact integers (index 0 is 0).
-
-    Not stored: its one caller, ``eisenstein_exact``, stores its multiple.
-    """
+    """sigma_power(n) for n < length as exact integers (index 0 is 0); not
+    stored, as its callers store its multiple or its rounding."""
     s = [0] * length
     for d in range(1, length):
         dp = d ** power

@@ -111,25 +111,38 @@ def poly_eval(coeffs, x):
 
 
 def v_function(y: float, p: rk.VParams, contour: float = rk.DEFAULT_CONTOUR) -> float:
-    """V_{1/2}(y) by contour quadrature."""
-    return rk._vq(p, contour).value(y)
+    """V_{1/2}(y) from its definition: the integral over Re(u) = contour of
+    y^-u Gamma(a1 + u) Gamma(a2 + u) / (Gamma(a1) Gamma(a2)) exp(c_G u^2) / u,
+    over 2 pi i, by mpmath quadrature at 30 digits on |Im u| <= 30."""
+    def f(t):
+        u = mp.mpf(contour) + 1j * t
+        return (mp.e ** (-u * mp.log(y)) * mp.gamma(p.a1 + u) / mp.gamma(p.a1)
+                * mp.gamma(p.a2 + u) / mp.gamma(p.a2) * mp.e ** (p.g_scale * u * u) / u)
+    with mp.workdps(30):
+        return float(mp.quad(f, [-30, 0, 30]).real / (2 * mp.pi))
 
 
 def bessel_j_highprec(order: int, x, dps: int = 40):
-    """Ascending series in mpmath; slow, used as an oracle."""
+    """J_order(x) by its ascending series in mpmath, to about dps digits
+    relative; slow, used as an oracle.
+
+    The sum stops at the first term below 10^-(dps+10) of the running total
+    once the terms fall; the working precision carries x/2 extra digits for
+    the cancellation of the largest terms."""
     extra = int(0.5 * x) + 30
     with mp.workdps(dps + extra):
-        xm = mp.mpf(x)
-        half = xm / 2
+        half = mp.mpf(x) / 2
         term = half ** order / mp.factorial(order)
         total = term
         j = 0
         x2 = half * half
+        eps = mp.mpf(10) ** (-(dps + 10))
         while True:
             j += 1
-            term *= -x2 / (j * (order + j))
+            ratio = x2 / (j * (order + j))
+            term *= -ratio
             total += term
-            if abs(term) < mp.mpf(10) ** (-(dps + 10)) * (abs(total) + 1):
+            if ratio < 1 and abs(term) < eps * abs(total):
                 break
             if j > 10 * int(x) + 200:
                 break

@@ -111,7 +111,7 @@ def test_criterion_5_residue_vs_direct(scan_p1):
 
 
 def _afe_cutoff_model(k, l, cg, target=1e-9):
-    vp = rk.VParams((k,), (l,), g_scale=cg)
+    vp = rk.VParams(k, l, g_scale=cg)
     vq = rk._vq(vp)
     m = 1024
     while True:

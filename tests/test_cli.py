@@ -367,6 +367,21 @@ def test_afe_command(capsys, tmp_path, delta_file):
     assert "max spread" in text
 
 
+def test_afe_exits_3_when_g_fails_its_functional_equation(capsys, tmp_path, delta_file):
+    # Delta's coefficients under a header that says level 3: L(f x g, 1/2)
+    # then moves with g_scale (by 0.155 at k = 16) far past the certificates
+    lines = Path(delta_file).read_text().splitlines()
+    assert lines[1] == "level 1"
+    wrong = tmp_path / "level3.nf"
+    wrong.write_text("\n".join([lines[0], "level 3"] + lines[2:]) + "\n")
+    rc = main(["afe", "--g", str(wrong), "--k", "16", "--outdir", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("k = 16, form 0: spread 0.155 across g_scale "
+                                               "exceeds certificates ")
+    assert len((tmp_path / "afe.csv").read_text().splitlines()) == 5
+
+
 def test_afe_checks_g_length_before_building_forms(capsys, tmp_path, monkeypatch):
     short = tmp_path / "short.nf"
     assert main(["make-newform", "--k", "12", "--count", "300", "--out", str(short)]) == 0

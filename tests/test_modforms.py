@@ -263,7 +263,9 @@ def test_multiplicativity_and_hecke_relation_float_range():
 
 def test_ramanujan_bound_at_primes():
     f = mf.eigenforms(12, 3000)[0]
-    for p in mf._primes_below(3000):
+    primes = [p for p in range(2, 3000) if series.prime_divisors(p) == (p,)]
+    assert len(primes) == 430  # pi(3000)
+    for p in primes:
         assert abs(f.c(p)) <= 2.0 + 1e-9
 
 

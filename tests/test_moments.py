@@ -105,13 +105,13 @@ def test_m_direct_tolerance_stability(delta_record):
 def test_w_sum_matches_pointwise_sum(k, level, l):
     # the one d-sum behind M, E and recovery, against scalar V summed over
     # four times its d range; M's and E's default stop tolerances
-    vp = mo.VParams((k,), (l,), conductor=float(level))
+    vp = mo.VParams(k, l, level)
     vq = mo._vq(vp)
     M = mo._e_nu_range(vp, E_TOL)
     cases = [(np.array([float(p)]), 1e-9 / 16) for p in (1, 2, 5)]
     cases.append((np.arange(1.0, M + 1), E_TOL * 1e-4))
     for nus, tol in cases:
-        W, cert, d_end = mo._w_sum(vp, level, nus, tol)
+        W, cert, d_end = mo._w_sum(vp, nus, tol)
         # the stop rule one d at a time: the first coprime d >= 4 below tol
         d_ref = next(d for d in range(4, 10 ** 6) if math.gcd(d, level) == 1
                      and float(vq.envelope(vp.afe_argument(nus[0] * d * d))[0]) / d < tol)
@@ -138,11 +138,11 @@ def test_w_sum_matches_pointwise_sum(k, level, l):
 def test_w_sum_stop_rule_against_8x_d_range(k):
     # falsifies the stop rule's d-tail: W over d < 8 d_end moves by at most
     # the certificate
-    vp = mo.VParams((k,), (12,))
+    vp = mo.VParams(k, 12)
     vq = mo._vq(vp)
     for tol in (1e-10 / 16, 1e-10):
         for nu in (1.0, 2.0, 3.0, 5.0):
-            W, cert, d_end = mo._w_sum(vp, 1, np.array([nu]), tol)
+            W, cert, d_end = mo._w_sum(vp, np.array([nu]), tol)
             ds = np.arange(1.0, 8 * d_end)
             vals, interp_err = vq.values(vp.afe_argument(nu * ds * ds))
             assert interp_err == 0.0
@@ -172,14 +172,14 @@ def test_bad_twist_raises(delta_record, p):
 
 def test_e_term_stability_under_doubled_truncations(delta_record):
     base = mo.e_term(delta_record, 1, 20)
-    vp_cut = mo._e_nu_range(mo.VParams((20,), (12,)), E_TOL)
+    vp_cut = mo._e_nu_range(mo.VParams(20, 12), E_TOL)
     doubled = mo.e_term(delta_record, 1, 20, nu_cutoff=2 * vp_cut)
     assert abs(base.value - doubled.value) <= 1e-6
     # four times the nu range moves E by at most the certificate, plus 1e-14
     # relative for rounding, which the certificate (truncation only) does not cover
     for k in (20, 24, 32):
         short = mo.e_term(delta_record, 1, k)
-        M = mo._e_nu_range(mo.VParams((k,), (12,)), E_TOL)
+        M = mo._e_nu_range(mo.VParams(k, 12), E_TOL)
         long = mo.e_term(delta_record, 1, k, nu_cutoff=4 * M)
         gap = abs(long.value - short.value)
         assert gap <= short.certificate + 1e-14 * max(1.0, abs(short.value)), (k, gap)
@@ -198,7 +198,7 @@ def test_e_term_certificate_ignores_earlier_spline_calls(delta_record):
     after = mo.e_term(delta_record, 1, 24)
     assert after.certificate == before.certificate
     assert after.value == before.value
-    vp = mo.VParams((24,), (12,))
+    vp = mo.VParams(24, 12)
     _, interp_err = mo._vq(vp).values(vp.afe_argument(np.arange(1.0, n + 1)))
     assert interp_err > 0.0  # the central value above was interpolated
 
@@ -209,10 +209,10 @@ def test_moment_report_ignores_earlier_twists(delta_record, monkeypatch):
     rows = []
     w_sum = mo._w_sum
 
-    def counting(vp, level, nus, tol):
+    def counting(vp, nus, tol):
         if len(nus) > 1:  # the E-term's row; M and the recovery ask one nu
             rows.append(len(nus))
-        return w_sum(vp, level, nus, tol)
+        return w_sum(vp, nus, tol)
     monkeypatch.setattr(mo, "_w_sum", counting)
     series.clear_store()
     for p in (1, 2, 3):
@@ -229,10 +229,10 @@ def test_moment_report_evaluates_w_at_p_once(delta_record, monkeypatch):
     single = []
     w_sum = mo._w_sum
 
-    def counting(vp, level, nus, tol):
+    def counting(vp, nus, tol):
         if len(nus) == 1:
             single.append(tol)
-        return w_sum(vp, level, nus, tol)
+        return w_sum(vp, nus, tol)
     monkeypatch.setattr(mo, "_w_sum", counting)
     for p, k in ((1, 16), (2, 24), (5, 30)):
         single.clear()
@@ -250,10 +250,10 @@ def _e_unskipped(g, p, k):
     """E over every (nu, c) point of its grid, the certificate before skipping,
     and the number of grid points (all of which the loop used to evaluate)."""
     tol = E_TOL
-    vp = mo.VParams((k,), (g.weight,))
+    vp = mo.VParams(k, g.weight, g.level)
     M = mo._e_nu_range(vp, tol)
     nus = np.arange(1.0, M + 1)
-    W, w_cert, _ = mo._w_sum(vp, g.level, nus, tol * 1e-4)
+    W, w_cert, _ = mo._w_sum(vp, nus, tol * 1e-4)
     cg = np.asarray(g.cn[: M + 1])
     wt = cg[1:] * W / np.sqrt(nus)
     x = 4.0 * math.pi * np.sqrt(nus * p)

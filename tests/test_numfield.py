@@ -122,8 +122,7 @@ def test_fundamental_unit_norms():
         assert abs(float(e[0] * e[1]) - float(norm(field.eps0))) < 1e-15
     # a unit of norm +1 (3 + 2 sqrt2 = eps0^2) is refused as eps0
     with pytest.raises(ValueError, match="norm -1"):
-        FieldDescriptor(key="Q_sqrt2", discriminant=8, omega_trace=0, omega_norm=-2,
-                        fundamental_unit=(3, 2))
+        FieldDescriptor(key="Q_sqrt2", omega_trace=0, omega_norm=-2, fundamental_unit=(3, 2))
 
 
 def test_get_field():
@@ -133,6 +132,7 @@ def test_get_field():
 
 
 def test_different_generator_totally_positive_square_is_disc():
+    assert (Q_SQRT5.discriminant, Q_SQRT2.discriminant) == (5, 8)
     for field in (Q_SQRT5, Q_SQRT2):
         d = field.different_gen
         assert is_totally_positive(d)

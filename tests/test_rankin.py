@@ -35,53 +35,42 @@ def deligne_bounds_every_rankin_series(monkeypatch):
 
 
 def test_vparams_validation():
-    with pytest.raises(ValueError, match="k_j >= l_j"):
-        rk.VParams((12,), (16,))
+    with pytest.raises(ValueError, match="k >= l"):
+        rk.VParams(12, 16)
     with pytest.raises(ValueError, match="even"):
-        rk.VParams((13,), (11,))
+        rk.VParams(13, 11)
     with pytest.raises(ValueError):
-        rk.VParams((16,), (12,), conductor=0.5)
+        rk.VParams(16, 12, level=0)
     with pytest.raises(ValueError):
-        rk.VParams((16,), (12,), g_scale=0.0)
+        rk.VParams(16, 12, g_scale=0.0)
     # equal weights allowed (distinct forms have entire Rankin-Selberg L)
-    rk.VParams((24,), (24,))
+    rk.VParams(24, 24)
 
 
 def test_v_at_tiny_y_is_one():
-    p = rk.VParams((14,), (12,))
-    assert abs(oracles.v_function(1e-8, p) - 1.0) < 1e-4
+    p = rk.VParams(14, 12)
+    assert abs(rk._vq(p).value(1e-8) - 1.0) < 1e-4
 
 
 def test_v_decay_at_ten_k_squared():
-    p = rk.VParams((14,), (12,))
-    assert abs(oracles.v_function(10 * 14 ** 2, p)) <= 0.05
+    p = rk.VParams(14, 12)
+    assert abs(rk._vq(p).value(10 * 14 ** 2)) <= 0.05
 
 
 def test_v_contour_invariance():
-    p = rk.VParams((16,), (12,), g_scale=1.0)
-    vals = [oracles.v_function(3.7, p, contour=c) for c in (1.0, 1.5, 2.0)]
+    p = rk.VParams(16, 12, g_scale=1.0)
+    vals = [rk._vq(p, contour=c).value(3.7) for c in (1.0, 1.5, 2.0)]
     assert max(vals) - min(vals) < 1e-9
 
 
 def test_v_matches_independent_quadrature_oracle():
-    import mpmath as mp
-    p = rk.VParams((16,), (12,), g_scale=0.5)
-
-    def oracle(y):
-        a1, a2 = p.gamma_shifts()[0]
-        def f(t):
-            u = mp.mpf(1.5) + 1j * t
-            return (mp.e ** (-u * mp.log(y)) * mp.gamma(a1 + u) / mp.gamma(a1)
-                    * mp.gamma(a2 + u) / mp.gamma(a2) * mp.e ** (0.5 * u * u) / u)
-        with mp.workdps(30):
-            return float(mp.quad(f, [-30, 0, 30]).real / (2 * mp.pi))
-
+    p = rk.VParams(16, 12, g_scale=0.5)
     for y in (0.5, 3.7, 40.0, 500.0):
-        assert abs(oracles.v_function(y, p) - oracle(y)) < 1e-11
+        assert abs(rk._vq(p).value(y) - oracles.v_function(y, p)) < 1e-11
 
 
 def test_v_envelope_is_actually_an_envelope():
-    p = rk.VParams((20,), (12,), g_scale=0.5)
+    p = rk.VParams(20, 12, g_scale=0.5)
     vq = rk._vq(p)
     ys = np.array([1.0, 10.0, 100.0, 1000.0, 12345.0])
     vals, interp_err = vq.values(ys)
@@ -114,7 +103,7 @@ _V_YS = (1e-9, 1e-6, 1e-3, 0.02, 0.0999, 0.1, 0.3, 1.0, 4.0, 15.0) \
 
 @pytest.mark.parametrize("k", [14, 40, 60])
 def test_v_horner_matches_mpmath_line_sum(k):
-    vq = rk._vq(rk.VParams((k,), (12,)))
+    vq = rk._vq(rk.VParams(k, 12))
     got, _ = vq.values(np.array(_V_YS))
     for y, v in zip(_V_YS, got):
         ref, mass = _line_sum_mp(vq, y)
@@ -131,7 +120,7 @@ def test_v_interpolant_within_its_bound(k, l, g_scale):
     # against the exact quadrature sum.  Past the proved bound only rounding
     # is allowed: the sum's own, eps times the moduli of its terms (the
     # residue 1 among them below 0.1), spread by the Lebesgue constant.
-    vq = rk._vq(rk.VParams((k,), (l,), g_scale=g_scale))
+    vq = rk._vq(rk.VParams(k, l, g_scale=g_scale))
     lo, hi = 1e-3, 4 * math.pi ** 2 * 2 ** 18
     edges = np.exp(rk._LOG_SPLIT + rk._CHEB_WIDTH * np.arange(
         math.floor((math.log(lo) - rk._LOG_SPLIT) / rk._CHEB_WIDTH) + 1,
@@ -162,10 +151,10 @@ def test_v_interpolant_within_its_bound(k, l, g_scale):
 
 @pytest.mark.parametrize("k", [14, 40, 60])
 def test_log_gamma_array_on_v_lines_matches_mpmath(k):
-    p = rk.VParams((k,), (12,))
+    p = rk.VParams(k, 12)
     vq = rk._vq(p)
     for weights, sigma, h in (vq.line, vq.neg_line):
-        for a in p.gamma_shifts()[0]:
+        for a in (p.a1, p.a2):
             z = a + sigma + 1j * h * np.arange(len(weights))
             got = log_gamma(z)
             with mp.workdps(30):
@@ -178,7 +167,7 @@ def test_log_gamma_array_on_v_lines_matches_mpmath(k):
 
 
 def test_effective_cutoff_examples():
-    p = rk.VParams((14,), (12,), g_scale=1.0)
+    p = rk.VParams(14, 12, g_scale=1.0)
     m = rk.effective_cutoff(p, 1e-8)
     # machine check: the certified tail at the returned cutoff is below tol,
     # and the cutoff is minimal for the envelope bound used
@@ -188,8 +177,8 @@ def test_effective_cutoff_examples():
 
 
 def test_effective_cutoff_weight_scaling():
-    ph = rk.VParams((14,), (12,), g_scale=0.5)
-    p2 = rk.VParams((28,), (12,), g_scale=0.5)
+    ph = rk.VParams(14, 12, g_scale=0.5)
+    p2 = rk.VParams(28, 12, g_scale=0.5)
     m1 = rk.effective_cutoff(ph, 1e-7)
     m2 = rk.effective_cutoff(p2, 1e-7)
     assert 3.0 <= m2 / m1 <= 6.0
@@ -198,7 +187,7 @@ def test_effective_cutoff_weight_scaling():
 @pytest.mark.parametrize("k, tol, cut", [(14, 5e-9, 188), (24, 5e-9, 630), (40, 5e-9, 1690),
                                          (40, 5e-8, 1281), (48, 5e-8, 1848)])
 def test_effective_cutoff_under_deligne_bound(k, tol, cut):
-    p = rk.VParams((k,), (12,))
+    p = rk.VParams(k, 12)
     assert rk.effective_cutoff(p, tol) == cut
     assert rk.afe_tail_bound(p, cut) <= tol
     # the d(m)^3 majorant, which E's nu range keeps, needs over 30% more terms
@@ -208,7 +197,7 @@ def test_effective_cutoff_under_deligne_bound(k, tol, cut):
 def test_effective_cutoff_is_the_least_afe_tail_bound_certifies():
     # at (40, 5e-9) the search's envelope sum certifies from 1,680 on and
     # afe_tail_bound from 1,690; a x1.15 step from 1,680 overshot to 1,932
-    p = rk.VParams((40,), (12,))
+    p = rk.VParams(40, 12)
     assert rk.effective_cutoff(p, 5e-9) == 1690
     assert rk.afe_tail_bound(p, 1689) > 5e-9 >= rk.afe_tail_bound(p, 1690)
 
@@ -249,7 +238,7 @@ def test_b_coefficients_level_coprimality():
 def test_central_value_g_scale_invariance(f16, delta_record):
     # certified cutoff at the default scale; fixed generous cutoffs for the
     # slow-decay G-scales (their tails are empirically far below 1e-9)
-    cut0 = rk.effective_cutoff(rk.VParams((16,), (12,), g_scale=0.5), 1e-10)
+    cut0 = rk.effective_cutoff(rk.VParams(16, 12, g_scale=0.5), 1e-10)
     vals = []
     for cg, cutoff, rig in ((0.5, cut0, True), (1.0, 50000, False), (2.0, 50000, False)):
         cv = rk.central_value(f16, delta_record, g_scale=cg, cutoff=cutoff,
@@ -265,7 +254,7 @@ def test_central_value_contour_invariance(f16, delta_record):
 
 
 def test_central_value_truncation_stability(f16, delta_record):
-    cut = rk.effective_cutoff(rk.VParams((16,), (12,)), 1e-9)
+    cut = rk.effective_cutoff(rk.VParams(16, 12), 1e-9)
     a = rk.central_value(f16, delta_record, cutoff=cut)
     b = rk.central_value(f16, delta_record, cutoff=2 * cut)
     assert abs(a.value - b.value) <= 1e-8 * max(1.0, abs(a.value))
@@ -280,7 +269,7 @@ def test_central_value_certificate_against_4x_cutoff(delta_record, k, tol):
     # the certificate at M, plus 1e-14 relative for rounding, which the
     # certificate (truncation only) does not cover; at central_value's
     # default tol and, for k = 44 and 48, at the scan's afe_tol 1e-7
-    cut = rk.effective_cutoff(rk.VParams((k,), (12,)), tol / 2)
+    cut = rk.effective_cutoff(rk.VParams(k, 12), tol / 2)
     for f, f_long in zip(mf.eigenforms(k, cut), mf.eigenforms(k, 4 * cut)):
         short = rk.central_value(f, delta_record, tol=tol)
         assert short.cutoff == cut

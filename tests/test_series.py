@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -375,7 +377,7 @@ def _sieve_loop(power, n):
 @pytest.mark.parametrize("power, sieve", [
     (0, series.divisor_count_sieve),
     (1, lambda n: series.sigma_sieve(1, n)),
-    (5, lambda n: series.sigma_sieve(5, n)),  # sums past 2^53: rounding order shows
+    (5, lambda n: series.sigma_sieve(5, n)),  # sums past 2^53, each rounded once
 ])
 def test_divisor_sums_bit_identical_in_any_request_order(power, sieve):
     series.clear_store()
@@ -385,11 +387,7 @@ def test_divisor_sums_bit_identical_in_any_request_order(power, sieve):
     assert len(short) == len(again) == 300 and len(long) == 20000
     assert short.tobytes() == again.tobytes() == long[:300].tobytes()
     assert long.tobytes() == fresh.tobytes()
-    exact = _sieve_loop(power, 20000)
-    if power < 5:
-        assert np.array_equal(long, exact)
-    else:
-        assert np.allclose(long, exact, rtol=1e-14, atol=0)
+    assert np.array_equal(long, _sieve_loop(power, 20000))
     for arr in (short, long):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -412,16 +410,29 @@ def test_deligne_bound_sieve():
     assert not long.flags.writeable
 
 
+@pytest.mark.parametrize("level", [1, 3, 6])
+def test_square_divisor_sum_against_trial_division(level):
+    # out[m] = sum over d^2 | m with gcd(d, level) = 1 of x[m/d^2]; integer
+    # entries, so the float sums are exact in any order
+    rng = np.random.default_rng(level)
+    x = rng.integers(-1000, 1000, 3000).astype(float)
+    got = series.square_divisor_sum(x, level)
+    ref = [0.0] + [sum(x[m // (d * d)] for d in range(1, math.isqrt(m) + 1)
+                       if m % (d * d) == 0 and math.gcd(d, level) == 1)
+                   for m in range(1, 3000)]
+    assert np.array_equal(got, ref)
+
+
 def test_clear_store_resets_every_memo():
     from rsmoment import modforms, moments, rankin, tracefmla
     from rsmoment.numfield import Q_SQRT5
 
     box = tracefmla._residue_box(Q_SQRT5, (2, 1))
     getters = {
-        "V quadrature": lambda: rankin._vq(rankin.VParams((24,), (12,))),
+        "V quadrature": lambda: rankin._vq(rankin.VParams(24, 12)),
         "omega": lambda: moments.omega_weights(16),
-        "W row": lambda: moments._w_row(rankin.VParams((24,), (12,)), 1, 50, 1e-6),
-        "nu-tail row": lambda: moments._nu_tail_row(rankin.VParams((24,), (12,)), 50),
+        "W row": lambda: moments._w_row(rankin.VParams(24, 12), 50, 1e-6),
+        "nu-tail row": lambda: moments._nu_tail_row(rankin.VParams(24, 12), 50),
         "eigenforms": lambda: modforms.eigenforms(16, 50)[0],
         "Hecke data": lambda: modforms._eigen_data(16),
         "kloosterman row": lambda: tracefmla.kloosterman_row(3, 35),

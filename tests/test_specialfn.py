@@ -146,6 +146,16 @@ def test_bessel_against_highprec_series():
         assert abs(got - ref) < 1e-11 * max(abs(ref), 1e-8), (nu, x)
 
 
+@pytest.mark.parametrize("order, x", [(59, 1.0), (171, 5.0), (200, 27.85)])
+def test_bessel_highprec_oracle_is_relatively_accurate(order, x):
+    # where J is far below 1 (1e-98 at J_59(1)), the oracle's stop rule is
+    # relative to its running total, not absolute
+    with mp.workdps(40):
+        ref = mp.besselj(order, mp.mpf(x))
+        got = oracles.bessel_j_highprec(order, x)
+        assert abs(got / ref - 1) <= mp.mpf(10) ** -30, (order, x)
+
+
 def _bessel_array_grid(order):
     """x = 0 and x from 1e-3 to 1000, dense around x = order and x = 2 sqrt(order + 1)."""
     turn = 2.0 * math.sqrt(order + 1.0)
@@ -170,8 +180,8 @@ def test_bessel_j_array_against_highprec(order):
 
 def test_bessel_series_above_order_170_against_mpmath():
     # past order 170, (x/2)^order / order! overflows its float parts and the
-    # series branch builds it another way; every grid point with |J| > 1e-280
-    # (``bessel_j_highprec`` stops on an absolute error there, so mpmath's J)
+    # series branch builds it another way; every grid point with |J| > 1e-280,
+    # against mpmath's J
     worst = 0.0
     for order in range(171, 241):
         xs = 2.0 * math.sqrt(order + 1.0) * np.linspace(0.05, 1.0, 20)
